@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     serial = DtrEvaluator(
         network,
         traffic,
-        OptimizerConfig(execution=ExecutionParams(sweep_batching="on")),
+        OptimizerConfig(execution=ExecutionParams(sweep_batching="auto")),
     )
     rates["serial"], sweeps["serial"] = arm_rate(
         serial, setting, failures, args.rounds, args.warmups
@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         traffic,
         OptimizerConfig(
             execution=ExecutionParams(
-                n_jobs=args.jobs, sweep_batching="on"
+                n_jobs=args.jobs, sweep_batching="auto"
             )
         ),
     ) as shm:
@@ -202,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             traffic,
             OptimizerConfig(
                 execution=ExecutionParams(
-                    executor="hosts", hosts=spec, sweep_batching="on"
+                    executor="hosts", hosts=spec, sweep_batching="auto"
                 )
             ),
         ) as dist:

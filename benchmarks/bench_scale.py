@@ -4,10 +4,8 @@ Measures full failure-sweep evaluations/sec of the cost oracle under
 each routing backend — ``python`` (the pure-Python stack: per-destination
 heap Dijkstra + list-based propagation kernels, tuned for backbone
 scale), ``vector`` (the array-native stack: batched scipy Dijkstra over
-cached CSR views + level-scheduled batch kernels), ``numba`` (the
-JIT-compiled batch kernels — benched only when the optional numba
-dependency is importable; its row columns are null otherwise) and
-``auto`` (the size-adaptive dispatcher, the production default) — on
+cached CSR views + level-scheduled batch kernels) and ``auto`` (the
+size-adaptive dispatcher, the production default) — on
 ``powerlaw_topology`` instances at ~30/100/200/400 nodes plus the fixed
 16-node ISP backbone.  Sweeps run from scratch
 (``incremental_routing=False``) so the numbers measure raw
@@ -17,10 +15,9 @@ speedups on top are tracked separately by ``bench_incremental.py``.
 Two properties are recorded per size and written to
 ``BENCH_scale.json`` (CI uploads it as an artifact):
 
-* **parity** — python, vector and (when available) numba sweeps
-  produce bit-identical costs, loads and pair delays (integer weights
-  make every reuse rule exact); the gate always applies and exits 1 on
-  divergence.
+* **parity** — python and vector sweeps produce bit-identical costs,
+  loads and pair delays (integer weights make every reuse rule exact);
+  the gate always applies and exits 1 on divergence.
 * **auto adaptivity** — ``auto`` is never slower than the better fixed
   backend by more than 10 % (it picks the python stack at backbone
   scale, the vector stack at Rocketfuel scale).
@@ -50,10 +47,8 @@ from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.evaluation import DtrEvaluator
 from repro.core.weights import WeightSetting
 from repro.routing.backend import (
-    NUMBA_CROSSOVER_WORK,
     VECTOR_CROSSOVER_WORK,
     VECTOR_PROPAGATION_CROSSOVER_WORK,
-    numba_available,
     resolve_backend,
 )
 from repro.routing.failures import single_link_failures
@@ -146,10 +141,7 @@ def bench_size(family: str, num_nodes: int, seed: int, rounds: int,
         network.num_arcs, OptimizerConfig().weights, rng
     )
 
-    backends = ["python", "vector"]
-    if numba_available():
-        backends.append("numba")
-    backends.append("auto")
+    backends = ["python", "vector", "auto"]
     rates = {}
     sweeps = {}
     for backend in backends:
@@ -165,8 +157,7 @@ def bench_size(family: str, num_nodes: int, seed: int, rounds: int,
     auto_choice = resolve_backend(
         "auto", network.num_nodes, network.num_arcs, destinations
     )
-    best_fixed = max(rates[b] for b in backends if b != "auto")
-    has_numba = "numba" in rates
+    best_fixed = max(rates["python"], rates["vector"])
     row = {
         "family": network.name,
         "nodes": network.num_nodes,
@@ -174,31 +165,18 @@ def bench_size(family: str, num_nodes: int, seed: int, rounds: int,
         "scenarios": len(failures),
         "python_evals_per_sec": round(rates["python"], 2),
         "vector_evals_per_sec": round(rates["vector"], 2),
-        "numba_evals_per_sec": (
-            round(rates["numba"], 2) if has_numba else None
-        ),
         "auto_evals_per_sec": round(rates["auto"], 2),
         "vector_speedup": round(rates["vector"] / rates["python"], 2),
-        "numba_speedup": (
-            round(rates["numba"] / rates["python"], 2) if has_numba else None
-        ),
         "auto_backend_choice": auto_choice,
         "auto_vs_best_fixed": round(rates["auto"] / best_fixed, 3),
         "parity": parity,
     }
-    numba_part = (
-        f"numba {row['numba_evals_per_sec']:>8.2f}/s "
-        f"({row['numba_speedup']:.2f}x)  "
-        if has_numba
-        else "numba      n/a  "
-    )
     print(
         f"{row['family']:>7}[{row['nodes']:>3},{row['arcs']:>5}] "
         f"{row['scenarios']:>3} scenarios: "
         f"python {row['python_evals_per_sec']:>8.2f}/s  "
         f"vector {row['vector_evals_per_sec']:>8.2f}/s "
         f"({row['vector_speedup']:.2f}x)  "
-        f"{numba_part}"
         f"auto {row['auto_evals_per_sec']:>8.2f}/s "
         f"[{auto_choice}, {row['auto_vs_best_fixed']:.2f} of best]  "
         f"parity={parity}"
@@ -275,7 +253,6 @@ def main(argv: list[str] | None = None) -> int:
             "crossover_work": {
                 "route": VECTOR_CROSSOVER_WORK,
                 "propagate": VECTOR_PROPAGATION_CROSSOVER_WORK,
-                "numba": NUMBA_CROSSOVER_WORK,
             },
             "attachments": PL_ATTACHMENTS,
             "seed": args.seed,

@@ -14,8 +14,8 @@ comparable across PRs and across benchmarks:
   (seeds, crossovers, sizes) worth pinning next to the numbers.  Every
   record additionally carries ``context.backend_availability`` — which
   routing backends were importable on the producing machine (and the
-  numba/numpy versions) — so trajectory comparisons across PRs can
-  tell a slow kernel from a missing one;
+  numpy version) — so trajectory comparisons across PRs can tell a
+  slow kernel from a missing one;
 * ``rows`` — the measurements, one dict per benchmarked configuration.
 
 The helper is deliberately dependency-free (stdlib json only) so the
@@ -37,7 +37,7 @@ def _backend_availability() -> dict:
     try:
         from repro.routing.backend import backend_availability
     except ImportError:
-        return {"python": True, "vector": None, "numba": None}
+        return {"python": True, "vector": None}
     return backend_availability()
 
 

@@ -1,22 +1,21 @@
-"""Scenario-axis batch sweep benchmark: serial vs parallel vs shm-batched.
+"""Scenario-axis batch sweep benchmark: per-scenario vs batched, serial
+and parallel.
 
 Runs the same single-link failure sweep on a Rocketfuel-class PLTopo
 instance through four evaluator configurations —
 
-* ``serial`` — the legacy per-scenario serial path
-  (``sweep_batching=off``),
+* ``serial`` — the per-scenario serial path (``sweep_batching=off``),
 * ``serial-batched`` — the scenario-axis batch sweep engine
-  (``sweep_batching=on``),
-* ``parallel`` — the legacy :class:`ParallelDtrEvaluator` process path
-  (by-value task payloads, per-scenario workers),
-* ``parallel-shm`` — zero-copy shared-memory workers running the batch
-  engine (per-sweep publish, index tickets only)
+  (``sweep_batching=auto``),
+* ``parallel`` — :class:`ParallelDtrEvaluator` with per-scenario
+  workers (``sweep_batching=off``) on shared-memory tickets,
+* ``parallel-shm`` — shared-memory workers running the batch engine
 
-— and reports warm evaluations/sec for each, the shm speedup over the
-legacy process path, per-task payload bytes (the legacy path pickles
-the routings/traffic-bearing reuse evaluation into every task; the shm
-path publishes once and ships ~30-byte tickets), and a strict bitwise
-parity gate across every arm (exit 1 on divergence).  A composed
+— and reports warm evaluations/sec for each, the batched workers'
+speedup over the per-scenario workers, the measured per-task ticket
+bytes of both parallel arms (every process sweep publishes its payload
+once and ships ~36-byte index tickets), and a strict bitwise parity
+gate across every arm (exit 1 on divergence).  A composed
 failure-x-surge cross sweep rides along to track the cross-product
 batching gain.  Results land in ``BENCH_sweep.json`` (shared
 ``bench_schema`` layout; CI uploads it as an artifact)::
@@ -26,17 +25,16 @@ batching gain.  Results land in ``BENCH_sweep.json`` (shared
     python benchmarks/bench_sweep.py --assert-shm-speedup 2.0
 
 The parity gate always applies; ``--assert-shm-speedup`` additionally
-fails the run when the shm-batched path lands below the bound over the
-legacy process path — meaningful on dedicated hardware, deliberately
-not the default because shared CI runners make wall-clock assertions
-flaky.
+fails the run when the batched shm workers land below the bound over
+the per-scenario workers — meaningful on dedicated hardware,
+deliberately not the default because shared CI runners make wall-clock
+assertions flaky.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import pickle
 import sys
 import time
 
@@ -120,20 +118,6 @@ def arm_rate(evaluator, setting, scenarios, rounds: int, warmups: int):
     return len(scenarios) / best, sweep
 
 
-def legacy_task_bytes(setting, scenarios, evaluator) -> int:
-    """Bytes the legacy process path pickles into ONE task.
-
-    The by-value payload: both weight vectors, the scenario chunk, and
-    the reuse evaluation with its routings attached — re-shipped with
-    every task of every sweep.
-    """
-    normal = evaluator.evaluate_normal(setting)
-    chunk = tuple(scenarios[: max(1, len(scenarios) // 8)])
-    return len(
-        pickle.dumps((setting.delay, setting.tput, chunk, normal))
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -174,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "exit 1 unless parallel-shm reaches this factor over the "
-            "legacy parallel process path"
+            "per-scenario parallel arm"
         ),
     )
     args = parser.parse_args(argv)
@@ -196,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for arm, mode, jobs in (
         ("serial", "off", 1),
-        ("serial-batched", "on", 1),
+        ("serial-batched", "auto", 1),
     ):
         evaluator = DtrEvaluator(network, traffic, config_for(mode))
         rates[arm], sweeps[arm] = arm_rate(
@@ -205,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         del evaluator
     transports = {}
     worker_busy = {}
-    for arm, mode in (("parallel", "off"), ("parallel-shm", "on")):
+    for arm, mode in (("parallel", "off"), ("parallel-shm", "auto")):
         with ParallelDtrEvaluator(
             network, traffic, config_for(mode, args.jobs)
         ) as evaluator:
@@ -224,19 +208,17 @@ def main(argv: list[str] | None = None) -> int:
         sweeps_identical(sweeps["serial"], sweeps[arm])
         for arm in ("serial-batched", "parallel", "parallel-shm")
     )
-    task_bytes = legacy_task_bytes(
-        setting, failures, DtrEvaluator(network, traffic, config_for("off"))
-    )
-    ticket_bytes = len(pickle.dumps(("psm_0123abcdef", 0, len(failures))))
     shm_speedup = rates["parallel-shm"] / rates["parallel"]
     for arm in ("serial", "serial-batched", "parallel", "parallel-shm"):
+        transport = transports.get(arm)
         row = {
             "workload": "link-sweep",
             "arm": arm,
             "evals_per_sec": round(rates[arm], 2),
             "per_task_payload_bytes": (
-                ticket_bytes if arm == "parallel-shm" else
-                task_bytes if arm == "parallel" else 0
+                round(transport["task_bytes"] / transport["tasks"])
+                if transport
+                else 0
             ),
         }
         rows.append(row)
@@ -245,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
             f"task payload {row['per_task_payload_bytes']:>7d} B"
         )
     print(
-        f"  shm-batched speedup over legacy process path: "
+        f"  batched speedup over per-scenario shm workers: "
         f"{shm_speedup:.2f}x; parity={parity}"
     )
 
@@ -254,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         scenarios = build_scenarios(args.cross, network, args.seed)
         cross_rates = {}
         cross_sweeps = {}
-        for arm, mode in (("serial", "off"), ("serial-batched", "on")):
+        for arm, mode in (("serial", "off"), ("serial-batched", "auto")):
             evaluator = DtrEvaluator(network, traffic, config_for(mode))
             cross_rates[arm], cross_sweeps[arm] = arm_rate(
                 evaluator, setting, scenarios, args.rounds, args.warmups
@@ -284,9 +266,10 @@ def main(argv: list[str] | None = None) -> int:
         "sweep",
         (
             "warm single-link failure sweeps through the four evaluator "
-            "configurations (legacy serial, scenario-axis batched, "
-            "legacy process-parallel, shared-memory batched parallel), "
-            "plus a composed cross sweep; bitwise parity gated"
+            "configurations (per-scenario serial, scenario-axis batched "
+            "serial, per-scenario workers on shm tickets, batched "
+            "workers on shm tickets), plus a composed cross sweep; "
+            "bitwise parity gated"
         ),
         rows=rows,
         context={
@@ -299,7 +282,9 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "attachments": PL_ATTACHMENTS,
             "sweep_batch_min_scenarios": SWEEP_BATCH_MIN_SCENARIOS,
-            "shm_speedup_vs_process": round(shm_speedup, 2),
+            "batched_speedup_vs_per_scenario_workers": round(
+                shm_speedup, 2
+            ),
             "parity": parity and cross_parity,
             # Measured dispatch accounting of the parallel arms:
             # publishes/payload bytes (shm blocks), per-task ticket

@@ -1,30 +1,22 @@
-"""Derive routing-backend crossover constants from BENCH_scale.json.
+"""Derive the routing-backend crossover constant from BENCH_scale.json.
 
 ``resolve_backend("auto")`` picks a kernel backend by comparing
-``work = num_destinations * (num_nodes + num_arcs)`` against two
-calibrated constants in :mod:`repro.routing.backend`:
+``work = num_destinations * (num_nodes + num_arcs)`` against
+``VECTOR_CROSSOVER_WORK`` in :mod:`repro.routing.backend`: below it
+the python loops beat the vector kernels (per-call numpy overhead
+dominates tiny instances).
 
-* ``VECTOR_CROSSOVER_WORK`` — below it the python loops beat the
-  vector kernels (per-call numpy overhead dominates tiny instances);
-* ``NUMBA_CROSSOVER_WORK`` — above it the JIT kernels win whenever
-  numba is importable.
-
-This script re-derives both from a measured ``bench_scale.py`` record
-instead of folklore: for each backend pair it brackets the measured
-crossover — the largest per-sweep work where the cheap backend still
-wins and the smallest where the expensive one wins — and suggests the
-geometric mean of the bracket (the standard midpoint on a quantity
-spanning orders of magnitude).  It prints suggested constants next to
-the current ones and exits 0; it never edits source — calibration is a
-reviewed change, not a side effect::
+This script re-derives that constant from a measured
+``bench_scale.py`` record instead of folklore: it brackets the
+measured crossover — the largest per-sweep work where the python
+backend still wins and the smallest where the vector one wins — and
+suggests the geometric mean of the bracket (the standard midpoint on a
+quantity spanning orders of magnitude).  It prints the suggestion next
+to the current constant and exits 0; it never edits source —
+calibration is a reviewed change, not a side effect::
 
     python scripts/calibrate_crossovers.py                    # BENCH_scale.json
-    python scripts/calibrate_crossovers.py BENCH_scale_jit.json
-
-On a numba-less machine the numba columns are null and the script says
-so: the CI ``jit`` lane's ``BENCH_scale_jit.json`` artifact is the
-record to feed it for ``NUMBA_CROSSOVER_WORK`` (that is how the
-current value of 2_000 was calibrated; see docs/PERFORMANCE.md).
+    python scripts/calibrate_crossovers.py other_record.json
 """
 
 from __future__ import annotations
@@ -38,10 +30,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.routing.backend import (  # noqa: E402
-    NUMBA_CROSSOVER_WORK,
-    VECTOR_CROSSOVER_WORK,
-)
+from repro.routing.backend import VECTOR_CROSSOVER_WORK  # noqa: E402
 
 
 def sweep_work(row: dict) -> int:
@@ -58,8 +47,7 @@ def bracket_crossover(
 ) -> "tuple[int | None, int | None]":
     """Largest work where ``cheap`` wins, smallest where ``fast`` wins.
 
-    Rows missing either column (e.g. numba on a machine without the
-    JIT dependency) are skipped.
+    Rows missing either column are skipped.
     """
     cheap_wins: "int | None" = None
     fast_wins: "int | None" = None
@@ -129,32 +117,13 @@ def main(argv: "list[str] | None" = None) -> int:
         )
         return 1
     rows = payload["rows"]
-    availability = payload.get("context", {}).get(
-        "backend_availability", {}
-    )
-    print(
-        f"{path}: {len(rows)} measured instances "
-        f"(numba {'available' if availability.get('numba') else 'absent'})"
-    )
+    print(f"{path}: {len(rows)} measured instances")
     print()
-
     report(
         "VECTOR_CROSSOVER_WORK (python -> vector)",
         VECTOR_CROSSOVER_WORK,
         *bracket_crossover(rows, "python", "vector"),
     )
-    print()
-    numba_bracket = bracket_crossover(rows, "python", "numba")
-    report(
-        "NUMBA_CROSSOVER_WORK (python -> numba)",
-        NUMBA_CROSSOVER_WORK,
-        *numba_bracket,
-    )
-    if numba_bracket == (None, None):
-        print(
-            "  note: no numba measurements in this record; feed the CI "
-            "jit lane's BENCH_scale_jit.json artifact to calibrate it"
-        )
     return 0
 
 

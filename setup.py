@@ -29,10 +29,6 @@ setup(
             "pytest-benchmark>=4.0",
             "hypothesis>=6.0",
         ],
-        # Optional JIT routing backend (routing_backend="numba").
-        "jit": [
-            "numba>=0.57",
-        ],
     },
     entry_points={
         "console_scripts": [

@@ -228,12 +228,10 @@ class ExecutionParams:
     Attributes:
         n_jobs: worker count for failure-sweep fan-out; 1 runs fully
             serial, 0 resolves to one worker per available CPU.
-        executor: ``"process"`` (default; sidesteps the GIL, needed for
-            real speedup on the pure-Python propagation kernels),
-            ``"thread"`` (cheaper startup, useful for tests and platforms
-            without fork) or ``"hosts"`` (multi-host scenario-shard
-            sweeps over a TCP host pool — see
-            :mod:`repro.core.distributed` and the ``hosts`` knob).
+        executor: ``"process"`` (default; a local worker-process
+            pool) or ``"hosts"`` (multi-host scenario-shard sweeps over
+            a TCP host pool — see :mod:`repro.core.distributed` and the
+            ``hosts`` knob).
         chunk_size: scenarios per parallel task; None picks a chunk count
             of roughly four tasks per worker for load balancing.
         routing_cache: enable the incremental routing cache that reuses
@@ -248,27 +246,21 @@ class ExecutionParams:
         routing_backend: kernel backend for routing propagations —
             ``"python"`` (per-destination pure-Python loops, fastest at
             backbone scale), ``"vector"`` (array-native destination
-            batches, fastest on Rocketfuel-class instances),
-            ``"numba"`` (JIT-compiled batch kernels; requires the
-            optional ``numba`` dependency — the ``[jit]`` extra — and
-            raises here at validation time when it is not importable)
-            or ``"auto"`` (default: per-call choice from node/arc/
-            destination counts; selects ``"numba"`` only above its
-            crossover and only when importable, so environments
-            without numba resolve exactly as before; see
-            ``repro.routing.backend``).  Backends are bit-identical on
-            integer-weight instances.
+            batches, fastest on Rocketfuel-class instances) or
+            ``"auto"`` (default: per-call choice from node/arc/
+            destination counts; see ``repro.routing.backend``).
+            Backends are bit-identical on integer-weight instances.
         sweep_batching: run scenario sweeps through the batch sweep
             engine (:mod:`repro.routing.sweep`): scenarios are grouped
             by structural footprint and their outstanding kernel work
-            runs once per group instead of once per scenario, and the
-            parallel evaluator publishes sweep state through shared
-            memory instead of pickling it per task.  ``"auto"``
-            (default) batches every sweep of at least two scenarios,
-            ``"on"`` forces batching, ``"off"`` restores the legacy
-            per-scenario path.  Requires ``incremental_routing``;
-            bit-identical to the per-scenario path on integer-weight
-            instances either way.
+            runs once per group instead of once per scenario.
+            ``"auto"`` (default) batches every sweep of at least two
+            scenarios, ``"off"`` keeps the per-scenario path.  Batching
+            requires ``incremental_routing`` and a backend other than
+            ``"python"``; either way results are bit-identical to the
+            per-scenario path on integer-weight instances, and the
+            parallel evaluator publishes sweep state once through
+            shared memory.
         max_retries: extra dispatch attempts per parallel sweep task
             after a worker failure (crash, raise, timeout) before the
             task is quarantined to the serial in-process path; 0
@@ -327,21 +319,6 @@ class ExecutionParams:
             raise ValueError("cache_size must be >= 1")
         validate_backend(self.routing_backend)
         validate_sweep_batching(self.sweep_batching)
-        if self.sweep_batching == "on" and not self.incremental_routing:
-            # The batch engine rides the incremental routers; a forced
-            # "on" without them would silently run the legacy path.
-            raise ValueError(
-                "sweep_batching='on' requires incremental_routing "
-                "(use 'auto' to batch only when it applies)"
-            )
-        if self.sweep_batching == "on" and self.routing_backend == "python":
-            # The engine's cross-scenario kernels are the vector stack;
-            # a forced python backend must keep its A/B isolation.
-            raise ValueError(
-                "sweep_batching='on' conflicts with "
-                "routing_backend='python' (the batch engine runs the "
-                "vector kernels; use 'auto' for either knob)"
-            )
         validate_resilience(
             self.max_retries,
             self.retry_backoff,

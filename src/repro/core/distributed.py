@@ -29,7 +29,7 @@ names:
 Messages are length-prefixed protocol-5 pickles over one TCP connection
 per host; TCP ordering guarantees a host sees every epoch payload
 before any task that references it.  Hosts evaluate their slice through
-the same batched serial path as shm workers (the scenario-axis
+the same serial ``evaluate_scenarios`` as shm workers (the scenario-axis
 ``plan_sweep`` engine of :mod:`repro.routing.sweep` runs host-side, and
 parent-side ticket sizing is capped by the same
 ``group_scenario_budget``), and compute their own NORMAL reuse
@@ -73,7 +73,6 @@ from typing import Callable
 from repro.config import ExecutionParams, OptimizerConfig
 from repro.core import faults
 from repro.core.evaluation import (
-    DtrEvaluator,
     ScenarioCosts,
     ScenarioEvaluation,
     Scenarios,
@@ -82,6 +81,7 @@ from repro.core.evaluation import (
 from repro.core.parallel import (
     CacheStats,
     CachingDtrEvaluator,
+    _serial_ticket,
     _strip_routings,
 )
 from repro.core.resilience import (
@@ -1039,11 +1039,7 @@ class DistributedDtrEvaluator(CachingDtrEvaluator):
         items = list(scenarios)
         if len(items) < 2:
             return super().evaluate_scenarios(setting, items, reuse=reuse)
-        if reuse is None:
-            reuse = self.evaluate_normal(setting)
-        outcomes = self._host_sweep(setting, items, reuse, costs_only=False)
-        self._num_evaluations += len(items)
-        return ScenarioCosts(tuple(outcomes))
+        return self._host_sweep(setting, items, reuse, costs_only=False)
 
     def _sweep_costs(
         self,
@@ -1054,19 +1050,17 @@ class DistributedDtrEvaluator(CachingDtrEvaluator):
         """Costs-only sweep: hosts fold locally, scalars stream back."""
         if len(items) < 2:
             return super()._sweep_costs(setting, items, reuse)
-        if reuse is None:
-            reuse = self.evaluate_normal(setting)
-        outcomes = self._host_sweep(setting, items, reuse, costs_only=True)
-        self._num_evaluations += len(items)
-        return ScenarioCosts(tuple(outcomes))
+        return self._host_sweep(setting, items, reuse, costs_only=True)
 
     def _host_sweep(
         self,
         setting: WeightSetting,
         items: list,
-        reuse: ScenarioEvaluation,
+        reuse: "ScenarioEvaluation | None",
         costs_only: bool,
-    ) -> "list[ScenarioEvaluation]":
+    ) -> ScenarioCosts:
+        if reuse is None:
+            reuse = self.evaluate_normal(setting)
         scenario_tuple = tuple(items)
         ikey, iframe = self._instance_epoch()
         skey, sframe = self._scenario_epoch(scenario_tuple)
@@ -1088,8 +1082,8 @@ class DistributedDtrEvaluator(CachingDtrEvaluator):
                 )
 
             def fallback(lo=lo, hi=hi):
-                return self._serial_ticket(
-                    setting, items[lo:hi], reuse, costs_only
+                return _serial_ticket(
+                    self, setting, items[lo:hi], reuse, costs_only
                 )
 
             tasks.append(
@@ -1102,33 +1096,9 @@ class DistributedDtrEvaluator(CachingDtrEvaluator):
             ensure_pool=self._executor.ensure_pool,
             reset_pool=self._executor.recycle_pool,
         )
-        return self._collect(supervisor.run(tasks))
-
-    def _serial_ticket(
-        self,
-        setting: WeightSetting,
-        items: list,
-        reuse: ScenarioEvaluation,
-        costs_only: bool,
-    ) -> "tuple[list[ScenarioEvaluation], None, None, float]":
-        """One quarantined/degraded ticket on the in-process serial path.
-
-        Mirrors a host task exactly — the batched serial slice sweep —
-        so the result is bit-identical to a successful dispatch.  The
-        evaluation counter is restored because the sweep caller
-        accounts the whole sweep once.
-        """
-        fold = compact_evaluation if costs_only else _strip_routings
-        before = self._num_evaluations
-        begin = time.perf_counter()
-        try:
-            costs = DtrEvaluator.evaluate_scenarios(
-                self, setting, list(items), reuse=reuse
-            )
-            outcomes = [fold(e) for e in costs.evaluations]
-        finally:
-            self._num_evaluations = before
-        return (outcomes, None, None, time.perf_counter() - begin)
+        outcomes = self._collect(supervisor.run(tasks))
+        self._num_evaluations += len(items)
+        return ScenarioCosts(tuple(outcomes))
 
     def _collect(self, results: list) -> "list[ScenarioEvaluation]":
         """Fold ticket results in ticket (= scenario) order."""

@@ -56,7 +56,7 @@ from repro.core.lexicographic import CostPair
 from repro.core.perturbation import Move
 from repro.core.sla import SlaOutcome, sla_outcome
 from repro.core.weights import WeightSetting
-from repro.routing.backend import resolve_sweep_batching
+from repro.routing.backend import SWEEP_BATCH_MIN_SCENARIOS
 from repro.routing.engine import ClassRouting, PathDelayReuse, RoutingEngine
 from repro.routing.failures import NORMAL, FailureScenario, FailureSet
 from repro.routing.incremental import IncrementalRouter
@@ -507,7 +507,7 @@ class DtrEvaluator:
 
         The parent lock guards only the sibling registry and the NORMAL
         cache, never the evaluation itself — the sibling serializes its
-        own routing work under its own lock, so threaded sweeps keep
+        own routing work under its own lock, so concurrent callers keep
         plain-failure and variant evaluations concurrent.  A racing
         duplicate NORMAL evaluation is possible and harmless: results
         are bit-identical, last write wins.
@@ -736,9 +736,9 @@ class DtrEvaluator:
                 demand if omitted; traffic-variant scenarios maintain
                 their own per-variant reuse instead).
 
-        With ``config.execution.sweep_batching`` resolved on (the
-        default for multi-scenario sweeps, requires incremental
-        routing), the sweep runs through the scenario-axis batch engine
+        When :meth:`_use_sweep_batching` says so (the default for
+        multi-scenario sweeps, requires incremental routing), the sweep
+        runs through the scenario-axis batch engine
         (:mod:`repro.routing.sweep`): scenarios are grouped by
         structural footprint and the outstanding kernel work of a whole
         group — load propagations, path-delay DPs — runs once per group
@@ -843,17 +843,23 @@ class DtrEvaluator:
     def _use_sweep_batching(self, num_scenarios: int) -> bool:
         """Whether this sweep runs the batch sweep engine.
 
-        The engine rides the incremental routers (so it requires
-        ``incremental_routing``) and its cross-scenario kernels are the
-        vector stack — a forced ``routing_backend="python"`` therefore
-        disables batching too, keeping that knob's A/B isolation (and
-        its float-weight caveat) intact.
+        The one place the decision is made — parallel workers and
+        quarantined tickets reach it through :meth:`evaluate_scenarios`
+        too.  ``sweep_batching="auto"`` (the default) batches every
+        sweep of at least :data:`SWEEP_BATCH_MIN_SCENARIOS` scenarios,
+        ``"off"`` never.  The engine rides the incremental routers (so
+        it requires ``incremental_routing``) and its cross-scenario
+        kernels are the vector stack — a forced
+        ``routing_backend="python"`` therefore disables batching too,
+        keeping that knob's A/B isolation (and its float-weight caveat)
+        intact.
         """
-        if not self._incremental:
-            return False
-        if self._config.execution.routing_backend == "python":
-            return False
-        return resolve_sweep_batching(self._sweep_batching, num_scenarios)
+        return (
+            self._incremental
+            and self._config.execution.routing_backend != "python"
+            and self._sweep_batching == "auto"
+            and num_scenarios >= SWEEP_BATCH_MIN_SCENARIOS
+        )
 
     def _sweep_batched(
         self,

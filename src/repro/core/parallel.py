@@ -26,13 +26,10 @@ without changing a single computed bit:
   (legacy failure sets and composed :class:`~repro.scenarios.ScenarioSet`
   collections alike, through the one
   :meth:`~repro.core.evaluation.DtrEvaluator.evaluate_scenarios`
-  contract) and normal-evaluation batches out across a
-  ``concurrent.futures`` pool
-  (processes by default; the propagation kernels are pure Python, so
-  threads only help where fork is unavailable).  Scenario order, and
-  therefore every floating-point sum, is preserved, so results are
-  bit-identical to the serial evaluator; ``tests/core/test_parallel.py``
-  pins this.
+  contract) and normal-evaluation batches out across a process pool.
+  Scenario order, and therefore every floating-point sum, is preserved,
+  so results are bit-identical to the serial evaluator;
+  ``tests/core/test_parallel.py`` pins this.
 
 Workers are long-lived: each holds its own :class:`CachingDtrEvaluator`
 (built once per process by the pool initializer) so routing caches stay
@@ -40,17 +37,16 @@ warm across sweeps, and every task reports its cumulative cache counters
 back so :attr:`ParallelDtrEvaluator.cache_stats` aggregates the whole
 fleet.
 
-With sweep batching resolved on (the default for multi-scenario
-sweeps), the process path stops shipping sweep state by value: a
-:class:`SharedSweepState` publishes the weight setting, the scenario
-list and the reuse evaluation once per sweep through
-``multiprocessing.shared_memory`` (arrays leave the pickle stream as
-protocol-5 out-of-band buffers), workers attach zero-copy, and every
-task carries only a ``(block name, scenario-index range)`` ticket.
-Workers then sweep their slice through the scenario-axis batch engine
-(:mod:`repro.routing.sweep`); the thread executor reuses the same
-grouping planner without shared memory.  Results stay bit-identical
-and invariant to ``n_jobs`` / ``chunk_size`` either way.
+Sweep state never ships by value: a :class:`SharedSweepState`
+publishes the weight setting, the scenario list and the reuse
+evaluation once per sweep through ``multiprocessing.shared_memory``
+(arrays leave the pickle stream as protocol-5 out-of-band buffers),
+workers attach zero-copy, and every task carries only a ``(block name,
+scenario-index range)`` ticket.  Each worker sweeps its slice through
+its own :meth:`~repro.core.evaluation.DtrEvaluator.evaluate_scenarios`,
+which picks the scenario-axis batch engine (:mod:`repro.routing.sweep`)
+or the per-scenario path exactly as a serial sweep would.  Results stay
+bit-identical and invariant to ``n_jobs`` / ``chunk_size``.
 """
 
 from __future__ import annotations
@@ -68,7 +64,6 @@ from collections import OrderedDict, deque
 from concurrent.futures import (
     Executor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait as futures_wait,
 )
 from dataclasses import dataclass, replace
@@ -168,8 +163,8 @@ class RoutingCache:
     the cached routing is bit-identical to what a fresh computation would
     produce (the parity tests pin this).
 
-    All operations are guarded by a lock so the thread-pool executor can
-    share one cache.
+    All operations are guarded by a lock, so threads may share one
+    cache.
 
     Args:
         max_entries: LRU capacity (entries, across classes and scenarios).
@@ -405,46 +400,35 @@ def _strip_routings(evaluation: ScenarioEvaluation) -> ScenarioEvaluation:
     return replace(evaluation, routing_delay=None, routing_tput=None)
 
 
-def _worker_sweep(
-    delay_weights: np.ndarray,
-    tput_weights: np.ndarray,
-    scenarios: "tuple[FailureScenario | Scenario, ...]",
-    reuse: ScenarioEvaluation | None,
-    costs_only: bool = False,
-) -> tuple[list[ScenarioEvaluation], int, tuple[int, int, int], float]:
-    """Evaluate one scenario chunk in a worker process.
+def _serial_ticket(
+    evaluator: DtrEvaluator,
+    setting: WeightSetting,
+    items: "list[FailureScenario | Scenario]",
+    reuse: ScenarioEvaluation,
+    costs_only: bool,
+) -> tuple[list[ScenarioEvaluation], None, None, float]:
+    """One quarantined/degraded ticket on the in-process serial path.
 
-    Chunks may mix plain failure scenarios and composed
-    :class:`~repro.scenarios.Scenario` items; the worker's evaluator
-    unwraps them exactly like the serial path (variant scenarios build
-    their sibling oracles per process, seeded deterministically, so the
-    fan-out stays bit-identical to a serial sweep).
-
-    With ``costs_only`` the worker folds locally: evaluations are
-    compacted to their scalars (cost + SLA) before shipping, so the IPC
-    payload is a few floats per scenario regardless of instance size.
-
-    Returns the stripped evaluations in input order plus the worker's
-    pid, *cumulative* cache counters (the parent keeps the latest
-    counters per pid, so re-sending totals is idempotent) and the
-    task's compute seconds (``TransportStats.busy_seconds``).
+    Shared by the process-pool and host-pool evaluators.  Mirrors a
+    dispatched ticket exactly — the serial ``evaluate_scenarios`` of
+    the slice, which picks the batched or the per-scenario path the
+    same way a worker does — so the result is bit-identical to a
+    successful dispatch, the parity the whole resilience layer rests
+    on.  The evaluation counter is restored because the sweep caller
+    accounts ``len(items)`` once for the whole sweep, dispatched or
+    not.
     """
-    evaluator = _WORKER_EVALUATOR
-    assert evaluator is not None, "worker initializer did not run"
-    begin = time.perf_counter()
-    setting = WeightSetting(delay_weights, tput_weights)
     fold = compact_evaluation if costs_only else _strip_routings
-    outcomes = [
-        fold(evaluator.evaluate(setting, s, reuse=reuse))
-        for s in scenarios
-    ]
-    stats = evaluator.cache_stats
-    return (
-        outcomes,
-        os.getpid(),
-        (stats.hits_exact, stats.hits_incremental, stats.misses),
-        time.perf_counter() - begin,
-    )
+    before = evaluator._num_evaluations
+    begin = time.perf_counter()
+    try:
+        costs = DtrEvaluator.evaluate_scenarios(
+            evaluator, setting, list(items), reuse=reuse
+        )
+        outcomes = [fold(e) for e in costs.evaluations]
+    finally:
+        evaluator._num_evaluations = before
+    return (outcomes, None, None, time.perf_counter() - begin)
 
 
 # ----------------------------------------------------------------------
@@ -466,13 +450,13 @@ def _aligned(offset: int) -> int:
 class SharedSweepState:
     """One sweep's shared payload, published once through shared memory.
 
-    The legacy process path pickles the weight setting, the scenario
-    chunk and the reuse evaluation (with its routings) into **every**
-    task.  This class publishes the whole sweep payload exactly once:
-    the payload is pickled with protocol 5, every contiguous array body
-    (distance columns, DAG masks, demand matrices, per-variant traffic,
-    load vectors) leaves the stream as an out-of-band buffer, and the
-    buffers land in one shared-memory block.  Workers attach by name
+    The weight setting, the scenario list and the reuse evaluation
+    (with its routings) are published exactly once per sweep instead
+    of being pickled into every task: the payload is pickled with
+    protocol 5, every contiguous array body (distance columns, DAG
+    masks, demand matrices, per-variant traffic, load vectors) leaves
+    the stream as an out-of-band buffer, and the buffers land in one
+    shared-memory block.  Workers attach by name
     and rebuild the payload with read-only memoryviews over the block,
     so every array is a **zero-copy view** of shared memory — tasks
     then carry only ``(block name, scenario-index range)`` tickets, a
@@ -662,9 +646,10 @@ def _worker_sweep_shared(
     The ticket carries only the block name and the slice bounds; the
     setting, scenarios and reuse evaluation are read zero-copy from the
     attached block (once per sweep, cached across this worker's
-    tickets).  The slice sweeps through the evaluator's batched serial
-    path, so workers get scenario-axis batching too.  ``costs_only``
-    folds locally — only cost/SLA scalars ship back.
+    tickets).  The slice sweeps through the worker evaluator's own
+    ``evaluate_scenarios``, which picks the batched or the per-scenario
+    path exactly as a serial sweep would.  ``costs_only`` folds locally
+    — only cost/SLA scalars ship back.
     """
     evaluator = _WORKER_EVALUATOR
     assert evaluator is not None, "worker initializer did not run"
@@ -741,7 +726,7 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         network: the topology.
         traffic: the two-class traffic instance.
         config: optimizer configuration; ``config.execution`` supplies
-            ``n_jobs``, executor kind, chunking and cache knobs.
+            ``n_jobs``, chunking and cache knobs.
         delay_mode: path-delay aggregation mode.
     """
 
@@ -755,10 +740,8 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         super().__init__(network, traffic, config, delay_mode)
         execution = config.execution
         self._n_jobs = execution.resolved_jobs
-        self._executor_kind = execution.executor
         self._chunk_size = execution.chunk_size
         self._pool: Executor | None = None
-        self._pool_key: tuple[str, int] | None = None
         self._pool_lock = threading.Lock()
         self._worker_stats: dict[int, CacheStats] = {}
         self._worker_busy: dict[int, float] = {}
@@ -775,16 +758,16 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
     def set_execution(self, execution: ExecutionParams) -> None:
         """Adopt new execution knobs between sweeps.
 
-        The worker pool is keyed on ``(executor, n_jobs)`` **only**:
-        retuning ``chunk_size`` between sweeps keeps the warm pool —
-        and every worker's routing caches and incremental routers —
-        alive instead of paying a full pool rebuild; only a change of
-        executor kind or worker count tears the pool down (lazily
-        rebuilt on the next parallel call).  Worker-side evaluation
-        knobs (``routing_cache``, ``incremental_routing``,
-        ``routing_backend``, ``sweep_batching`` — the batch engine
-        runs *inside* the workers) are baked into the workers at pool
-        construction, so changing those rebuilds the pool too.
+        The worker pool is keyed on ``n_jobs`` **only**: retuning
+        ``chunk_size`` between sweeps keeps the warm pool — and every
+        worker's routing caches and incremental routers — alive
+        instead of paying a full pool rebuild; only a change of worker
+        count tears the pool down (lazily rebuilt on the next parallel
+        call).  Worker-side evaluation knobs (``routing_cache``,
+        ``incremental_routing``, ``routing_backend``, ``sweep_batching``
+        — the batch engine runs *inside* the workers) are baked into
+        the workers at pool construction, so changing those rebuilds
+        the pool too.
         """
         stale: Executor | None = None
         with self._pool_lock:
@@ -809,8 +792,9 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
                 or execution.routing_backend
                 != self._config.execution.routing_backend
             )
+            # A live pool always runs the current worker count.
+            jobs_changed = execution.resolved_jobs != self._n_jobs
             self._n_jobs = execution.resolved_jobs
-            self._executor_kind = execution.executor
             self._chunk_size = execution.chunk_size
             self._sweep_batching = execution.sweep_batching
             self._incremental = execution.incremental_routing
@@ -830,10 +814,7 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
                     else None
                 )
             self._config = self._config.replace(execution=execution)
-            key = (self._executor_kind, self._n_jobs)
-            if self._pool is not None and (
-                self._pool_key != key or workers_changed
-            ):
+            if self._pool is not None and (jobs_changed or workers_changed):
                 stale, self._pool = self._pool, None
         if engine_changed:
             # Routing knobs changed: the parent evaluates too
@@ -875,10 +856,10 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         """Bytes/seconds accounting of this evaluator's dispatches.
 
         ``payload_bytes`` counts publish-once shm blocks, ``task_bytes``
-        the pickled per-task arguments (the ~36-byte tickets on the shm
-        path, the full by-value payload on the legacy path) and
-        ``busy_seconds`` the summed in-worker compute time, so
-        benchmarks can separate compute from dispatch overhead.
+        the pickled per-task arguments (~36-byte sweep tickets; normal
+        batches ship their weight vectors) and ``busy_seconds`` the
+        summed in-worker compute time, so benchmarks can separate
+        compute from dispatch overhead.
         """
         return self._transport.snapshot()
 
@@ -918,39 +899,31 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> Executor:
         with self._pool_lock:
-            key = (self._executor_kind, self._n_jobs)
             if self._pool is None:
-                if self._executor_kind == "process":
-                    # Start the resource tracker BEFORE forking workers
-                    # so they inherit it: shared-memory blocks are then
-                    # registered and unregistered against one tracker
-                    # (the parent's unlink clears the worker attaches),
-                    # instead of every worker lazily spawning its own
-                    # tracker that warns about "leaked" blocks it never
-                    # saw unlinked.  Best-effort: purely cosmetic on
-                    # platforms where it is unavailable.
-                    try:
-                        from multiprocessing import resource_tracker
+                # Start the resource tracker BEFORE forking workers so
+                # they inherit it: shared-memory blocks are then
+                # registered and unregistered against one tracker (the
+                # parent's unlink clears the worker attaches), instead
+                # of every worker lazily spawning its own tracker that
+                # warns about "leaked" blocks it never saw unlinked.
+                # Best-effort: purely cosmetic on platforms where it is
+                # unavailable.
+                try:
+                    from multiprocessing import resource_tracker
 
-                        resource_tracker.ensure_running()
-                    except Exception:  # pragma: no cover
-                        pass
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self._n_jobs,
-                        initializer=_init_worker,
-                        initargs=(
-                            self._network,
-                            self._traffic,
-                            self._config,
-                            self._delay_mode,
-                        ),
-                    )
-                else:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self._n_jobs,
-                        thread_name_prefix="repro-eval",
-                    )
-                self._pool_key = key
+                    resource_tracker.ensure_running()
+                except Exception:  # pragma: no cover
+                    pass
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._n_jobs,
+                    initializer=_init_worker,
+                    initargs=(
+                        self._network,
+                        self._traffic,
+                        self._config,
+                        self._delay_mode,
+                    ),
+                )
             return self._pool
 
     def _chunk_ranges(self, count: int) -> list[tuple[int, int]]:
@@ -1018,41 +991,6 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
                 self._transport.record(busy_seconds=elapsed)
         return outcomes
 
-    def _serial_ticket(
-        self,
-        setting: WeightSetting,
-        items: "list[FailureScenario | Scenario]",
-        reuse: ScenarioEvaluation | None,
-        costs_only: bool,
-        batched: bool,
-    ) -> tuple[list[ScenarioEvaluation], None, None, float]:
-        """One quarantined/degraded ticket on the in-process serial path.
-
-        Mirrors the worker task exactly (batched slice sweep for shm
-        tickets, per-scenario evaluation for by-value chunks), so the
-        result is bit-identical to a successful dispatch — the parity
-        the whole resilience layer rests on.  The evaluation counter is
-        restored because the sweep caller accounts ``len(items)`` once
-        for the whole sweep, dispatched or not.
-        """
-        fold = compact_evaluation if costs_only else _strip_routings
-        before = self._num_evaluations
-        begin = time.perf_counter()
-        try:
-            if batched:
-                costs = DtrEvaluator.evaluate_scenarios(
-                    self, setting, list(items), reuse=reuse
-                )
-                outcomes = [fold(e) for e in costs.evaluations]
-            else:
-                outcomes = [
-                    fold(self.evaluate(setting, s, reuse=reuse))
-                    for s in items
-                ]
-        finally:
-            self._num_evaluations = before
-        return (outcomes, None, None, time.perf_counter() - begin)
-
     def _make_task(
         self,
         seq: int,
@@ -1066,10 +1004,8 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         ``sink`` collects every future ever submitted for the ticket so
         shared-memory sweeps can settle stragglers before unlinking.
         Every submission's pickled argument size lands in
-        :attr:`transport_stats` — ~36-byte index tickets on the shm
-        path, the full by-value payload on the legacy path — so the
-        bytes-on-wire gap the shm design buys stays measured, not
-        asserted.
+        :attr:`transport_stats`, so the bytes-on-wire of every ticket
+        stay measured, not asserted.
         """
         ticket_bytes = len(pickle.dumps(args, protocol=5))
 
@@ -1097,29 +1033,12 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         results are reassembled in scenario order, so
         ``ScenarioCosts.total_cost`` sums in the same order as the
         serial sweep and is bit-identical to it.  Chunk boundaries key
-        off nothing but list position, so the split is deterministic;
-        with sweep batching on the whole payload is published once
-        through shared memory and tasks carry index tickets, otherwise
-        composed scenarios ship by value (their digests pin content).
+        off nothing but list position, so the split is deterministic.
         """
         items = list(scenarios)
         if self._n_jobs == 1 or len(items) < 2:
             return super().evaluate_scenarios(setting, items, reuse=reuse)
-        if reuse is None:
-            reuse = self.evaluate_normal(setting)
-
-        if self._executor_kind == "thread":
-            before = self._num_evaluations
-            outcomes = self._threaded_sweep(setting, items, reuse)
-            # Worker threads bumped the (non-atomic) counter; restate it.
-            self._num_evaluations = before + len(items)
-        else:
-            # The reuse evaluation ships WITH its routings — workers need
-            # them for the failed-arc shortcut; ClassRouting drops its
-            # Network back-reference on pickling, so the payload is small.
-            outcomes = self._process_sweep(setting, items, reuse)
-            self._num_evaluations += len(items)
-        return ScenarioCosts(tuple(outcomes))
+        return self._process_sweep(setting, items, reuse, costs_only=False)
 
     def _sweep_costs(
         self,
@@ -1137,61 +1056,26 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         """
         if self._n_jobs == 1 or len(items) < 2:
             return super()._sweep_costs(setting, items, reuse)
-        if reuse is None:
-            reuse = self.evaluate_normal(setting)
-        if self._executor_kind == "thread":
-            before = self._num_evaluations
-            outcomes = self._threaded_sweep(
-                setting, items, reuse, costs_only=True
-            )
-            self._num_evaluations = before + len(items)
-        else:
-            outcomes = self._process_sweep(
-                setting, items, reuse, costs_only=True
-            )
-            self._num_evaluations += len(items)
-        return ScenarioCosts(tuple(outcomes))
+        return self._process_sweep(setting, items, reuse, costs_only=True)
 
     def _process_sweep(
         self,
         setting: WeightSetting,
         scenarios: "list[FailureScenario | Scenario]",
-        reuse: ScenarioEvaluation,
-        costs_only: bool = False,
-    ) -> list[ScenarioEvaluation]:
-        if self._use_sweep_batching(len(scenarios)):
-            return self._process_sweep_shared(
-                setting, scenarios, reuse, costs_only=costs_only
-            )
-        tasks = [
-            self._make_task(
-                seq,
-                _worker_sweep,
-                (setting.delay, setting.tput, tuple(chunk), reuse, costs_only),
-                lambda chunk=chunk: self._serial_ticket(
-                    setting, chunk, reuse, costs_only, batched=False
-                ),
-            )
-            for seq, chunk in enumerate(self._chunks(scenarios))
-        ]
-        return self._collect(self._supervise(tasks))
-
-    def _process_sweep_shared(
-        self,
-        setting: WeightSetting,
-        scenarios: "list[FailureScenario | Scenario]",
-        reuse: ScenarioEvaluation,
-        costs_only: bool = False,
-    ) -> list[ScenarioEvaluation]:
+        reuse: ScenarioEvaluation | None,
+        costs_only: bool,
+    ) -> ScenarioCosts:
         """The zero-copy sweep: publish once, ship index tickets only.
 
         The sweep payload — weights, the scenario list, the reuse
-        evaluation with its routings — is published once through a
+        evaluation with its routings (workers need them for the
+        failed-arc shortcut) — is published once through a
         :class:`SharedSweepState`; every task pickles nothing but
-        ``(block name, start, stop)``.  Workers attach zero-copy and
-        run their slice through the batched serial path, so results
-        (reassembled in scenario order) are bit-identical to the serial
-        sweep and invariant to ``n_jobs`` and ``chunk_size``.
+        ``(block name, start, stop, costs_only)``.  Workers attach
+        zero-copy and sweep their slice through their own
+        ``evaluate_scenarios``, so results (reassembled in scenario
+        order) are bit-identical to the serial sweep and invariant to
+        ``n_jobs`` and ``chunk_size``.
 
         Dispatch runs under the resilience supervisor: the state block
         outlives pool rebuilds (re-dispatched tickets re-attach by
@@ -1199,6 +1083,8 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         across all attempts — has settled, so a worker dying mid-attach
         still ends with the block unlinked, never leaked.
         """
+        if reuse is None:
+            reuse = self.evaluate_normal(setting)
         state = SharedSweepState(
             (setting.delay, setting.tput, tuple(scenarios), reuse)
         )
@@ -1209,8 +1095,8 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
                 seq,
                 _worker_sweep_shared,
                 (state.name, lo, hi, costs_only),
-                lambda lo=lo, hi=hi: self._serial_ticket(
-                    setting, scenarios[lo:hi], reuse, costs_only, batched=True
+                lambda lo=lo, hi=hi: _serial_ticket(
+                    self, setting, scenarios[lo:hi], reuse, costs_only
                 ),
                 sink=futures,
             )
@@ -1228,42 +1114,8 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
             if futures:
                 futures_wait(futures, timeout=_DISPOSE_SETTLE_TIMEOUT)
             state.dispose()
-        return outcomes
-
-    def _threaded_sweep(
-        self,
-        setting: WeightSetting,
-        scenarios: "list[FailureScenario | Scenario]",
-        reuse: ScenarioEvaluation,
-        costs_only: bool = False,
-    ) -> list[ScenarioEvaluation]:
-        pool = self._ensure_pool()
-        batched = self._use_sweep_batching(len(scenarios))
-        fold = compact_evaluation if costs_only else _strip_routings
-
-        def sweep_chunk(lo: int, hi: int) -> list[ScenarioEvaluation]:
-            # Threads share this evaluator; caches and routers are
-            # lock-guarded.  The batched path reuses the same grouping
-            # planner as the shared-memory workers — no shm needed,
-            # the arrays are already shared.
-            if batched:
-                costs = DtrEvaluator.evaluate_scenarios(
-                    self, setting, scenarios[lo:hi], reuse=reuse
-                )
-                return [fold(e) for e in costs.evaluations]
-            return [
-                fold(self.evaluate(setting, s, reuse=reuse))
-                for s in scenarios[lo:hi]
-            ]
-
-        futures = [
-            pool.submit(sweep_chunk, lo, hi)
-            for lo, hi in self._chunk_ranges(len(scenarios))
-        ]
-        outcomes: list[ScenarioEvaluation] = []
-        for future in futures:
-            outcomes.extend(future.result())
-        return outcomes
+        self._num_evaluations += len(scenarios)
+        return ScenarioCosts(tuple(outcomes))
 
     # ------------------------------------------------------------------
     def evaluate_normal_batch(
@@ -1271,11 +1123,7 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
     ) -> tuple[ScenarioEvaluation, ...]:
         """Failure-free costs of several settings, fanned across the pool."""
         settings = list(settings)
-        if (
-            self._n_jobs == 1
-            or len(settings) < 2
-            or self._executor_kind == "thread"
-        ):
+        if self._n_jobs == 1 or len(settings) < 2:
             return super().evaluate_normal_batch(settings)
         tasks = [
             self._make_task(

@@ -35,8 +35,8 @@ from repro.exp.common import (
     ShardSpec,
     set_arm_control,
 )
-from repro.exp.presets import get_preset
-from repro.routing.backend import numba_available
+from repro.exp.presets import Preset, get_preset
+from repro.routing.backend import VALID_BACKENDS, VALID_SWEEP_BATCHING
 
 #: Exit code of a run stopped by SIGINT/SIGTERM after writing its
 #: checkpoint (EX_TEMPFAIL: rerun with ``--resume`` to continue).
@@ -89,6 +89,48 @@ def load_experiment(
     return module.run
 
 
+def _apply_execution_flags(
+    preset: "str | Preset",
+    jobs: int | None = None,
+    backend: str | None = None,
+    sweep_batch: str | None = None,
+    max_retries: int | None = None,
+    task_timeout: float | None = None,
+    sweep_deadline: float | None = None,
+    hosts: str | None = None,
+) -> Preset:
+    """The preset with the execution flags merged into its config.
+
+    ``None`` keeps the preset's setting; ``hosts`` also selects
+    ``executor="hosts"``.  Raises ``ValueError`` — from
+    ``ExecutionParams`` validation, the one place execution knobs are
+    checked — when a value is unknown or the flags conflict.
+    """
+    resolved = get_preset(preset)
+    overrides: dict[str, object] = {}
+    if jobs is not None:
+        overrides["n_jobs"] = jobs
+    if backend is not None:
+        overrides["routing_backend"] = backend
+    if sweep_batch is not None:
+        overrides["sweep_batching"] = sweep_batch
+    if max_retries is not None:
+        overrides["max_retries"] = max_retries
+    if task_timeout is not None:
+        overrides["task_timeout"] = task_timeout
+    if sweep_deadline is not None:
+        overrides["sweep_deadline"] = sweep_deadline
+    if hosts is not None:
+        overrides["executor"] = "hosts"
+        overrides["hosts"] = hosts
+    if not overrides:
+        return resolved
+    config = resolved.config.replace(
+        execution=dataclasses.replace(resolved.config.execution, **overrides)
+    )
+    return dataclasses.replace(resolved, config=config)
+
+
 def run_experiment(
     experiment_id: str,
     preset: str = "quick",
@@ -111,12 +153,11 @@ def run_experiment(
         jobs: evaluation workers; None keeps the preset's setting, 0
             means one worker per CPU.
         backend: routing kernel backend (``auto``/``python``/
-            ``vector``/``numba``); None keeps the preset's setting.
-            ``numba`` needs the optional JIT dependency (the ``[jit]``
-            extra).  Execution-only: results are identical whichever
-            backend runs.
+            ``vector``); None keeps the preset's setting.
+            Execution-only: results are identical whichever backend
+            runs.
         sweep_batch: scenario-axis sweep batching mode
-            (``auto``/``on``/``off``); None keeps the preset's setting.
+            (``auto``/``off``); None keeps the preset's setting.
             Execution-only: sweeps are bit-identical either way.
         scenarios: scenario-family spec for the ``scenarios``
             experiment (e.g. ``"srlg,multi2,linkxsurge"``); None keeps
@@ -134,30 +175,16 @@ def run_experiment(
             Execution-only: results are bit-identical to serial runs
             (see docs/PERFORMANCE.md, "Distributed sweeps").
     """
-    resolved = get_preset(preset)
-    overrides: dict[str, object] = {}
-    if jobs is not None:
-        overrides["n_jobs"] = jobs
-    if backend is not None:
-        overrides["routing_backend"] = backend
-    if sweep_batch is not None:
-        overrides["sweep_batching"] = sweep_batch
-    if max_retries is not None:
-        overrides["max_retries"] = max_retries
-    if task_timeout is not None:
-        overrides["task_timeout"] = task_timeout
-    if sweep_deadline is not None:
-        overrides["sweep_deadline"] = sweep_deadline
-    if hosts is not None:
-        overrides["executor"] = "hosts"
-        overrides["hosts"] = hosts
-    if overrides:
-        config = resolved.config.replace(
-            execution=dataclasses.replace(
-                resolved.config.execution, **overrides
-            )
-        )
-        resolved = dataclasses.replace(resolved, config=config)
+    resolved = _apply_execution_flags(
+        preset,
+        jobs=jobs,
+        backend=backend,
+        sweep_batch=sweep_batch,
+        max_retries=max_retries,
+        task_timeout=task_timeout,
+        sweep_deadline=sweep_deadline,
+        hosts=hosts,
+    )
     kwargs: dict[str, object] = {}
     if scenarios is not None:
         if experiment_id != "scenarios":
@@ -200,17 +227,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend",
         default=None,
-        choices=("auto", "python", "vector", "numba"),
+        choices=VALID_BACKENDS,
         help=(
             "routing kernel backend (default: the preset's, normally "
-            "auto = size-adaptive; numba requires the optional [jit] "
-            "extra; results are identical either way)"
+            "auto = size-adaptive; results are identical either way)"
         ),
     )
     parser.add_argument(
         "--sweep-batch",
         default=None,
-        choices=("auto", "on", "off"),
+        choices=VALID_SWEEP_BATCHING,
         help=(
             "scenario-axis sweep batching (default: the preset's, "
             "normally auto = batch multi-scenario sweeps; results are "
@@ -362,33 +388,24 @@ def main(argv: list[str] | None = None) -> int:
             pass
         return 0
 
-    if args.hosts is not None:
-        from repro.routing.backend import parse_hosts
-
-        try:
-            parse_hosts(args.hosts)
-        except ValueError as exc:
-            parser.error(f"--hosts: {exc}")
-        if args.jobs is not None:
-            parser.error(
-                "--jobs and --hosts are mutually exclusive "
-                "(hosts own the sweep fan-out)"
-            )
-
-    if args.jobs is not None and args.jobs < 0:
-        parser.error("--jobs must be >= 0 (0 = one worker per CPU)")
-    if args.backend == "numba" and not numba_available():
+    if args.hosts is not None and args.jobs is not None:
         parser.error(
-            "--backend numba requires the optional numba dependency; "
-            "install it with 'pip install numba' (or the [jit] extra) "
-            "or use --backend auto/vector"
+            "--jobs and --hosts are mutually exclusive "
+            "(hosts own the sweep fan-out)"
         )
-    if args.max_retries is not None and args.max_retries < 0:
-        parser.error("--max-retries must be >= 0 (0 disables retries)")
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        parser.error("--task-timeout must be positive")
-    if args.sweep_deadline is not None and args.sweep_deadline <= 0:
-        parser.error("--sweep-deadline must be positive")
+    try:
+        preset = _apply_execution_flags(
+            args.preset,
+            jobs=args.jobs,
+            backend=args.backend,
+            sweep_batch=args.sweep_batch,
+            max_retries=args.max_retries,
+            task_timeout=args.task_timeout,
+            sweep_deadline=args.sweep_deadline,
+            hosts=args.hosts,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.scenarios is not None and args.experiment != "scenarios":
         parser.error("--scenarios only applies to the 'scenarios' experiment")
     if args.resume and args.checkpoint_dir is None:
@@ -440,16 +457,9 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 result = run_experiment(
                     experiment_id,
-                    preset=args.preset,
+                    preset=preset,
                     seed=args.seed,
-                    jobs=args.jobs,
-                    backend=args.backend,
-                    sweep_batch=args.sweep_batch,
                     scenarios=args.scenarios,
-                    max_retries=args.max_retries,
-                    task_timeout=args.task_timeout,
-                    sweep_deadline=args.sweep_deadline,
-                    hosts=args.hosts,
                 )
             except OptimizerInterrupted as interrupted:
                 print(

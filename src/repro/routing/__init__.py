@@ -4,7 +4,6 @@ from repro.routing.arcs import Arc
 from repro.routing.backend import (
     VALID_BACKENDS,
     backend_availability,
-    numba_available,
     resolve_backend,
     validate_backend,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "VALID_BACKENDS",
     "backend_availability",
     "dual_link_failures",
-    "numba_available",
     "resolve_backend",
     "validate_backend",
     "single_arc_failures",

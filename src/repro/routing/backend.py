@@ -1,6 +1,6 @@
 """Size-adaptive routing-backend selection.
 
-Three implementations of the per-destination routing kernels coexist:
+Two implementations of the per-destination routing kernels coexist:
 
 * ``"python"`` — the pure-Python propagation loops of
   :mod:`repro.routing.fastpath`.  At backbone scale (tens of nodes, a
@@ -12,15 +12,8 @@ Three implementations of the per-destination routing kernels coexist:
   scatter-adds along arcs).  Per-step numpy overhead is amortized over
   every destination, so this side wins once the instance is large —
   Rocketfuel-class ISP topologies at hundreds of nodes.
-* ``"numba"`` — JIT-compiled counterparts of the batch kernels
-  (:mod:`repro.routing.numba_kernels`) that consume the same
-  ``BatchPlan``/``BatchSchedule`` arrays but fuse each level sweep into
-  one compiled loop, eliminating the per-level numpy dispatch that caps
-  the vector stack.  **Soft dependency**: numba is gated on import —
-  requesting the backend without numba installed raises at validation
-  time, and ``"auto"`` never selects it when absent.
 
-All backends produce bit-identical results on integer-weight instances
+Both backends produce bit-identical results on integer-weight instances
 (the parity tests pin this), so backend choice is purely an execution
 knob.  ``"auto"`` picks per call from the *work measure* of the batch —
 ``num_destinations * (num_nodes + num_arcs)``, the element count the
@@ -31,10 +24,8 @@ section of docs/PERFORMANCE.md, which record the measurement).
 
 from __future__ import annotations
 
-import importlib.util
-
 #: Recognized backend names.
-VALID_BACKENDS = ("auto", "python", "vector", "numba")
+VALID_BACKENDS = ("auto", "python", "vector")
 
 #: Work measure (``destinations * (nodes + arcs)``) above which the
 #: vector kernels take over a *full routing* (masks + propagation +
@@ -57,61 +48,15 @@ VECTOR_CROSSOVER_WORK = 5_500
 #: (vector ahead) across 100-400 nodes.
 VECTOR_PROPAGATION_CROSSOVER_WORK = 4_500
 
-#: Work measure above which the JIT kernels take over from the python
-#: loops under ``auto`` *when numba is importable* (they always beat
-#: the vector kernels above it too — compiled level sweeps drop the
-#: per-level numpy dispatch the vector stack still pays, so the numba
-#: side of the bracket can only start earlier, never later).
-#: Provisional bracket, reasoned from the vector calibration: the
-#: compiled kernels keep the vector stack's O(levels) algorithm but
-#: none of its per-level python/numpy call overhead, so their
-#: break-even against the python loops sits well below
-#: ``VECTOR_PROPAGATION_CROSSOVER_WORK`` — the 16-node ISP backbone
-#: (work ~ 1.4k) stays on the python path, the 30-node instances
-#: (work ~ 5-6k) and up go compiled.  ``benchmarks/bench_scale.py``
-#: records the measured three-way bracket into ``BENCH_scale.json``
-#: whenever it runs on a numba-equipped machine (the CI ``jit`` lane
-#: does); recalibrate this constant from that record.
-NUMBA_CROSSOVER_WORK = 2_000
-
-#: Memoized import probe: None until first checked.
-_NUMBA_AVAILABLE: "bool | None" = None
-
-
-def numba_available() -> bool:
-    """Whether the optional numba dependency is importable.
-
-    Probes ``importlib.util.find_spec`` once and memoizes — the probe
-    runs inside ``auto`` dispatch, so it must stay cheap.  Tests
-    monkeypatch :data:`_NUMBA_AVAILABLE` to pin either outcome.
-    """
-    global _NUMBA_AVAILABLE
-    if _NUMBA_AVAILABLE is None:
-        _NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
-    return _NUMBA_AVAILABLE
-
 
 def backend_availability() -> dict:
     """Which routing backends this environment can run, with versions.
 
     Recorded in the ``context`` block of every ``BENCH_*.json`` (via
     ``benchmarks/bench_schema.py``) so benchmark rows stay interpretable
-    across machines: a record with ``numba: false`` explains absent
-    numba columns instead of leaving them ambiguous.
+    across machines.
     """
-    info: dict = {
-        "python": True,
-        "vector": True,
-        "numba": numba_available(),
-        "numba_version": None,
-    }
-    if info["numba"]:
-        try:
-            import numba
-
-            info["numba_version"] = numba.__version__
-        except Exception:  # pragma: no cover - broken install
-            info["numba"] = False
+    info: dict = {"python": True, "vector": True}
     try:
         import numpy
 
@@ -121,8 +66,11 @@ def backend_availability() -> dict:
     return info
 
 
-#: Recognized sweep-batching modes (see :func:`resolve_sweep_batching`).
-VALID_SWEEP_BATCHING = ("auto", "on", "off")
+#: Recognized sweep-batching modes: ``"auto"`` batches every sweep of
+#: at least :data:`SWEEP_BATCH_MIN_SCENARIOS` scenarios, ``"off"``
+#: keeps the per-scenario path (the decision itself is
+#: ``DtrEvaluator._use_sweep_batching``).
+VALID_SWEEP_BATCHING = ("auto", "off")
 
 #: Scenarios below which the scenario-axis batch sweep engine
 #: (:mod:`repro.routing.sweep`) cannot amortize its planning pass under
@@ -144,25 +92,6 @@ def validate_sweep_batching(mode: str) -> str:
             f"choose from {', '.join(VALID_SWEEP_BATCHING)}"
         )
     return mode
-
-
-def resolve_sweep_batching(mode: str, num_scenarios: int) -> bool:
-    """Whether a sweep of ``num_scenarios`` runs the batch sweep engine.
-
-    ``"on"`` / ``"off"`` force the choice; ``"auto"`` (the default)
-    batches every sweep of at least :data:`SWEEP_BATCH_MIN_SCENARIOS`
-    scenarios.  Batching is bit-identical to the per-scenario path on
-    integer-weight instances (the same guarantee the kernel backends
-    give), so the knob is purely an execution decision.
-    """
-    validate_sweep_batching(mode)
-    if mode == "off":
-        return False
-    if num_scenarios < 1:
-        return False
-    if mode == "on":
-        return True
-    return num_scenarios >= SWEEP_BATCH_MIN_SCENARIOS
 
 
 def validate_resilience(
@@ -197,7 +126,7 @@ def validate_resilience(
 
 
 #: Recognized executor kinds for ``ExecutionParams.executor``.
-VALID_EXECUTORS = ("process", "thread", "hosts")
+VALID_EXECUTORS = ("process", "hosts")
 
 
 def parse_hosts(spec: str) -> "tuple[tuple[str, int], ...] | int":
@@ -275,23 +204,11 @@ def validate_hosts(hosts: "str | None", executor: str) -> None:
 
 
 def validate_backend(backend: str) -> str:
-    """Return ``backend`` if recognized and runnable, raise otherwise.
-
-    ``"numba"`` is recognized but *soft*: requesting it on a machine
-    where numba is not importable raises immediately (with an install
-    hint) instead of failing deep inside the first kernel call.
-    """
+    """Return ``backend`` if recognized, raise ``ValueError`` otherwise."""
     if backend not in VALID_BACKENDS:
         raise ValueError(
             f"unknown routing backend {backend!r}; "
             f"choose from {', '.join(VALID_BACKENDS)}"
-        )
-    if backend == "numba" and not numba_available():
-        raise ValueError(
-            "routing backend 'numba' requires the optional numba "
-            "dependency, which is not importable here; install it with "
-            "'pip install numba' (or the [jit] extra) or use backend "
-            "'auto'/'vector'"
         )
     return backend
 
@@ -307,7 +224,7 @@ def resolve_backend(
 
     Args:
         backend: requested backend (``"auto"``, ``"python"``,
-            ``"vector"``, ``"numba"``).
+            ``"vector"``).
         num_nodes: node count of the instance.
         num_arcs: arc count of the instance.
         num_destinations: destinations in the batch about to be
@@ -317,99 +234,14 @@ def resolve_backend(
             batch — each has its own calibrated crossover.
 
     Returns:
-        ``"python"``, ``"vector"`` or ``"numba"``.  ``"auto"`` resolves
-        three-way: the python loops below the JIT crossover, the numba
-        kernels above it when numba is importable, the vector kernels
-        above the vector crossover otherwise — so an environment
-        without numba resolves exactly as it did before the JIT
-        backend existed.
+        ``"python"`` or ``"vector"``.
     """
     if backend != "auto":
         return validate_backend(backend)
     work = num_destinations * (num_nodes + num_arcs)
-    if work >= NUMBA_CROSSOVER_WORK and numba_available():
-        return "numba"
     threshold = (
         VECTOR_PROPAGATION_CROSSOVER_WORK
         if kind == "propagate"
         else VECTOR_CROSSOVER_WORK
     )
     return "vector" if work >= threshold else "python"
-
-
-def resolve_batch_backend(
-    backend: str,
-    num_nodes: int,
-    num_arcs: int,
-    num_columns: int,
-) -> str:
-    """The array backend for a call site already committed to batching.
-
-    The scenario-axis sweep engine and the schedule-replay paths run
-    batch kernels regardless of size (their columns span scenarios, so
-    the per-destination python loops are never in play); this resolves
-    only the *which array stack* half of the decision: ``"numba"`` when
-    forced or when ``auto`` clears the JIT crossover on a numba-equipped
-    machine, ``"vector"`` otherwise.
-    """
-    if backend == "numba":
-        return validate_backend(backend)
-    if backend == "auto" and numba_available():
-        work = num_columns * (num_nodes + num_arcs)
-        if work >= NUMBA_CROSSOVER_WORK:
-            return "numba"
-    return "vector"
-
-
-def routing_kernels(resolved: str):
-    """The batch-kernel table of one resolved array backend.
-
-    Returns the module exposing the four batch kernels —
-    ``batch_propagate_loads``, ``batch_total_loads``,
-    ``batch_propagate_worst_delay``, ``batch_propagate_mean_delay`` —
-    under identical call signatures, so every kernel call site
-    (engine, incremental router, sweep engine) dispatches through this
-    one indirection instead of importing a stack directly.  Imports are
-    deferred: this module is imported by ``repro.config``, which must
-    stay importable without numpy-heavy modules loading eagerly.
-    """
-    if resolved == "numba":
-        from repro.routing import numba_kernels
-
-        return numba_kernels
-    if resolved == "vector":
-        from repro.routing import vectorized
-
-        return vectorized
-    raise ValueError(
-        f"no batch-kernel table for backend {resolved!r}; "
-        "expected 'vector' or 'numba'"
-    )
-
-
-def maybe_warm_numba(backend: str, num_nodes: int, num_arcs: int) -> None:
-    """Pre-compile the JIT kernels if this instance could dispatch to them.
-
-    Called at evaluator/engine construction so numba's compile latency
-    (seconds on a cold cache) lands before any timed sweep, never inside
-    one.  The probe asks whether a full-width propagation batch
-    (``num_destinations = num_nodes``, the largest batch the instance
-    can produce) would resolve to the numba kernels; warm-up is
-    idempotent, so over-warming costs one dict lookup.  Worker processes
-    of a parallel evaluator construct their engines after unpickling and
-    re-enter here — compiled dispatch state is module-global and never
-    pickled, so workers recompile (or load numba's on-disk cache) on
-    first use, mirroring how ``ClassRouting`` drops its schedule on
-    pickling and rebuilds it worker-side.
-    """
-    if not numba_available():
-        return
-    if (
-        resolve_backend(
-            backend, num_nodes, num_arcs, num_nodes, kind="propagate"
-        )
-        == "numba"
-    ):
-        from repro.routing.numba_kernels import warmup
-
-        warmup()

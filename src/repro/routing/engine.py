@@ -20,12 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.routing.backend import (
-    maybe_warm_numba,
-    resolve_backend,
-    routing_kernels,
-    validate_backend,
-)
+from repro.routing.backend import resolve_backend, validate_backend
 from repro.routing.failures import NORMAL, FailureScenario, disabled_arc_mask
 from repro.routing.fastpath import (
     PropagationPlan,
@@ -37,21 +32,22 @@ from repro.routing.fastpath import (
 from repro.routing.loader import max_arc_value_on_paths
 from repro.routing.network import Network
 from repro.routing.spf import _validate_weights, distance_columns
-from repro.routing.vectorized import BatchPlan, build_schedule
+from repro.routing.vectorized import (
+    BatchPlan,
+    batch_propagate_mean_delay,
+    batch_propagate_worst_delay,
+    batch_total_loads,
+    build_schedule,
+)
 
 
-def _batch_delay_kernel(resolved: str, mode: str):
-    """The resolved backend's batch path-delay kernel for ``mode``.
-
-    One lookup through the shared kernel table
-    (:func:`repro.routing.backend.routing_kernels`), so the vector and
-    numba stacks stay interchangeable at every delay call site.
-    """
-    kernels = routing_kernels(resolved)
+def _batch_delay_kernel(mode: str):
+    """The batch path-delay kernel for ``mode`` (shared with the sweep
+    engine, so both delay call sites pick the kernel one way)."""
     return (
-        kernels.batch_propagate_mean_delay
+        batch_propagate_mean_delay
         if mode == "mean"
-        else kernels.batch_propagate_worst_delay
+        else batch_propagate_worst_delay
     )
 
 
@@ -155,12 +151,10 @@ class RoutingEngine:
         backend: kernel backend — ``"python"`` (per-destination pure
             Python loops, fastest at backbone scale), ``"vector"``
             (array-native destination batches, fastest on large
-            instances), ``"numba"`` (JIT-compiled batch kernels; soft
-            dependency — raises here when numba is not importable) or
-            ``"auto"`` (default; per-call choice from the instance's
-            node/arc/destination counts, never numba when it is
-            absent).  Backends are bit-identical on integer-weight
-            instances, so this is purely an execution knob.
+            instances) or ``"auto"`` (default; per-call choice from the
+            instance's node/arc/destination counts).  Backends are
+            bit-identical on integer-weight instances, so this is
+            purely an execution knob.
     """
 
     #: Capacity of the per-destination path-delay memo.
@@ -171,14 +165,9 @@ class RoutingEngine:
         self._backend = validate_backend(backend)
         self._plan = PropagationPlan.for_network(network)
         self._batch_plan = BatchPlan.for_network(network)
-        # Pre-compile the JIT kernels when this instance could dispatch
-        # to them, so compile latency lands here — construction — and
-        # never inside a timed sweep (no-op without numba; idempotent).
-        maybe_warm_numba(backend, network.num_nodes, network.num_arcs)
         self._delay_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        # The thread-pool evaluator shares one engine across workers;
-        # memo bookkeeping (get + move_to_end, insert + evict) must not
-        # interleave.
+        # An engine may be shared across threads; memo bookkeeping
+        # (get + move_to_end, insert + evict) must not interleave.
         self._delay_memo_lock = threading.Lock()
 
     @property
@@ -264,7 +253,7 @@ class RoutingEngine:
         resolved = self._resolve(destinations.size)
         if resolved != "python":
             schedule = build_schedule(self._batch_plan, masks, cols)
-            loads_arr, und = routing_kernels(resolved).batch_total_loads(
+            loads_arr, und = batch_total_loads(
                 self._batch_plan,
                 masks,
                 cols,
@@ -390,7 +379,7 @@ class RoutingEngine:
                     self._memo_put(key, out[:, t].copy())
             pending = []
         if pending:
-            batch_propagate = _batch_delay_kernel(resolved, mode)
+            batch_propagate = _batch_delay_kernel(mode)
             schedule = None
             if len(pending) == len(routing.destinations):
                 # Whole-batch propagation: reuse the schedule route_class

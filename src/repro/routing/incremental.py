@@ -51,12 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.routing.backend import (
-    maybe_warm_numba,
-    resolve_backend,
-    routing_kernels,
-    validate_backend,
-)
+from repro.routing.backend import resolve_backend, validate_backend
 from repro.routing.engine import ClassRouting
 from repro.routing.failures import (
     NORMAL,
@@ -76,7 +71,11 @@ from repro.routing.spf import (
     _reverse_adjacency,
     distance_columns,
 )
-from repro.routing.vectorized import BatchPlan, build_schedule
+from repro.routing.vectorized import (
+    BatchPlan,
+    batch_propagate_loads,
+    build_schedule,
+)
 
 #: Weight-delta count above which :meth:`IncrementalRouter.sync` rebuilds
 #: from scratch instead of replaying per-arc deltas.  Local-search sync
@@ -249,12 +248,6 @@ class IncrementalRouter:
         self._plan = plan or PropagationPlan.for_network(network)
         self._backend = validate_backend(backend)
         self._batch_plan = BatchPlan.for_network(network)
-        # JIT warm-up before the first (possibly timed) propagation;
-        # no-op without numba, idempotent with it.  Workers of a
-        # parallel evaluator construct routers after unpickling and
-        # recompile (or cache-load) here — compiled state is
-        # module-global, never pickled.
-        maybe_warm_numba(backend, network.num_nodes, network.num_arcs)
         demands = np.asarray(demands, dtype=np.float64)
         if demands.shape != (network.num_nodes, network.num_nodes):
             raise ValueError("demand matrix shape must be (N, N)")
@@ -491,9 +484,9 @@ class IncrementalRouter:
         """Base-state load propagation for many rows, batched when it pays.
 
         Memo semantics match the per-row path exactly: hits replay their
-        stored floats, misses are computed (through the vector or numba
-        batch kernel when the backend resolves that way — bit-identical
-        to the python kernel) and stored.
+        stored floats, misses are computed (through the vector batch
+        kernel when the backend resolves that way — bit-identical to
+        the python kernel) and stored.
         """
         rows = np.asarray(rows, dtype=np.intp)
         net = self._net
@@ -523,7 +516,7 @@ class IncrementalRouter:
             return
         miss = np.asarray(missing, dtype=np.intp)
         dests = self._dest[miss]
-        contribs, und = routing_kernels(resolved).batch_propagate_loads(
+        contribs, und = batch_propagate_loads(
             self._batch_plan,
             self._masks[miss],
             self._dist_cols[:, miss],
@@ -998,8 +991,7 @@ class IncrementalRouter:
                 batch_schedule = build_schedule(
                     self._batch_plan, batch_masks, dist[:, bd]
                 )
-                kernels = routing_kernels(resolved)
-                contribs, und = kernels.batch_propagate_loads(
+                contribs, und = batch_propagate_loads(
                     self._batch_plan,
                     batch_masks,
                     dist[:, bd],

@@ -37,10 +37,9 @@ Two pieces live here:
   property-style; the evaluator-level parity across scenario families
   is pinned by ``tests/core/test_sweep_evaluator.py``.
 
-The parallel evaluator reuses this planner on both executors: worker
-processes receive only shared-memory tickets and batch their slice
-locally, the thread pool batches slices of the one shared evaluator
-(see :mod:`repro.core.parallel`).
+Parallel and distributed sweeps reuse this planner: worker processes
+and sweep hosts receive only index tickets and batch their slice
+locally (see :mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations
@@ -49,15 +48,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.routing.backend import resolve_batch_backend, routing_kernels
-from repro.routing.engine import _PY_DELAY_BATCH_MAX
+from repro.routing.engine import _PY_DELAY_BATCH_MAX, _batch_delay_kernel
 from repro.routing.failures import FailureScenario
 from repro.routing.fastpath import (
     fast_propagate_mean_delay,
     fast_propagate_worst_delay,
 )
 from repro.routing.incremental import IncrementalRouter, ScenarioRouting
-from repro.routing.vectorized import BatchSchedule, build_schedule
+from repro.routing.vectorized import (
+    BatchSchedule,
+    batch_propagate_loads,
+    build_schedule,
+)
 
 #: Upper bound on the floats held by one batch group's scenario
 #: structures (each scenario holds a full (N, N) distance matrix per
@@ -251,17 +253,6 @@ def route_scenario_batch(
     num_arcs = router.network.num_arcs
     budget = kernel_cell_budget(num_arcs)
     handoffs: "list[BatchHandoff]" = []
-    # One kernel-table resolution for the whole batch: the sweep engine
-    # is committed to batch kernels (columns span scenarios), so only
-    # the vector-vs-numba half of the dispatch applies here.
-    kernels = routing_kernels(
-        resolve_batch_backend(
-            router._backend,
-            router.network.num_nodes,
-            num_arcs,
-            len(pending),
-        )
-    )
     for lo in range(0, len(pending), budget):
         chunk = pending[lo: lo + budget]
         masks = np.stack(
@@ -275,7 +266,7 @@ def route_scenario_batch(
         )
         dests = np.asarray([t for _, _, t in chunk], dtype=np.intp)
         schedule = build_schedule(router._batch_plan, masks, dist_cols)
-        contribs, und = kernels.batch_propagate_loads(
+        contribs, und = batch_propagate_loads(
             router._batch_plan,
             masks,
             dist_cols,
@@ -352,17 +343,7 @@ def flush_delay_batch(
         for i, (_, _, _, pending) in enumerate(tasks)
         for _, t, key in pending
     }
-    net = engine.network
-    kernels = routing_kernels(
-        resolve_batch_backend(
-            engine._backend, net.num_nodes, net.num_arcs, len(remaining)
-        )
-    )
-    batch_propagate = (
-        kernels.batch_propagate_mean_delay
-        if mode == "mean"
-        else kernels.batch_propagate_worst_delay
-    )
+    batch_propagate = _batch_delay_kernel(mode)
 
     def write(i: int, t: int, key: "tuple | None", column: np.ndarray) -> None:
         out = tasks[i][2]

@@ -31,21 +31,17 @@ def backend_config(config: OptimizerConfig, backend: str) -> OptimizerConfig:
 
 class TestExecutionParams:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown routing backend"):
-            ExecutionParams(routing_backend="cuda")
-
-    def test_numba_is_recognized_but_gated_on_import(self):
-        # "numba" is a valid name; whether construction succeeds depends
-        # on the soft dependency being importable (the full gating
-        # matrix is pinned by tests/routing/test_numba_kernels.py).
-        from repro.routing.backend import numba_available
-
-        if numba_available():
-            params = ExecutionParams(routing_backend="numba")
-            assert params.routing_backend == "numba"
-        else:
-            with pytest.raises(ValueError, match="pip install numba"):
-                ExecutionParams(routing_backend="numba")
+        # "cuda" was never valid; the other three values were, until
+        # their execution paths were deleted.  Each fails closed and
+        # names the choices that remain.
+        for field, value, choices in (
+            ("routing_backend", "cuda", "auto, python, vector"),
+            ("routing_backend", "numba", "auto, python, vector"),
+            ("executor", "thread", "process, hosts"),
+            ("sweep_batching", "on", "auto, off"),
+        ):
+            with pytest.raises(ValueError, match=choices):
+                ExecutionParams(**{field: value})
 
     @pytest.mark.parametrize("backend", ["auto", "python", "vector"])
     def test_accepts_valid_backends(self, backend):

@@ -1,8 +1,8 @@
 """Tests for the parallel, cache-aware evaluation subsystem.
 
 The contract under test is strict: every evaluator variant — serial,
-caching, process-parallel, thread-parallel — must produce *bit-identical*
-results for the same inputs.  Parity assertions therefore use exact
+caching, process-parallel — must produce *bit-identical* results for
+the same inputs.  Parity assertions therefore use exact
 equality, not approximate comparisons.
 """
 
@@ -185,23 +185,6 @@ class TestOptimizerInvariance:
         )
 
 
-@pytest.mark.parallel
-class TestThreadPoolParity:
-    def test_sweep_matches_serial_bit_for_bit(
-        self, isp_instance, isp_setting
-    ):
-        network, traffic = isp_instance
-        failures = single_link_failures(network)
-        serial = DtrEvaluator(network, traffic, OptimizerConfig())
-        reference = serial.evaluate_failures(isp_setting, failures)
-        with ParallelDtrEvaluator(
-            network, traffic, _config(n_jobs=2, executor="thread")
-        ) as parallel:
-            candidate = parallel.evaluate_failures(isp_setting, failures)
-            assert parallel.num_evaluations == len(failures) + 1
-        _assert_bit_identical(reference, candidate)
-
-
 class TestRoutingCache:
     def test_exact_hit_on_repeat(self, small_evaluator, random_setting):
         caching = CachingDtrEvaluator(
@@ -359,8 +342,8 @@ class TestMakeEvaluator:
 
 @pytest.mark.parallel
 class TestPoolKeying:
-    """The worker pool is keyed on (executor, n_jobs) only: retuning
-    chunking or sweep knobs between sweeps must keep the warm pool."""
+    """The worker pool is keyed on n_jobs only: retuning chunking or
+    sweep knobs between sweeps must keep the warm pool."""
 
     def test_chunk_size_change_keeps_pool(self, isp_instance, isp_setting):
         network, traffic = isp_instance

@@ -228,10 +228,11 @@ class TestChaosParity:
         assert stats.retries == 1
         assert stats.quarantined_tasks == 0
 
-    def test_legacy_by_value_path_recovers_too(
+    def test_per_scenario_shm_tickets_recover_too(
         self, isp_instance, isp_setting, reference_sweep
     ):
-        """Chaos parity holds on the sweep_batching='off' task shape."""
+        """Chaos parity holds for per-scenario workers on shm tickets
+        (sweep_batching='off')."""
         network, traffic = isp_instance
         failures = single_link_failures(network)
         plan = FaultPlan(

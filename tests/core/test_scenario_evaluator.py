@@ -215,9 +215,8 @@ class TestUnifiedSweepContract:
         assert len(serial_legacy.parameters) == len(serial.parameters)
         assert "evaluate_failures" not in ParallelDtrEvaluator.__dict__
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_parallel_matches_serial_on_mixed_set(
-        self, small_instance, tiny_config, rng, executor
+        self, small_instance, tiny_config, rng
     ):
         network, traffic = small_instance
         scenarios = _mixed_scenarios(network, seed=2)
@@ -227,7 +226,7 @@ class TestUnifiedSweepContract:
         serial = DtrEvaluator(network, traffic, tiny_config)
         expected = serial.evaluate_scenarios(setting, scenarios)
         parallel_config = tiny_config.replace(
-            execution=ExecutionParams(n_jobs=2, executor=executor)
+            execution=ExecutionParams(n_jobs=2)
         )
         with ParallelDtrEvaluator(
             network, traffic, parallel_config

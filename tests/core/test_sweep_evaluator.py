@@ -7,15 +7,18 @@ Pins the PR's acceptance criteria:
   (srlg / multi2 / regional / node / surge / cross);
 * the ``sweep_batching`` knob defaults on under ``auto``, can be
   disabled, requires incremental routing, and validates its values;
-* parallel results (process + shared memory, threads) are invariant to
-  ``n_jobs`` and ``chunk_size`` and bit-identical to serial;
+* parallel results (process + shared memory) are invariant to
+  ``n_jobs`` and ``chunk_size`` and bit-identical to serial, and every
+  process sweep — batched or per-scenario workers — publishes once;
 * the shared-memory publication round-trips payloads zero-copy.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.config import ExecutionParams, OptimizerConfig
+from repro.config import ExecutionParams
 from repro.core.evaluation import DtrEvaluator
 from repro.core.parallel import (
     CachingDtrEvaluator,
@@ -25,7 +28,6 @@ from repro.core.parallel import (
 from repro.core.weights import WeightSetting
 from repro.routing.backend import (
     SWEEP_BATCH_MIN_SCENARIOS,
-    resolve_sweep_batching,
     validate_sweep_batching,
 )
 from repro.routing.failures import single_link_failures
@@ -88,14 +90,13 @@ class TestKnob:
         with pytest.raises(ValueError):
             ExecutionParams(sweep_batching="sometimes")
 
-    def test_resolution(self):
-        assert not resolve_sweep_batching("off", 100)
-        assert resolve_sweep_batching("on", 1)
-        assert not resolve_sweep_batching("on", 0)
-        assert resolve_sweep_batching("auto", SWEEP_BATCH_MIN_SCENARIOS)
-        assert not resolve_sweep_batching(
-            "auto", SWEEP_BATCH_MIN_SCENARIOS - 1
-        )
+    def test_resolution(self, small_instance, tiny_config):
+        network, traffic = small_instance
+        auto = _evaluator(network, traffic, tiny_config, "auto")
+        off = _evaluator(network, traffic, tiny_config, "off")
+        assert not off._use_sweep_batching(100)
+        assert auto._use_sweep_batching(SWEEP_BATCH_MIN_SCENARIOS)
+        assert not auto._use_sweep_batching(SWEEP_BATCH_MIN_SCENARIOS - 1)
 
     def test_default_resolves_on_and_requires_incremental(
         self, small_instance, tiny_config
@@ -111,22 +112,12 @@ class TestKnob:
             incremental_routing=False,
         )
         assert not no_inc._use_sweep_batching(10)
-        # ... but forcing it on without them is a config error
-        with pytest.raises(ValueError):
-            ExecutionParams(
-                sweep_batching="on", incremental_routing=False
-            )
-        # a forced python backend keeps its A/B isolation: auto falls
-        # back to the per-scenario path, forcing both is an error
+        # ... and a forced python backend keeps its A/B isolation
         py = _evaluator(
             network, traffic, tiny_config, "auto",
             routing_backend="python",
         )
         assert not py._use_sweep_batching(10)
-        with pytest.raises(ValueError):
-            ExecutionParams(
-                sweep_batching="on", routing_backend="python"
-            )
 
 
 class TestSerialParity:
@@ -142,7 +133,7 @@ class TestSerialParity:
             np.random.default_rng(seed + 100),
         )
         legacy = _evaluator(network, traffic, tiny_config, "off")
-        batched = _evaluator(network, traffic, tiny_config, "on")
+        batched = _evaluator(network, traffic, tiny_config, "auto")
         reference = legacy.evaluate_scenarios(setting, scenarios)
         candidate = batched.evaluate_scenarios(setting, scenarios)
         assert_sweeps_identical(reference, candidate)
@@ -162,7 +153,7 @@ class TestSerialParity:
         moved = setting.copy()
         moved.delay[3] = max(1, int(moved.delay[3]) - 1)
         legacy = _evaluator(network, traffic, tiny_config, "off")
-        batched = _evaluator(network, traffic, tiny_config, "on")
+        batched = _evaluator(network, traffic, tiny_config, "auto")
         for s in (setting, setting, moved):
             assert_sweeps_identical(
                 legacy.evaluate_scenarios(s, scenarios),
@@ -230,28 +221,6 @@ class TestParallelParity:
         assert_sweeps_identical(reference, candidate)
         assert_sweeps_identical(reference, repeat)
 
-    def test_thread_executor_matches_serial(
-        self, small_instance, tiny_config
-    ):
-        network, traffic = small_instance
-        scenarios = _mixed_scenarios(network, seed=2)
-        setting = WeightSetting.random(
-            network.num_arcs,
-            tiny_config.weights,
-            np.random.default_rng(12),
-        )
-        serial = _evaluator(network, traffic, tiny_config, "off")
-        reference = serial.evaluate_scenarios(setting, scenarios)
-        config = tiny_config.replace(
-            execution=ExecutionParams(
-                n_jobs=2, executor="thread", sweep_batching="auto"
-            )
-        )
-        with ParallelDtrEvaluator(network, traffic, config) as parallel:
-            candidate = parallel.evaluate_scenarios(setting, scenarios)
-            assert parallel.num_evaluations == len(scenarios) + 1
-        assert_sweeps_identical(reference, candidate)
-
     @pytest.mark.parametrize(
         "n_jobs,chunk_size", [(2, None), (3, None), (2, 1), (2, 5)]
     )
@@ -278,9 +247,16 @@ class TestParallelParity:
             candidate = parallel.evaluate_scenarios(setting, scenarios)
         assert_sweeps_identical(reference, candidate)
 
-    def test_sweep_batching_off_keeps_legacy_transport(
-        self, small_instance, tiny_config
+    @pytest.mark.parametrize(
+        "knob",
+        [{"sweep_batching": "off"}, {"routing_backend": "python"}],
+        ids=["off", "python"],
+    )
+    def test_unbatched_sweeps_publish_once(
+        self, small_instance, tiny_config, knob, monkeypatch
     ):
+        """Unbatched sweeps fan out on the same shm tickets as batched
+        ones: one publish per sweep, a few dozen bytes per task."""
         network, traffic = small_instance
         failures = single_link_failures(network)
         setting = WeightSetting.random(
@@ -288,14 +264,32 @@ class TestParallelParity:
             tiny_config.weights,
             np.random.default_rng(14),
         )
-        serial = _evaluator(network, traffic, tiny_config, "off")
+        serial = DtrEvaluator(
+            network, traffic,
+            tiny_config.replace(execution=ExecutionParams(**knob)),
+        )
+        assert not serial._use_sweep_batching(len(failures))
         reference = serial.evaluate_failures(setting, failures)
+        ticket_bytes = []
+        make_task = ParallelDtrEvaluator._make_task
+
+        def spy(self, seq, fn, args, fallback, sink=None):
+            ticket_bytes.append(len(pickle.dumps(args, protocol=5)))
+            return make_task(self, seq, fn, args, fallback, sink)
+
+        monkeypatch.setattr(ParallelDtrEvaluator, "_make_task", spy)
         config = tiny_config.replace(
-            execution=ExecutionParams(n_jobs=2, sweep_batching="off")
+            execution=ExecutionParams(n_jobs=2, **knob)
         )
         with ParallelDtrEvaluator(network, traffic, config) as parallel:
             candidate = parallel.evaluate_failures(setting, failures)
+            transport = parallel.transport_stats
+            assert parallel.num_evaluations == serial.num_evaluations
+            assert parallel.num_evaluations == len(failures) + 1
         assert_sweeps_identical(reference, candidate)
+        assert transport.publishes == 1
+        assert len(ticket_bytes) >= 2
+        assert max(ticket_bytes) < 100
 
 
 class TestSharedSweepState:

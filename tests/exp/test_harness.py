@@ -146,6 +146,40 @@ class TestRunner:
         out = capsys.readouterr().out
         assert "table2" in out
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (
+                ["--task-timeout", "10", "--sweep-deadline", "5"],
+                "task_timeout must not exceed sweep_deadline",
+            ),
+            (["--jobs", "-1"], "n_jobs must be >= 0"),
+            (["--max-retries", "-1"], "max_retries must be >= 0"),
+            (["--hosts", "local:0"], "needs N >= 1"),
+            (["--jobs", "2", "--hosts", "local:2"], "mutually exclusive"),
+            (["--backend", "numba"], "invalid choice"),
+            (["--sweep-batch", "on", "--backend", "python"], "invalid choice"),
+        ],
+        ids=[
+            "timeout-over-deadline",
+            "negative-jobs",
+            "negative-retries",
+            "zero-hosts",
+            "jobs-and-hosts",
+            "numba-backend",
+            "sweep-batch-on",
+        ],
+    )
+    def test_cli_rejects_bad_execution_flags(self, capsys, flags, message):
+        """Invalid or conflicting flags exit 2 with a usage error, never
+        a traceback, before any experiment runs."""
+        from repro.exp.runner import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", *flags])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestExperimentResult:
     def test_render_contains_everything(self):

@@ -76,10 +76,7 @@ class TestBackendSelection:
     def test_fixed_backends_pass_through(self):
         for backend in ("python", "vector"):
             assert resolve_backend(backend, 10, 40, 10) == backend
-        # "numba" is also valid but soft: its pass-through (and its
-        # rejection when numba is absent) is pinned by
-        # tests/routing/test_numba_kernels.py.
-        assert set(VALID_BACKENDS) == {"auto", "python", "vector", "numba"}
+        assert set(VALID_BACKENDS) == {"auto", "python", "vector"}
 
     def test_auto_uses_work_measure(self):
         # work = destinations * (nodes + arcs)
