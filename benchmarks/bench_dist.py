@@ -201,9 +201,7 @@ def main(argv: list[str] | None = None) -> int:
             network,
             traffic,
             OptimizerConfig(
-                execution=ExecutionParams(
-                    executor="hosts", hosts=spec, sweep_batching="auto"
-                )
+                execution=ExecutionParams(hosts=spec, sweep_batching="auto")
             ),
         ) as dist:
             rates[arm], sweeps[arm] = arm_rate(

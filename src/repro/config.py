@@ -21,9 +21,8 @@ import os
 from dataclasses import dataclass
 
 from repro.routing.backend import (
-    VALID_EXECUTORS,
+    parse_hosts,
     validate_backend,
-    validate_hosts,
     validate_resilience,
     validate_sweep_batching,
 )
@@ -226,17 +225,13 @@ class ExecutionParams:
     docs/PERFORMANCE.md).
 
     Attributes:
-        n_jobs: worker count for failure-sweep fan-out; 1 runs fully
-            serial, 0 resolves to one worker per available CPU.
-        executor: ``"process"`` (default; a local worker-process
-            pool) or ``"hosts"`` (multi-host scenario-shard sweeps over
-            a TCP host pool — see :mod:`repro.core.distributed` and the
-            ``hosts`` knob).
+        n_jobs: worker count for failure-sweep fan-out over a local
+            worker-process pool; 1 runs fully serial, 0 resolves to one
+            worker per available CPU.
         chunk_size: scenarios per parallel task; None picks a chunk count
             of roughly four tasks per worker for load balancing.
         routing_cache: enable the incremental routing cache that reuses
             class routings across weight settings and scenarios.
-        cache_size: maximum number of cached class routings.
         incremental_routing: answer single-arc weight moves and failure
             scenarios with the delta-rerouting core
             (:class:`repro.routing.incremental.IncrementalRouter`):
@@ -280,21 +275,21 @@ class ExecutionParams:
             (:class:`repro.core.faults.FaultPlan`) installed in the
             pool workers — chaos testing only; None (always, outside
             tests) injects nothing.
-        hosts: host pool spec for ``executor="hosts"`` — ``"local:N"``
-            spawns N localhost host processes (testable on one box),
-            ``"host:port,host:port"`` connects to running
-            ``repro-exp serve-host`` servers.  Required with the hosts
-            executor, rejected with any other.  Like every execution
-            knob the host set never changes a computed bit, and it is
-            excluded from checkpoint fingerprints so a run may resume
-            under a different host set.
+        hosts: host pool spec; setting it selects multi-host
+            scenario-shard sweeps over a TCP host pool (see
+            :mod:`repro.core.distributed`) instead of ``n_jobs``
+            workers.  ``"local:N"`` spawns N localhost host processes
+            (testable on one box), ``"host:port,host:port"`` connects
+            to running ``repro-exp serve-host`` servers; None (the
+            default) uses no hosts.  Like every execution knob the host
+            set never changes a computed bit, and it is excluded from
+            checkpoint fingerprints so a run may resume under a
+            different host set, or none.
     """
 
     n_jobs: int = 1
-    executor: str = "process"
     chunk_size: int | None = None
     routing_cache: bool = True
-    cache_size: int = 512
     incremental_routing: bool = True
     routing_backend: str = "auto"
     sweep_batching: str = "auto"
@@ -308,15 +303,10 @@ class ExecutionParams:
     def __post_init__(self) -> None:
         if self.n_jobs < 0:
             raise ValueError("n_jobs must be >= 0 (0 = one per CPU)")
-        if self.executor not in VALID_EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {', '.join(VALID_EXECUTORS)}"
-            )
-        validate_hosts(self.hosts, self.executor)
+        if self.hosts is not None:
+            parse_hosts(self.hosts)
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 when given")
-        if self.cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         validate_backend(self.routing_backend)
         validate_sweep_batching(self.sweep_batching)
         validate_resilience(

@@ -127,7 +127,7 @@ def config_fingerprint(
 #: run is precisely "resume with *different* retry knobs".  The ``hosts``
 #: spec is excluded for the same reason — a sweep is bit-identical under
 #: any host set, and resuming a cluster run on different (or fewer)
-#: machines must not be refused.
+#: machines, or on one box without hosts, must not be refused.
 _RESILIENCE_KNOBS = frozenset(
     {
         "max_retries",

@@ -70,7 +70,7 @@ from concurrent.futures import BrokenExecutor, Future
 from dataclasses import replace
 from typing import Callable
 
-from repro.config import ExecutionParams, OptimizerConfig
+from repro.config import OptimizerConfig
 from repro.core import faults
 from repro.core.evaluation import (
     ScenarioCosts,
@@ -352,11 +352,7 @@ def _build_host_evaluator(blob: tuple) -> CachingDtrEvaluator:
     """
     network, traffic, config, delay_mode = blob
     host_execution = replace(
-        config.execution,
-        n_jobs=1,
-        executor="process",
-        hosts=None,
-        chunk_size=None,
+        config.execution, n_jobs=1, hosts=None, chunk_size=None
     )
     faults.install_fault_plan(host_execution.fault_plan)
     return CachingDtrEvaluator(
@@ -389,9 +385,11 @@ class HostClient:
 
     Owns the socket, a receiver thread resolving task futures, the
     per-connection publish-once bookkeeping (which epoch digests this
-    host already holds) and per-host transfer/timing counters.  All
-    sends are serialized under a lock; TCP ordering then guarantees
-    epoch payloads precede the tasks that reference them.
+    host already holds) and per-host transfer/timing counters.  Sends
+    run on the caller's thread, in order; TCP ordering then guarantees
+    epoch payloads precede the tasks that reference them.  The state
+    the receiver thread shares (liveness, pending futures, counters)
+    is guarded by ``_state_lock``.
     """
 
     def __init__(
@@ -410,7 +408,6 @@ class HostClient:
         self.busy_seconds = 0.0
         self.tasks_done = 0
         self._sock: "socket.socket | None" = None
-        self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._pending: "dict[int, Future]" = {}
         self._sent_epochs: "set[bytes]" = set()
@@ -539,12 +536,12 @@ class HostClient:
         """Dispatch one ticket; returns ``(future, epoch_bytes, bytes)``.
 
         Not-yet-resident epoch frames and the task form one ordered
-        burst under the send lock, so TCP ordering makes the task's
-        payloads resident before it runs.  Never raises: a send failure
-        marks the host dead and the returned future carries
-        :class:`HostLost`, so the supervisor charges an attempt and the
-        ticket terminates (retry elsewhere or serial quarantine)
-        instead of looping on a dead pool.
+        burst, so TCP ordering makes the task's payloads resident
+        before it runs.  Never raises: a send failure marks the host
+        dead and the returned future carries :class:`HostLost`, so the
+        supervisor charges an attempt and the ticket terminates (retry
+        elsewhere or serial quarantine) instead of looping on a dead
+        pool.
         """
         future: Future = Future()
         with self._state_lock:
@@ -557,15 +554,14 @@ class HostClient:
             self._pending[task_id] = future
         epoch_bytes = 0
         try:
-            with self._send_lock:
-                for key, make_frame in epochs:
-                    if key in self._sent_epochs:
-                        continue
-                    frame = make_frame()
-                    _send_frame(sock, frame)
-                    self._sent_epochs.add(key)
-                    epoch_bytes += len(frame)
-                _send_frame(sock, task_frame)
+            for key, make_frame in epochs:
+                if key in self._sent_epochs:
+                    continue
+                frame = make_frame()
+                _send_frame(sock, frame)
+                self._sent_epochs.add(key)
+                epoch_bytes += len(frame)
+            _send_frame(sock, task_frame)
         except (OSError, ConnectionError) as exc:
             self.mark_dead(exc)
             return future, epoch_bytes, 0
@@ -594,8 +590,7 @@ class HostClient:
         sock = self._sock
         if sock is not None:
             try:
-                with self._send_lock:
-                    _send_frame(sock, _encode(("shutdown",)))
+                _send_frame(sock, _encode(("shutdown",)))
             except OSError:
                 pass
         self.mark_dead()
@@ -724,10 +719,8 @@ class DistributedSweepExecutor:
         self._resilience = resilience
         self._transport = transport
         self._pool: "HostPool | None" = None
-        self._pool_lock = threading.Lock()
         self._task_ids = itertools.count()
         self._frames: "OrderedDict[bytes, bytes]" = OrderedDict()
-        self._frame_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -738,23 +731,19 @@ class DistributedSweepExecutor:
 
     def ensure_pool(self) -> HostPool:
         """The live pool, building it lazily on first use."""
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = HostPool(
-                    self._hosts, self._resilience, self._transport
-                )
-            return self._pool
+        if self._pool is None:
+            self._pool = HostPool(
+                self._hosts, self._resilience, self._transport
+            )
+        return self._pool
 
     def recycle_pool(self) -> None:
         """Supervisor hook: revive what can be revived."""
-        with self._pool_lock:
-            pool = self._pool
-        if pool is not None:
-            pool.recycle()
+        if self._pool is not None:
+            self._pool.recycle()
 
     def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
+        pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
 
@@ -766,16 +755,14 @@ class DistributedSweepExecutor:
     # ------------------------------------------------------------------
     def frame_for(self, key: bytes, message_builder) -> bytes:
         """The encoded wire frame of one epoch payload, LRU-cached."""
-        with self._frame_lock:
-            frame = self._frames.get(key)
-            if frame is not None:
-                self._frames.move_to_end(key)
-                return frame
+        frame = self._frames.get(key)
+        if frame is not None:
+            self._frames.move_to_end(key)
+            return frame
         frame = _encode(message_builder())
-        with self._frame_lock:
-            self._frames[key] = frame
-            if len(self._frames) > _FRAME_CACHE_CAP:
-                self._frames.popitem(last=False)
+        self._frames[key] = frame
+        if len(self._frames) > _FRAME_CACHE_CAP:
+            self._frames.popitem(last=False)
         return frame
 
     def plan_tickets(
@@ -843,7 +830,7 @@ class DistributedSweepExecutor:
 class DistributedDtrEvaluator(CachingDtrEvaluator):
     """Cost oracle that sweeps scenario sets across a TCP host pool.
 
-    The ``executor="hosts"`` counterpart of
+    The ``hosts=`` counterpart of
     :class:`~repro.core.parallel.ParallelDtrEvaluator`, with the same
     surface (``close()``/context manager, aggregated ``cache_stats``,
     ``resilience_stats``, ``transport_stats``) and the same contract:
@@ -925,25 +912,6 @@ class DistributedDtrEvaluator(CachingDtrEvaluator):
             }
             for client in pool.clients
         ]
-
-    def set_execution(self, execution: ExecutionParams) -> None:
-        """Adopt new execution knobs between sweeps.
-
-        A changed ``hosts`` spec tears the pool down (lazily rebuilt);
-        other knobs retune in place.  Worker-side evaluation knobs are
-        carried by the instance epoch digest, so hosts rebuild their
-        evaluators automatically on the next sweep after a change.
-        """
-        hosts_changed = execution.hosts != self._config.execution.hosts
-        self._chunk_size = execution.chunk_size
-        self._retry_policy = RetryPolicy.from_execution(execution)
-        self._config = self._config.replace(execution=execution)
-        self._instance_key = None
-        if hosts_changed:
-            self._executor.close()
-            self._executor = DistributedSweepExecutor(
-                execution.hosts, self._resilience, self._transport
-            )
 
     def close(self) -> None:
         """Shut down every host connection and sibling oracle (idempotent)."""

@@ -42,7 +42,6 @@ contract shared by the serial, caching and parallel evaluators.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
@@ -234,6 +233,19 @@ def compact_evaluation(
     )
 
 
+def _normal_delay_routing(
+    reuse: ScenarioEvaluation | None,
+) -> ClassRouting | None:
+    """The delay routing of a NORMAL ``reuse`` (None for anything else).
+
+    Re-routed scenarios diff their destinations against it to find the
+    path-delay columns they may copy.
+    """
+    if reuse is not None and reuse.scenario.is_normal:
+        return reuse.routing_delay
+    return None
+
+
 @dataclass(frozen=True)
 class SweepMemoStats:
     """Counters of the costs-only sweep memo (cache_stats-style).
@@ -293,7 +305,6 @@ class DtrEvaluator:
         self._incremental = config.execution.incremental_routing
         self._sweep_batching = config.execution.sweep_batching
         self._routers: dict[str, IncrementalRouter] = {}
-        self._router_lock = threading.RLock()
         #: Sibling oracles bound to variant-perturbed traffic, keyed by
         #: variant digest (see :meth:`_variant_evaluator`).
         self._variant_evaluators: dict[str, DtrEvaluator] = {}
@@ -384,56 +395,28 @@ class DtrEvaluator:
         kind: str | None = None
         if isinstance(scenario, Scenario):
             if scenario.variant is not None:
-                return self._evaluate_variant(setting, scenario)
+                results: "list[ScenarioEvaluation | None]" = [None]
+                self._evaluate_variant_group(
+                    setting, (0,), [scenario], results
+                )
+                return results[0]
             kind = scenario.kind
             scenario = scenario.failure
-        if reuse is not None and reuse.variant is not None:
-            # A variant evaluation cannot seed base-traffic reuse.
-            reuse = None
-        if setting.num_arcs != self._network.num_arcs:
-            raise ValueError("weight setting does not match the network")
+        reuse = self._base_reuse(setting, reuse)
         self._num_evaluations += 1
 
-        routing_d: ClassRouting | None = None
-        routing_t: ClassRouting | None = None
-        reusable_d: frozenset[int] | None = None
-        if (
-            reuse is not None
-            and scenario.failed_arcs
-            and not scenario.removed_nodes
-            and reuse.routing_delay is not None
-            and reuse.routing_tput is not None
-        ):
-            failed = list(scenario.failed_arcs)
-            if not reuse.routing_delay.used_arcs()[failed].any():
-                routing_d = reuse.routing_delay
-                reusable_d = frozenset(
-                    int(t) for t in routing_d.destinations
-                )
-            if not reuse.routing_tput.used_arcs()[failed].any():
-                routing_t = reuse.routing_tput
-            if routing_d is not None and routing_t is not None:
-                # Neither class touched the failed arcs: identical costs.
-                return replace(
-                    reuse,
-                    scenario=scenario,
-                    routing_delay=None,
-                    routing_tput=None,
-                    kind=kind,
-                )
-
-        base_d = (
-            reuse.routing_delay
-            if reuse is not None and reuse.scenario.is_normal
-            else None
+        hit, routing_d, routing_t, reusable_d = self._shortcut(
+            scenario, kind, reuse
         )
+        if hit is not None:
+            return hit
         if routing_d is None:
             routing_d, reusable_d = self._route_with_reuse(
                 "delay",
                 setting.delay,
                 self._traffic.delay.values,
                 scenario,
-                base_d,
+                _normal_delay_routing(reuse),
             )
         if routing_t is None:
             routing_t, _ = self._route_with_reuse(
@@ -443,6 +426,91 @@ class DtrEvaluator:
                 scenario,
                 None,
             )
+        total, delays, delay_reuse = self._arc_delays(
+            routing_d, routing_t, reusable_d, reuse
+        )
+        pair_delays = self._engine.path_delays(
+            routing_d,
+            delays,
+            mode=self._delay_mode,
+            reuse=delay_reuse,
+            memo=self._incremental,
+        )
+        return self._assemble(
+            scenario, kind, routing_d, routing_t, total, delays, pair_delays
+        )
+
+    # ------------------------------------------------------------------
+    # the stages shared by evaluate() and the batch sweep
+    # ------------------------------------------------------------------
+    def _base_reuse(
+        self, setting: WeightSetting, reuse: ScenarioEvaluation | None
+    ) -> ScenarioEvaluation | None:
+        """Check the setting; drop a ``reuse`` that cannot seed reuse.
+
+        A variant evaluation was computed under perturbed traffic, so it
+        never seeds base-traffic shortcuts.
+        """
+        if setting.num_arcs != self._network.num_arcs:
+            raise ValueError("weight setting does not match the network")
+        if reuse is not None and reuse.variant is not None:
+            return None
+        return reuse
+
+    def _shortcut(
+        self,
+        scenario: FailureScenario,
+        kind: str | None,
+        reuse: ScenarioEvaluation | None,
+    ) -> tuple:
+        """The failed-arc shortcut: reuse the routings the failure misses.
+
+        Returns ``(evaluation, routing_d, routing_t, reusable_d)``.  When
+        neither class's DAGs use a failed arc the costs equal
+        ``reuse``'s and ``evaluation`` is that copy; otherwise it is None
+        and each untouched class's reused routing (None = must be
+        routed) comes back, with all delay-class destinations reusable
+        when the delay class is untouched.
+        """
+        if (
+            reuse is None
+            or not scenario.failed_arcs
+            or scenario.removed_nodes
+            or reuse.routing_delay is None
+            or reuse.routing_tput is None
+        ):
+            return None, None, None, None
+        failed = list(scenario.failed_arcs)
+        routing_d = routing_t = reusable_d = None
+        if not reuse.routing_delay.used_arcs()[failed].any():
+            routing_d = reuse.routing_delay
+            reusable_d = frozenset(int(t) for t in routing_d.destinations)
+        if not reuse.routing_tput.used_arcs()[failed].any():
+            routing_t = reuse.routing_tput
+        if routing_d is not None and routing_t is not None:
+            # Neither class touched the failed arcs: identical costs.
+            hit = replace(
+                reuse,
+                scenario=scenario,
+                routing_delay=None,
+                routing_tput=None,
+                kind=kind,
+            )
+            return hit, None, None, None
+        return None, routing_d, routing_t, reusable_d
+
+    def _arc_delays(
+        self,
+        routing_d: ClassRouting,
+        routing_t: ClassRouting,
+        reusable_d: frozenset[int] | None,
+        reuse: ScenarioEvaluation | None,
+    ) -> "tuple[np.ndarray, np.ndarray, PathDelayReuse | None]":
+        """Total loads, per-arc delays (Eq. 1) and path-delay reuse.
+
+        The reuse names the NORMAL evaluation's delay columns that the
+        delay DP may copy for the ``reusable_d`` destinations.
+        """
         total = routing_d.loads + routing_t.loads
         delays = arc_delays(
             total,
@@ -451,23 +519,25 @@ class DtrEvaluator:
             self._config.delay,
         )
         delay_reuse = None
-        if (
-            reusable_d
-            and reuse is not None
-            and reuse.scenario.is_normal
-        ):
+        if reusable_d and reuse is not None and reuse.scenario.is_normal:
             delay_reuse = PathDelayReuse(
                 pair_delays=reuse.pair_delays,
                 arc_delays=reuse.arc_delay,
                 reusable=reusable_d,
             )
-        pair_delays = self._engine.path_delays(
-            routing_d,
-            delays,
-            mode=self._delay_mode,
-            reuse=delay_reuse,
-            memo=self._incremental,
-        )
+        return total, delays, delay_reuse
+
+    def _assemble(
+        self,
+        scenario: FailureScenario,
+        kind: str | None,
+        routing_d: ClassRouting,
+        routing_t: ClassRouting,
+        total: np.ndarray,
+        delays: np.ndarray,
+        pair_delays: np.ndarray,
+    ) -> ScenarioEvaluation:
+        """SLA penalty (Eq. 2), Fortz cost and the evaluation record."""
         sla = sla_outcome(pair_delays, routing_d.demands, self._config.sla)
         phi = fortz_cost(
             total, self._network.capacity, include=routing_t.loads > 0.0
@@ -489,46 +559,6 @@ class DtrEvaluator:
     # ------------------------------------------------------------------
     # traffic-variant delegation
     # ------------------------------------------------------------------
-    def _evaluate_variant(
-        self, setting: WeightSetting, composed: Scenario
-    ) -> ScenarioEvaluation:
-        """Evaluate a traffic-variant scenario through its sibling oracle.
-
-        The variant's perturbed traffic gets a dedicated sibling
-        evaluator (cached per variant digest), so its incremental
-        routers, propagation memos and routing caches are bound to that
-        traffic — every reuse key is traffic-variant-aware by
-        construction, with no collisions against base-traffic state.
-        For composed failure×variant scenarios the sibling's NORMAL
-        evaluation of the same setting (small per-variant LRU) supplies
-        the failed-arc shortcut.  Returned evaluations carry no
-        routings: they belong to the sibling and must not seed
-        base-traffic reuse.
-
-        The parent lock guards only the sibling registry and the NORMAL
-        cache, never the evaluation itself — the sibling serializes its
-        own routing work under its own lock, so concurrent callers keep
-        plain-failure and variant evaluations concurrent.  A racing
-        duplicate NORMAL evaluation is possible and harmless: results
-        are bit-identical, last write wins.
-        """
-        variant = composed.variant
-        assert variant is not None
-        self._num_evaluations += 1
-        with self._router_lock:
-            sibling = self._variant_evaluator(variant)
-        v_reuse = None
-        if not composed.failure.is_normal:
-            v_reuse = self._variant_normal(sibling, variant, setting)
-        outcome = sibling.evaluate(setting, composed.failure, reuse=v_reuse)
-        return replace(
-            outcome,
-            variant=variant,
-            kind=composed.kind,
-            routing_delay=None,
-            routing_tput=None,
-        )
-
     def _variant_evaluator(self, variant: TrafficVariant) -> "DtrEvaluator":
         """The sibling oracle for one variant (built on first use)."""
         sibling = self._variant_evaluators.get(variant.digest)
@@ -550,19 +580,17 @@ class DtrEvaluator:
         variants would evict each entry right before its next use.
         """
         key = (setting.delay.tobytes(), setting.tput.tobytes())
-        with self._router_lock:
-            cache = self._variant_normal_cache.setdefault(
-                variant.digest, OrderedDict()
-            )
-            entry = cache.get(key)
-            if entry is not None:
-                cache.move_to_end(key)
-                return entry
+        cache = self._variant_normal_cache.setdefault(
+            variant.digest, OrderedDict()
+        )
+        entry = cache.get(key)
+        if entry is not None:
+            cache.move_to_end(key)
+            return entry
         entry = sibling.evaluate(setting, NORMAL)
-        with self._router_lock:
-            cache[key] = entry
-            while len(cache) > _VARIANT_NORMAL_CACHE:
-                cache.popitem(last=False)
+        cache[key] = entry
+        while len(cache) > _VARIANT_NORMAL_CACHE:
+            cache.popitem(last=False)
         return entry
 
     def _router_for(
@@ -615,35 +643,17 @@ class DtrEvaluator:
                 ),
                 None,
             )
-        with self._router_lock:
-            router = self._router_for(class_id, weights, demands)
-            router.sync(weights)
-            if scenario.is_normal:
-                reusable = router.matching_destinations(base_routing)
-                return router.routing, reusable
-            scenario_routing = router.route_scenario(
-                scenario, want_reusable=base_routing is not None
-            )
-            return scenario_routing.routing, (
-                scenario_routing.reusable
-                if base_routing is not None
-                else None
-            )
-
-    def _route(
-        self,
-        class_id: str,
-        weights: np.ndarray,
-        demands: np.ndarray,
-        scenario: FailureScenario,
-    ) -> ClassRouting:
-        """Route one class; subclasses may interpose a routing cache.
-
-        ``class_id`` (``"delay"`` / ``"tput"``) namespaces cache entries.
-        """
-        return self._route_with_reuse(
-            class_id, weights, demands, scenario, None
-        )[0]
+        router = self._router_for(class_id, weights, demands)
+        router.sync(weights)
+        if scenario.is_normal:
+            reusable = router.matching_destinations(base_routing)
+            return router.routing, reusable
+        scenario_routing = router.route_scenario(
+            scenario, want_reusable=base_routing is not None
+        )
+        return scenario_routing.routing, (
+            scenario_routing.reusable if base_routing is not None else None
+        )
 
     def evaluate_normal(self, setting: WeightSetting) -> ScenarioEvaluation:
         """Cost under the failure-free scenario."""
@@ -671,14 +681,10 @@ class DtrEvaluator:
         state is ignored.
         """
         if self._incremental and move is not None:
-            with self._router_lock:
-                for class_id, arc, old, new in move.deltas:
-                    router = self._routers.get(class_id)
-                    if (
-                        router is not None
-                        and router.weight_of(arc) == float(old)
-                    ):
-                        router.set_arc_weight(arc, new)
+            for class_id, arc, old, new in move.deltas:
+                router = self._routers.get(class_id)
+                if router is not None and router.weight_of(arc) == float(old):
+                    router.set_arc_weight(arc, new)
         return self.evaluate(setting, NORMAL, reuse=reuse)
 
     def revert_move(self, setting: WeightSetting, move: Move) -> None:
@@ -693,14 +699,10 @@ class DtrEvaluator:
         del setting  # the routers track their own weights
         if not self._incremental:
             return
-        with self._router_lock:
-            for class_id, arc, old, new in move.deltas:
-                router = self._routers.get(class_id)
-                if (
-                    router is not None
-                    and router.weight_of(arc) == float(new)
-                ):
-                    router.set_arc_weight(arc, old)
+        for class_id, arc, old, new in move.deltas:
+            router = self._routers.get(class_id)
+            if router is not None and router.weight_of(arc) == float(new):
+                router.set_arc_weight(arc, old)
 
     def evaluate_normal_batch(
         self, settings: "list[WeightSetting] | tuple[WeightSetting, ...]"
@@ -763,10 +765,7 @@ class DtrEvaluator:
     @property
     def sweep_memo_stats(self) -> SweepMemoStats:
         """Counters of the costs-only sweep memo."""
-        with self._router_lock:
-            return SweepMemoStats(
-                self._sweep_memo_hits, self._sweep_memo_misses
-            )
+        return SweepMemoStats(self._sweep_memo_hits, self._sweep_memo_misses)
 
     @property
     def resilience_stats(self) -> "ResilienceStats":
@@ -811,18 +810,16 @@ class DtrEvaluator:
             setting.key(),
             ScenarioSet(tuple(as_scenario(s) for s in items)).digest,
         )
-        with self._router_lock:
-            cached = self._sweep_memo.get(key)
-            if cached is not None:
-                self._sweep_memo.move_to_end(key)
-                self._sweep_memo_hits += 1
-                return cached
-            self._sweep_memo_misses += 1
+        cached = self._sweep_memo.get(key)
+        if cached is not None:
+            self._sweep_memo.move_to_end(key)
+            self._sweep_memo_hits += 1
+            return cached
+        self._sweep_memo_misses += 1
         costs = self._sweep_costs(setting, items, reuse)
-        with self._router_lock:
-            self._sweep_memo[key] = costs
-            while len(self._sweep_memo) > _SWEEP_MEMO_CAPACITY:
-                self._sweep_memo.popitem(last=False)
+        self._sweep_memo[key] = costs
+        while len(self._sweep_memo) > _SWEEP_MEMO_CAPACITY:
+            self._sweep_memo.popitem(last=False)
         return costs
 
     def _sweep_costs(
@@ -875,11 +872,7 @@ class DtrEvaluator:
         per-scenario path — and results reassemble in input order, so
         the returned list is bit-identical to the per-scenario loop.
         """
-        if setting.num_arcs != self._network.num_arcs:
-            raise ValueError("weight setting does not match the network")
-        if reuse is not None and reuse.variant is not None:
-            # A variant evaluation cannot seed base-traffic reuse.
-            reuse = None
+        reuse = self._base_reuse(setting, reuse)
         results: "list[ScenarioEvaluation | None]" = [None] * len(items)
         plan = plan_sweep(items, self._network.num_nodes)
         for idx in plan.legacy:
@@ -899,20 +892,25 @@ class DtrEvaluator:
         items: "list",
         results: "list[ScenarioEvaluation | None]",
     ) -> None:
-        """Evaluate all scenarios sharing one traffic variant, batched.
+        """Evaluate the scenarios sharing one traffic variant.
 
-        The batched counterpart of :meth:`_evaluate_variant`: one
-        sibling lookup and one per-variant NORMAL reuse serve the whole
-        group, and the group's failure halves sweep through the
-        sibling's *serial* batched path (never a nested worker pool).
-        Per scenario the sibling performs the same evaluation as the
-        per-scenario path, so results are bit-identical.
+        The variant's perturbed traffic gets a dedicated sibling
+        evaluator (cached per variant digest), so its incremental
+        routers, propagation memos and routing caches are bound to that
+        traffic — every reuse key is traffic-variant-aware by
+        construction, with no collisions against base-traffic state.
+        One sibling lookup and one NORMAL evaluation of the setting
+        (small per-variant LRU; it supplies the failed-arc shortcut)
+        serve the whole group, and the group's failure halves sweep
+        through the sibling's *serial* sweep (never a nested worker
+        pool).  :meth:`evaluate` passes a group of one.  Returned
+        evaluations carry no routings: they belong to the sibling and
+        must not seed base-traffic reuse.
         """
         variant = items[idxs[0]].variant
         assert variant is not None
         self._num_evaluations += len(idxs)
-        with self._router_lock:
-            sibling = self._variant_evaluator(variant)
+        sibling = self._variant_evaluator(variant)
         outcomes: dict[int, ScenarioEvaluation] = {}
         fail_idx = [
             idx for idx in idxs if not items[idx].failure.is_normal
@@ -960,6 +958,33 @@ class DtrEvaluator:
         """Routing-cache store hook of the batch sweep path (no-op here)."""
         del class_id, scenario, weights, routing
 
+    def _route_batch(
+        self,
+        class_id: str,
+        weights: np.ndarray,
+        demands: np.ndarray,
+        failures: "list[FailureScenario]",
+        want_reusable: bool,
+    ) -> tuple:
+        """Route one class under a group's failures in one batch.
+
+        The batch counterpart of :meth:`_route_with_reuse`: the
+        incremental router routes every failure through
+        :func:`~repro.routing.sweep.route_scenario_batch`, and each
+        routing is stored through the routing-cache hook.  Returns the
+        per-failure scenario routings and the load-batch handoffs.
+        """
+        router = self._router_for(class_id, weights, demands)
+        router.sync(weights)
+        routings, handoffs = route_scenario_batch(
+            router, failures, want_reusable=want_reusable
+        )
+        for failure, scenario_routing in zip(failures, routings):
+            self._batch_route_store(
+                class_id, failure, weights, scenario_routing.routing
+            )
+        return routings, handoffs
+
     def _evaluate_failure_group(
         self,
         setting: WeightSetting,
@@ -970,19 +995,16 @@ class DtrEvaluator:
     ) -> None:
         """Evaluate one batch group of plain arc-failure scenarios.
 
-        Mirrors :meth:`evaluate` stage by stage — the failed-arc
-        shortcut, the routing-cache probe, incremental scenario routing,
-        arc delays, path-delay reuse, SLA and Fortz costs — but runs the
-        outstanding kernel work of the whole group through single
-        invocations: one :func:`~repro.routing.sweep.
-        route_scenario_batch` per class and one
-        :func:`~repro.routing.sweep.flush_delay_batch` for the delay
-        DPs.  Every stage replays the identical floats, so each
-        scenario's evaluation is bit-identical to the per-scenario path.
-        Exact duplicates (same failure, same kind) share one evaluation.
+        Shares :meth:`evaluate`'s stages — the failed-arc shortcut, arc
+        delays with path-delay reuse, cost assembly — but routes and
+        runs the delay DPs of the whole group through single
+        invocations: one :meth:`_route_batch` per class and one
+        :func:`~repro.routing.sweep.flush_delay_batch`.  Every stage
+        replays the identical floats, so each scenario's evaluation is
+        bit-identical to the per-scenario path.  Exact duplicates (same
+        failure, same kind) share one evaluation.
         """
         self._num_evaluations += len(idxs)
-        order: "list[tuple[FailureScenario, str | None]]" = []
         slots: "dict[tuple, list[int]]" = {}
         for idx in idxs:
             item = items[idx]
@@ -990,151 +1012,79 @@ class DtrEvaluator:
                 key = (item.failure, item.kind)
             else:
                 key = (item, None)
-            if key not in slots:
-                slots[key] = []
-                order.append(key)
-            slots[key].append(idx)
-
-        have_reuse = (
-            reuse is not None
-            and reuse.routing_delay is not None
-            and reuse.routing_tput is not None
-        )
-        used_d = reuse.routing_delay.used_arcs() if have_reuse else None
-        used_t = reuse.routing_tput.used_arcs() if have_reuse else None
-        base_d = (
-            reuse.routing_delay
-            if reuse is not None and reuse.scenario.is_normal
-            else None
-        )
+            slots.setdefault(key, []).append(idx)
 
         # Stage 1: the failed-arc shortcut and the routing-cache probe,
         # per unique failure; what neither answers goes to the routers.
-        shortcut: "dict[tuple, ScenarioEvaluation]" = {}
+        done: "dict[tuple, ScenarioEvaluation]" = {}
         resolved: "dict[tuple, list]" = {}
         route_d: "list[tuple]" = []
         route_t: "list[tuple]" = []
-        for key in order:
-            failure, kind = key
-            routing_d: ClassRouting | None = None
-            routing_t: ClassRouting | None = None
-            reusable_d: "frozenset[int] | None" = None
-            if have_reuse:
-                failed = list(failure.failed_arcs)
-                if not used_d[failed].any():
-                    routing_d = reuse.routing_delay
-                    reusable_d = frozenset(
-                        int(t) for t in routing_d.destinations
-                    )
-                if not used_t[failed].any():
-                    routing_t = reuse.routing_tput
-                if routing_d is not None and routing_t is not None:
-                    # Neither class touched the failed arcs: identical
-                    # costs (the serial shortcut, verbatim).
-                    shortcut[key] = replace(
-                        reuse,
-                        scenario=failure,
-                        routing_delay=None,
-                        routing_tput=None,
-                        kind=kind,
-                    )
+        for key in slots:
+            hit, routing_d, routing_t, reusable_d = self._shortcut(
+                key[0], key[1], reuse
+            )
+            if hit is not None:
+                done[key] = hit
+                continue
+            entry = resolved[key] = [routing_d, routing_t, reusable_d]
+            for pos, class_id, weights, queue in (
+                (0, "delay", setting.delay, route_d),
+                (1, "tput", setting.tput, route_t),
+            ):
+                if entry[pos] is not None:
                     continue
-            if routing_d is None:
-                routing_d = self._batch_route_lookup(
-                    "delay", failure, setting.delay
+                entry[pos] = self._batch_route_lookup(
+                    class_id, key[0], weights
                 )
-                if routing_d is None:
-                    route_d.append(key)
+                if entry[pos] is None:
+                    queue.append(key)
                 else:
                     # A hit reports no reusable set, and is re-stored —
                     # an incremental (dominated-weights) hit installs
-                    # the exact key — exactly like the serial caching
-                    # path's get-then-put sequence.
+                    # the exact key — like the caching path's get-put.
                     self._batch_route_store(
-                        "delay", failure, setting.delay, routing_d
+                        class_id, key[0], weights, entry[pos]
                     )
-            if routing_t is None:
-                routing_t = self._batch_route_lookup(
-                    "tput", failure, setting.tput
-                )
-                if routing_t is None:
-                    route_t.append(key)
-                else:
-                    self._batch_route_store(
-                        "tput", failure, setting.tput, routing_t
-                    )
-            resolved[key] = [routing_d, routing_t, reusable_d]
 
-        # Stage 2: batch-route the rest per class through the
-        # incremental routers (scenario-axis batched propagation).  The
-        # delay class's load-batch schedules are kept: the delay DPs of
-        # the same columns replay them below.
+        # Stage 2: batch-route the rest per class.  The delay class's
+        # load-batch schedules are kept: the delay DPs of the same
+        # columns replay them below.
+        base_d = _normal_delay_routing(reuse)
         handoffs: "list" = []
-        if route_d or route_t:
-            with self._router_lock:
-                if route_d:
-                    router = self._router_for(
-                        "delay", setting.delay, self._traffic.delay.values
-                    )
-                    router.sync(setting.delay)
-                    routings, handoffs = route_scenario_batch(
-                        router,
-                        [key[0] for key in route_d],
-                        want_reusable=base_d is not None,
-                    )
-                    for key, scenario_routing in zip(route_d, routings):
-                        entry = resolved[key]
-                        entry[0] = scenario_routing.routing
-                        entry[2] = (
-                            scenario_routing.reusable
-                            if base_d is not None
-                            else None
-                        )
-                        self._batch_route_store(
-                            "delay", key[0], setting.delay, entry[0]
-                        )
-                if route_t:
-                    router = self._router_for(
-                        "tput",
-                        setting.tput,
-                        self._traffic.throughput.values,
-                    )
-                    router.sync(setting.tput)
-                    routings, _ = route_scenario_batch(
-                        router,
-                        [key[0] for key in route_t],
-                        want_reusable=False,
-                    )
-                    for key, scenario_routing in zip(route_t, routings):
-                        resolved[key][1] = scenario_routing.routing
-                        self._batch_route_store(
-                            "tput", key[0], setting.tput, resolved[key][1]
-                        )
+        if route_d:
+            routings, handoffs = self._route_batch(
+                "delay",
+                setting.delay,
+                self._traffic.delay.values,
+                [key[0] for key in route_d],
+                base_d is not None,
+            )
+            for key, scenario_routing in zip(route_d, routings):
+                resolved[key][0] = scenario_routing.routing
+                resolved[key][2] = (
+                    scenario_routing.reusable if base_d is not None else None
+                )
+        if route_t:
+            routings, _ = self._route_batch(
+                "tput",
+                setting.tput,
+                self._traffic.throughput.values,
+                [key[0] for key in route_t],
+                False,
+            )
+            for key, scenario_routing in zip(route_t, routings):
+                resolved[key][1] = scenario_routing.routing
 
         # Stage 3: arc delays and the path-delay reuse/memo pre-pass per
         # scenario; outstanding delay columns flush in one batched DP.
         n = self._network.num_nodes
-        reuse_normal = reuse is not None and reuse.scenario.is_normal
         delay_tasks: "list[tuple]" = []
         assembled: "list[tuple]" = []
-        for key in order:
-            if key in shortcut:
-                continue
-            routing_d, routing_t, reusable_d = resolved[key]
-            total = routing_d.loads + routing_t.loads
-            delays = arc_delays(
-                total,
-                self._network.capacity,
-                self._network.prop_delay,
-                self._config.delay,
+        for key, (routing_d, routing_t, reusable_d) in resolved.items():
+            total, delays, delay_reuse = self._arc_delays(
+                routing_d, routing_t, reusable_d, reuse
             )
-            delay_reuse = None
-            if reusable_d and reuse_normal:
-                delay_reuse = PathDelayReuse(
-                    pair_delays=reuse.pair_delays,
-                    arc_delays=reuse.arc_delay,
-                    reusable=reusable_d,
-                )
             out = np.full((n, n), np.nan)
             pending = self._engine._delay_pending(
                 routing_d, delays, self._delay_mode, delay_reuse, True, out
@@ -1163,29 +1113,12 @@ class DtrEvaluator:
             self._engine, self._delay_mode, delay_tasks, shared
         )
 
-        # Stage 4: per-scenario cost assembly (identical arithmetic).
+        # Stage 4: per-scenario cost assembly.
         for key, routing_d, routing_t, total, delays, out in assembled:
-            failure, kind = key
-            sla = sla_outcome(out, routing_d.demands, self._config.sla)
-            phi = fortz_cost(
-                total,
-                self._network.capacity,
-                include=routing_t.loads > 0.0,
+            done[key] = self._assemble(
+                key[0], key[1], routing_d, routing_t, total, delays, out
             )
-            shortcut[key] = ScenarioEvaluation(
-                scenario=failure,
-                cost=CostPair(sla.cost, phi),
-                sla=sla,
-                loads_delay=routing_d.loads,
-                loads_tput=routing_t.loads,
-                arc_delay=delays,
-                pair_delays=out,
-                utilization=total / self._network.capacity,
-                routing_delay=routing_d,
-                routing_tput=routing_t,
-                kind=kind,
-            )
-        for key, evaluation in shortcut.items():
+        for key, evaluation in done.items():
             for idx in slots[key]:
                 results[idx] = evaluation
 

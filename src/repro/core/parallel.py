@@ -71,7 +71,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.config import ExecutionParams, OptimizerConfig
+from repro.config import OptimizerConfig
 from repro.core import faults
 from repro.core.evaluation import (
     DtrEvaluator,
@@ -91,7 +91,7 @@ from repro.core.resilience import (
     global_counters,
 )
 from repro.core.weights import WeightSetting
-from repro.routing.engine import ClassRouting, RoutingEngine
+from repro.routing.engine import ClassRouting
 from repro.routing.failures import FailureScenario
 from repro.routing.network import Network
 from repro.scenarios.scenario import Scenario
@@ -150,6 +150,9 @@ class _CacheEntry:
 #: Recent entries probed per (class, scenario) for an incremental hit.
 _PROBE_DEPTH = 4
 
+#: LRU capacity of every evaluator's routing cache (class routings).
+ROUTING_CACHE_ENTRIES = 512
+
 
 class RoutingCache:
     """LRU cache of class routings with an incremental-reuse fast path.
@@ -163,20 +166,16 @@ class RoutingCache:
     the cached routing is bit-identical to what a fresh computation would
     produce (the parity tests pin this).
 
-    All operations are guarded by a lock, so threads may share one
-    cache.
-
     Args:
         max_entries: LRU capacity (entries, across classes and scenarios).
     """
 
-    def __init__(self, max_entries: int = 512) -> None:
+    def __init__(self, max_entries: int = ROUTING_CACHE_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self._max_entries = max_entries
         self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
         self._recent: dict[tuple, deque] = {}
-        self._lock = threading.Lock()
         self._hits_exact = 0
         self._hits_incremental = 0
         self._misses = 0
@@ -187,10 +186,9 @@ class RoutingCache:
     @property
     def stats(self) -> CacheStats:
         """Current counters (snapshot)."""
-        with self._lock:
-            return CacheStats(
-                self._hits_exact, self._hits_incremental, self._misses
-            )
+        return CacheStats(
+            self._hits_exact, self._hits_incremental, self._misses
+        )
 
     # ------------------------------------------------------------------
     def get(
@@ -201,29 +199,26 @@ class RoutingCache:
     ) -> ClassRouting | None:
         """A routing valid for ``weights`` under ``scenario``, or None."""
         key = (class_id, scenario, weights.tobytes())
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits_exact += 1
-                return entry.routing
-            for recent_key in reversed(
-                self._recent.get((class_id, scenario), ())
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self._hits_exact += 1
+            return entry.routing
+        for recent_key in reversed(self._recent.get((class_id, scenario), ())):
+            entry = self._entries.get(recent_key)
+            if entry is None:
+                continue
+            changed = entry.weights != weights
+            if not changed.any():
+                continue  # dtype-mismatched duplicate of the exact key
+            if (
+                bool((weights >= entry.weights)[changed].all())
+                and not entry.used[changed].any()
             ):
-                entry = self._entries.get(recent_key)
-                if entry is None:
-                    continue
-                changed = entry.weights != weights
-                if not changed.any():
-                    continue  # dtype-mismatched duplicate of the exact key
-                if (
-                    bool((weights >= entry.weights)[changed].all())
-                    and not entry.used[changed].any()
-                ):
-                    self._hits_incremental += 1
-                    return entry.routing
-            self._misses += 1
-            return None
+                self._hits_incremental += 1
+                return entry.routing
+        self._misses += 1
+        return None
 
     def put(
         self,
@@ -234,27 +229,25 @@ class RoutingCache:
     ) -> None:
         """Store a routing computed (or proven valid) for ``weights``."""
         key = (class_id, scenario, weights.tobytes())
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return
-            self._entries[key] = _CacheEntry(
-                weights=np.array(weights, copy=True),
-                routing=routing,
-                used=routing.used_arcs(),
-            )
-            recent = self._recent.setdefault(
-                (class_id, scenario), deque(maxlen=_PROBE_DEPTH)
-            )
-            recent.append(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return
+        self._entries[key] = _CacheEntry(
+            weights=np.array(weights, copy=True),
+            routing=routing,
+            used=routing.used_arcs(),
+        )
+        recent = self._recent.setdefault(
+            (class_id, scenario), deque(maxlen=_PROBE_DEPTH)
+        )
+        recent.append(key)
+        while len(self._entries) > self._max_entries:
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         """Drop all entries (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-            self._recent.clear()
+        self._entries.clear()
+        self._recent.clear()
 
 
 class CachingDtrEvaluator(DtrEvaluator):
@@ -275,10 +268,9 @@ class CachingDtrEvaluator(DtrEvaluator):
         delay_mode: str = "worst",
     ) -> None:
         super().__init__(network, traffic, config, delay_mode)
-        execution = config.execution
         self._cache = (
-            RoutingCache(execution.cache_size)
-            if execution.routing_cache
+            RoutingCache(ROUTING_CACHE_ENTRIES)
+            if config.execution.routing_cache
             else None
         )
 
@@ -696,8 +688,8 @@ def _shutdown_pool(pool: Executor, wait: bool = True) -> None:
     """Shut an executor down, tolerating one that is already broken.
 
     A pool whose workers were SIGKILLed (``BrokenProcessPool``) must
-    still shut down cleanly — ``close()``/``set_execution()`` on a
-    crashed evaluator cannot be allowed to raise.  With ``wait=False``
+    still shut down cleanly — ``close()`` on a crashed evaluator cannot
+    be allowed to raise.  With ``wait=False``
     queued tasks are cancelled too (used when recycling a *suspect*
     pool that may hold a wedged worker).  Only pool-teardown failures
     are swallowed; ``KeyboardInterrupt``/``SystemExit`` propagate.
@@ -742,7 +734,6 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         self._n_jobs = execution.resolved_jobs
         self._chunk_size = execution.chunk_size
         self._pool: Executor | None = None
-        self._pool_lock = threading.Lock()
         self._worker_stats: dict[int, CacheStats] = {}
         self._worker_busy: dict[int, float] = {}
         self._resilience = ResilienceCounters(mirror=global_counters())
@@ -754,89 +745,6 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
     def n_jobs(self) -> int:
         """Effective worker count."""
         return self._n_jobs
-
-    def set_execution(self, execution: ExecutionParams) -> None:
-        """Adopt new execution knobs between sweeps.
-
-        The worker pool is keyed on ``n_jobs`` **only**: retuning
-        ``chunk_size`` between sweeps keeps the warm pool — and every
-        worker's routing caches and incremental routers — alive
-        instead of paying a full pool rebuild; only a change of worker
-        count tears the pool down (lazily rebuilt on the next parallel
-        call).  Worker-side evaluation knobs (``routing_cache``,
-        ``incremental_routing``, ``routing_backend``, ``sweep_batching``
-        — the batch engine runs *inside* the workers) are baked into
-        the workers at pool construction, so changing those rebuilds
-        the pool too.
-        """
-        stale: Executor | None = None
-        with self._pool_lock:
-            # Resilience knobs live parent-side (the supervisor reads
-            # them per sweep): retuning them keeps the warm pool.  The
-            # fault plan is NOT excluded — it is baked into workers by
-            # the pool initializer, so changing it rebuilds the pool.
-            workers_config = replace(
-                execution,
-                n_jobs=self._config.execution.n_jobs,
-                executor=self._config.execution.executor,
-                chunk_size=self._config.execution.chunk_size,
-                max_retries=self._config.execution.max_retries,
-                retry_backoff=self._config.execution.retry_backoff,
-                task_timeout=self._config.execution.task_timeout,
-                sweep_deadline=self._config.execution.sweep_deadline,
-            )
-            workers_changed = workers_config != self._config.execution
-            engine_changed = (
-                execution.incremental_routing
-                != self._config.execution.incremental_routing
-                or execution.routing_backend
-                != self._config.execution.routing_backend
-            )
-            # A live pool always runs the current worker count.
-            jobs_changed = execution.resolved_jobs != self._n_jobs
-            self._n_jobs = execution.resolved_jobs
-            self._chunk_size = execution.chunk_size
-            self._sweep_batching = execution.sweep_batching
-            self._incremental = execution.incremental_routing
-            self._retry_policy = RetryPolicy.from_execution(execution)
-            # The parent-side cache must adopt the new knobs too (small
-            # sweeps and normal evaluations run here, not in workers) —
-            # but only a cache-knob change warrants dropping the warm
-            # entries and their counters.
-            old = self._config.execution
-            if (
-                execution.routing_cache != old.routing_cache
-                or execution.cache_size != old.cache_size
-            ):
-                self._cache = (
-                    RoutingCache(execution.cache_size)
-                    if execution.routing_cache
-                    else None
-                )
-            self._config = self._config.replace(execution=execution)
-            if self._pool is not None and (jobs_changed or workers_changed):
-                stale, self._pool = self._pool, None
-        if engine_changed:
-            # Routing knobs changed: the parent evaluates too
-            # (normal/reuse seeding, small sweeps), so its engine,
-            # routers and variant siblings — which have the old
-            # backend/knobs baked in — are rebuilt alongside the
-            # workers.  Cache-only knob changes keep this warm state.
-            with self._router_lock:
-                self._engine = RoutingEngine(
-                    self._network, backend=execution.routing_backend
-                )
-                self._routers.clear()
-                siblings = list(self._variant_evaluators.values())
-                self._variant_evaluators.clear()
-                self._variant_normal_cache.clear()
-            for sibling in siblings:
-                sibling.close()
-        if stale is not None:
-            # Tolerates a pool already broken by worker deaths: adopting
-            # new knobs after a crash must not raise, and the next
-            # parallel call lazily rebuilds.
-            _shutdown_pool(stale)
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -875,8 +783,7 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         the executor are swallowed so callers' ``finally`` blocks never
         mask the original error.
         """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
+        pool, self._pool = self._pool, None
         if pool is not None:
             _shutdown_pool(pool)
         super().close()
@@ -898,33 +805,31 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
 
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> Executor:
-        with self._pool_lock:
-            if self._pool is None:
-                # Start the resource tracker BEFORE forking workers so
-                # they inherit it: shared-memory blocks are then
-                # registered and unregistered against one tracker (the
-                # parent's unlink clears the worker attaches), instead
-                # of every worker lazily spawning its own tracker that
-                # warns about "leaked" blocks it never saw unlinked.
-                # Best-effort: purely cosmetic on platforms where it is
-                # unavailable.
-                try:
-                    from multiprocessing import resource_tracker
+        if self._pool is None:
+            # Start the resource tracker BEFORE forking workers so they
+            # inherit it: shared-memory blocks are then registered and
+            # unregistered against one tracker (the parent's unlink
+            # clears the worker attaches), instead of every worker
+            # lazily spawning its own tracker that warns about "leaked"
+            # blocks it never saw unlinked.  Best-effort: purely
+            # cosmetic on platforms where it is unavailable.
+            try:
+                from multiprocessing import resource_tracker
 
-                    resource_tracker.ensure_running()
-                except Exception:  # pragma: no cover
-                    pass
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._n_jobs,
-                    initializer=_init_worker,
-                    initargs=(
-                        self._network,
-                        self._traffic,
-                        self._config,
-                        self._delay_mode,
-                    ),
-                )
-            return self._pool
+                resource_tracker.ensure_running()
+            except Exception:  # pragma: no cover
+                pass
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._n_jobs,
+                initializer=_init_worker,
+                initargs=(
+                    self._network,
+                    self._traffic,
+                    self._config,
+                    self._delay_mode,
+                ),
+            )
+        return self._pool
 
     def _chunk_ranges(self, count: int) -> list[tuple[int, int]]:
         """Contiguous index ranges; ~four tasks per worker unless pinned."""
@@ -958,8 +863,7 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         :meth:`_ensure_pool`, i.e. the same warm-state machinery as a
         first build.
         """
-        with self._pool_lock:
-            stale, self._pool = self._pool, None
+        stale, self._pool = self._pool, None
         if stale is not None:
             _shutdown_pool(stale, wait=False)
 
@@ -1161,14 +1065,14 @@ def make_evaluator(
 ) -> DtrEvaluator:
     """The right evaluator for ``config.execution``.
 
-    ``executor="hosts"`` selects the distributed evaluator (scenario
-    sweeps across a TCP host pool), ``n_jobs > 1`` (or 0 = all CPUs on
-    a multi-core host) the parallel evaluator, ``routing_cache`` alone
+    A ``hosts`` spec selects the distributed evaluator (scenario sweeps
+    across a TCP host pool), ``n_jobs > 1`` (or 0 = all CPUs on a
+    multi-core host) the parallel evaluator, ``routing_cache`` alone
     the caching one, and the plain serial evaluator otherwise.  All
     four produce bit-identical results.
     """
     execution = config.execution
-    if execution.executor == "hosts":
+    if execution.hosts is not None:
         # Deferred import: repro.core.distributed imports this module.
         from repro.core.distributed import DistributedDtrEvaluator
 

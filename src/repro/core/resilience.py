@@ -133,7 +133,7 @@ class ResilienceStats:
             exhausting ``max_attempts``.
         deadline_degraded_tasks: tickets degraded to the serial path
             because the sweep deadline ran out.
-        host_failures: distributed hosts (``executor="hosts"``) that
+        host_failures: distributed sweep hosts (the ``hosts`` knob) that
             died or dropped their connection mid-sweep.
         host_respawns: dead hosts successfully respawned (``local:``
             mode) or reconnected (TCP mode) by pool recycling.

@@ -101,8 +101,7 @@ def _apply_execution_flags(
 ) -> Preset:
     """The preset with the execution flags merged into its config.
 
-    ``None`` keeps the preset's setting; ``hosts`` also selects
-    ``executor="hosts"``.  Raises ``ValueError`` — from
+    ``None`` keeps the preset's setting.  Raises ``ValueError`` — from
     ``ExecutionParams`` validation, the one place execution knobs are
     checked — when a value is unknown or the flags conflict.
     """
@@ -121,7 +120,6 @@ def _apply_execution_flags(
     if sweep_deadline is not None:
         overrides["sweep_deadline"] = sweep_deadline
     if hosts is not None:
-        overrides["executor"] = "hosts"
         overrides["hosts"] = hosts
     if not overrides:
         return resolved
@@ -171,8 +169,8 @@ def run_experiment(
         sweep_deadline: whole-sweep deadline in seconds; None keeps
             the preset's setting.
         hosts: distributed sweep host pool (``"local:N"`` or
-            ``"host:port,host:port"``); selects ``executor="hosts"``.
-            Execution-only: results are bit-identical to serial runs
+            ``"host:port,host:port"``); the hosts then own the sweep
+            fan-out.  Execution-only: results are bit-identical to serial runs
             (see docs/PERFORMANCE.md, "Distributed sweeps").
     """
     resolved = _apply_execution_flags(

@@ -125,10 +125,6 @@ def validate_resilience(
         )
 
 
-#: Recognized executor kinds for ``ExecutionParams.executor``.
-VALID_EXECUTORS = ("process", "hosts")
-
-
 def parse_hosts(spec: str) -> "tuple[tuple[str, int], ...] | int":
     """Parse a ``hosts=`` spec into concrete host endpoints.
 
@@ -180,27 +176,6 @@ def parse_hosts(spec: str) -> "tuple[tuple[str, int], ...] | int":
             )
         endpoints.append((host, port))
     return tuple(endpoints)
-
-
-def validate_hosts(hosts: "str | None", executor: str) -> None:
-    """Validate the ``hosts`` knob of ``ExecutionParams``.
-
-    ``executor="hosts"`` requires a parseable spec; any other executor
-    must leave ``hosts`` unset (a spec that silently did nothing would
-    hide a misconfigured run).
-    """
-    if executor == "hosts":
-        if hosts is None:
-            raise ValueError(
-                "executor='hosts' requires a hosts= spec "
-                "('local:N' or 'host:port,...')"
-            )
-        parse_hosts(hosts)
-    elif hosts is not None:
-        raise ValueError(
-            "hosts= is only meaningful with executor='hosts' "
-            f"(got executor={executor!r})"
-        )
 
 
 def validate_backend(backend: str) -> str:

@@ -14,7 +14,6 @@ per-destination propagations through the pure-Python kernels of
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -166,9 +165,6 @@ class RoutingEngine:
         self._plan = PropagationPlan.for_network(network)
         self._batch_plan = BatchPlan.for_network(network)
         self._delay_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        # An engine may be shared across threads; memo bookkeeping
-        # (get + move_to_end, insert + evict) must not interleave.
-        self._delay_memo_lock = threading.Lock()
 
     @property
     def network(self) -> Network:
@@ -497,21 +493,18 @@ class RoutingEngine:
                     mask_row.tobytes(),
                     arc_delays[mask_row].tobytes(),
                 )
-                with self._delay_memo_lock:
-                    cached = self._delay_memo.get(key)
-                    if cached is not None:
-                        self._delay_memo.move_to_end(key)
+                cached = self._delay_memo.get(key)
                 if cached is not None:
+                    self._delay_memo.move_to_end(key)
                     out[:, t] = cached
                     continue
             pending.append((row, t, key))
         return pending
 
     def _memo_put(self, key: tuple, column: np.ndarray) -> None:
-        with self._delay_memo_lock:
-            self._delay_memo[key] = column
-            while len(self._delay_memo) > self._DELAY_MEMO_SIZE:
-                self._delay_memo.popitem(last=False)
+        self._delay_memo[key] = column
+        while len(self._delay_memo) > self._DELAY_MEMO_SIZE:
+            self._delay_memo.popitem(last=False)
 
     def path_max_utilization(
         self, routing: ClassRouting, utilization: np.ndarray

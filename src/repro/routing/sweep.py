@@ -218,9 +218,6 @@ def route_scenario_batch(
     along the way (as :class:`BatchHandoff` objects keyed by scenario
     index), which :func:`flush_delay_batch` replays for the path-delay
     DPs of the same columns.
-
-    The caller holds the router's lock (same contract as
-    ``route_scenario``).
     """
     _maybe_fault("route_batch")
     structs = [router._scenario_structure(s) for s in scenarios]

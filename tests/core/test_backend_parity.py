@@ -31,16 +31,20 @@ def backend_config(config: OptimizerConfig, backend: str) -> OptimizerConfig:
 
 class TestExecutionParams:
     def test_rejects_unknown_backend(self):
-        # "cuda" was never valid; the other three values were, until
+        # "cuda" was never valid; the other two values were, until
         # their execution paths were deleted.  Each fails closed and
         # names the choices that remain.
         for field, value, choices in (
             ("routing_backend", "cuda", "auto, python, vector"),
             ("routing_backend", "numba", "auto, python, vector"),
-            ("executor", "thread", "process, hosts"),
             ("sweep_batching", "on", "auto, off"),
         ):
             with pytest.raises(ValueError, match=choices):
+                ExecutionParams(**{field: value})
+        # Deleted knobs fail closed too: ``hosts`` alone selects the
+        # host pool, and the routing cache has a fixed capacity.
+        for field, value in (("executor", "thread"), ("cache_size", 8)):
+            with pytest.raises(TypeError, match=field):
                 ExecutionParams(**{field: value})
 
     @pytest.mark.parametrize("backend", ["auto", "python", "vector"])

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.config import ExecutionParams
 from repro.core.checkpoint import (
     CheckpointManager,
     CheckpointMismatchError,
@@ -283,6 +284,26 @@ def test_resume_refuses_different_execution(
         CheckpointMismatchError, match="execution_fingerprint"
     ):
         resolve_resume(path, meta_for(other))
+
+
+def test_resume_accepts_any_host_set(tmp_path, small_instance, tiny_config):
+    """A checkpoint written with ``--hosts`` resumes on one box without
+    hosts: the host set never changes a computed bit."""
+    path = tmp_path / "ck.pkl"
+    hosts = make_optimizer(
+        small_instance,
+        tiny_config.replace(execution=ExecutionParams(hosts="local:2")),
+    )
+    single = make_optimizer(
+        small_instance, tiny_config.replace(execution=ExecutionParams())
+    )
+    try:
+        _write_checkpoint(path, hosts)
+        resumed = resolve_resume(path, meta_for(single))
+    finally:
+        hosts.close()
+        single.close()
+    assert resumed["stage"] == "phase1a"
 
 
 def test_config_fingerprint_ignores_execution(tiny_config):

@@ -1,7 +1,7 @@
 """Tests for the multi-host distributed sweep executor.
 
-The contract is the repo-wide one: ``executor="hosts"`` is an execution
-knob, so every distributed sweep — across any host count, any chunking,
+The contract is the repo-wide one: ``hosts`` is an execution knob, so
+every distributed sweep — across any host count, any chunking,
 any streamed return order, and any injected host death — must produce
 results *bit-identical* to the serial evaluator.  Parity assertions use
 exact equality throughout.
@@ -23,7 +23,7 @@ from repro.core.evaluation import DtrEvaluator
 from repro.core.faults import FaultPlan, StageFault, TaskDelay, WorkerKill
 from repro.core.parallel import make_evaluator
 from repro.core.weights import WeightSetting
-from repro.routing.backend import parse_hosts, validate_hosts
+from repro.routing.backend import parse_hosts
 from repro.routing.failures import single_link_failures
 from repro.scenarios import (
     GaussianSurge,
@@ -82,7 +82,7 @@ def serial_reference(dist_instance, dist_setting, mixed_scenarios):
 
 def _config(**execution_kwargs) -> OptimizerConfig:
     return OptimizerConfig().replace(
-        execution=ExecutionParams(executor="hosts", **execution_kwargs)
+        execution=ExecutionParams(**execution_kwargs)
     )
 
 
@@ -128,19 +128,24 @@ class TestHostSpecParsing:
             parse_hosts(spec)
 
     def test_hosts_executor_requires_spec(self):
+        # The host pool needs a parseable spec; a blank one fails at
+        # configuration time instead of selecting an empty pool.
         with pytest.raises(ValueError, match="hosts"):
-            validate_hosts(None, "hosts")
+            ExecutionParams(hosts="")
 
     def test_other_executors_reject_spec(self):
-        with pytest.raises(ValueError, match="hosts"):
-            validate_hosts("local:2", "process")
+        # There is no executor selector left to contradict the spec:
+        # ``hosts`` alone selects the host pool.
+        with pytest.raises(TypeError, match="executor"):
+            ExecutionParams(executor="process", hosts="local:2")
 
     def test_execution_params_validate(self):
-        ExecutionParams(executor="hosts", hosts="local:2")
+        assert ExecutionParams(hosts="local:2").hosts == "local:2"
+        assert ExecutionParams().hosts is None
         with pytest.raises(ValueError):
-            ExecutionParams(executor="hosts")
+            ExecutionParams(hosts="local:0")
         with pytest.raises(ValueError):
-            ExecutionParams(hosts="local:2")
+            ExecutionParams(hosts="alpha")
 
     def test_fingerprint_ignores_hosts(self):
         # Resuming a cluster run on different (or no) hosts must not be

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.config import ExecutionParams, OptimizerConfig
+from repro.core.distributed import DistributedDtrEvaluator
 from repro.core.evaluation import DtrEvaluator
 from repro.core.parallel import (
     CachingDtrEvaluator,
@@ -323,6 +324,11 @@ class TestMakeEvaluator:
         parallel = make_evaluator(network, traffic, _config(n_jobs=2))
         assert type(parallel) is ParallelDtrEvaluator
         parallel.close()
+        # a hosts spec alone selects the host pool (built lazily, so
+        # nothing is spawned here)
+        hosts = make_evaluator(network, traffic, _config(hosts="local:2"))
+        assert type(hosts) is DistributedDtrEvaluator
+        hosts.close()
 
     def test_with_traffic_preserves_type(self, small_instance):
         network, traffic = small_instance
@@ -334,79 +340,14 @@ class TestMakeEvaluator:
         with pytest.raises(ValueError):
             ExecutionParams(n_jobs=-1)
         with pytest.raises(ValueError):
-            ExecutionParams(executor="fiber")
-        with pytest.raises(ValueError):
             ExecutionParams(chunk_size=0)
+        # hosts selects the executor and the cache capacity is fixed:
+        # neither knob exists any more
+        with pytest.raises(TypeError):
+            ExecutionParams(executor="process")
+        with pytest.raises(TypeError):
+            ExecutionParams(cache_size=8)
         assert ExecutionParams(n_jobs=0).resolved_jobs >= 1
-
-
-@pytest.mark.parallel
-class TestPoolKeying:
-    """The worker pool is keyed on n_jobs only: retuning chunking or
-    sweep knobs between sweeps must keep the warm pool."""
-
-    def test_chunk_size_change_keeps_pool(self, isp_instance, isp_setting):
-        network, traffic = isp_instance
-        failures = single_link_failures(network)
-        with ParallelDtrEvaluator(
-            network, traffic, _config(n_jobs=2)
-        ) as parallel:
-            reference = parallel.evaluate_failures(isp_setting, failures)
-            pool = parallel._pool
-            assert pool is not None
-            parallel.set_execution(
-                ExecutionParams(n_jobs=2, chunk_size=5)
-            )
-            candidate = parallel.evaluate_failures(isp_setting, failures)
-            assert parallel._pool is pool  # same warm pool, new chunking
-            # sweep_batching runs inside the workers: must rebuild
-            parallel.set_execution(
-                ExecutionParams(
-                    n_jobs=2, chunk_size=5, sweep_batching="off"
-                )
-            )
-            assert parallel._pool is None
-            legacy = parallel.evaluate_failures(isp_setting, failures)
-        _assert_bit_identical(reference, candidate)
-        _assert_bit_identical(reference, legacy)
-
-    def test_worker_count_change_rebuilds_pool(
-        self, isp_instance, isp_setting
-    ):
-        network, traffic = isp_instance
-        failures = single_link_failures(network)
-        with ParallelDtrEvaluator(
-            network, traffic, _config(n_jobs=2)
-        ) as parallel:
-            reference = parallel.evaluate_failures(isp_setting, failures)
-            pool = parallel._pool
-            parallel.set_execution(ExecutionParams(n_jobs=3))
-            assert parallel._pool is None  # torn down, rebuilt lazily
-            candidate = parallel.evaluate_failures(isp_setting, failures)
-            assert parallel._pool is not pool
-            assert parallel.n_jobs == 3
-        _assert_bit_identical(reference, candidate)
-
-    def test_worker_side_knob_change_rebuilds_pool(
-        self, isp_instance, isp_setting
-    ):
-        network, traffic = isp_instance
-        failures = single_link_failures(network)
-        with ParallelDtrEvaluator(
-            network, traffic, _config(n_jobs=2)
-        ) as parallel:
-            reference = parallel.evaluate_failures(isp_setting, failures)
-            pool = parallel._pool
-            # routing_cache is baked into the workers: must rebuild,
-            # and the parent-side cache adopts the knob too
-            parallel.set_execution(
-                ExecutionParams(n_jobs=2, routing_cache=False)
-            )
-            assert parallel._pool is None
-            assert parallel.cache is None
-            candidate = parallel.evaluate_failures(isp_setting, failures)
-            assert parallel._pool is not pool
-        _assert_bit_identical(reference, candidate)
 
 
 # ----------------------------------------------------------------------
@@ -463,32 +404,6 @@ class TestPoolFailureRecovery:
             os.kill(pid, signal.SIGKILL)
         parallel.close()  # must not raise on the broken pool
         parallel.close()  # and stays idempotent
-
-    def test_set_execution_tolerates_broken_pool(
-        self, isp_instance, isp_setting
-    ):
-        import os
-        import signal
-
-        network, traffic = isp_instance
-        failures = single_link_failures(network)
-        serial = DtrEvaluator(network, traffic, OptimizerConfig())
-        reference = serial.evaluate_failures(isp_setting, failures)
-        with ParallelDtrEvaluator(
-            network, traffic, _config(n_jobs=2, retry_backoff=0.0)
-        ) as parallel:
-            parallel.evaluate_failures(isp_setting, failures)
-            for pid in parallel._worker_stats:
-                os.kill(pid, signal.SIGKILL)
-            # retuning across a corpse must not raise, and the rebuild
-            # stays lazy + idempotent
-            parallel.set_execution(
-                ExecutionParams(n_jobs=3, retry_backoff=0.0)
-            )
-            assert parallel._pool is None
-            candidate = parallel.evaluate_failures(isp_setting, failures)
-            assert parallel.n_jobs == 3
-        _assert_bit_identical(reference, candidate)
 
 
 # ----------------------------------------------------------------------

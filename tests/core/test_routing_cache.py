@@ -10,7 +10,7 @@ cannot blow memory up cross-product-style.
 import numpy as np
 import pytest
 
-from repro.config import ExecutionParams
+from repro.core import parallel
 from repro.core.evaluation import _VARIANT_NORMAL_CACHE
 from repro.core.parallel import CachingDtrEvaluator, RoutingCache
 from repro.core.weights import WeightSetting
@@ -102,17 +102,15 @@ class TestLruSemantics:
 
 class TestVariantSiblingBounds:
     def test_cross_product_sweeps_stay_bounded(
-        self, small_instance, tiny_config
+        self, small_instance, tiny_config, monkeypatch
     ):
         """A failure x surge cross sweep builds one sibling per variant
         digest, each with its own size-bounded routing cache and a
         bounded NORMAL LRU — no cross-product memory blowup."""
         network, traffic = small_instance
-        cache_size = 8
-        config = tiny_config.replace(
-            execution=ExecutionParams(cache_size=cache_size)
-        )
-        evaluator = CachingDtrEvaluator(network, traffic, config)
+        # Shrink the fixed capacity so the sweeps below overflow it.
+        monkeypatch.setattr(parallel, "ROUTING_CACHE_ENTRIES", 8)
+        evaluator = CachingDtrEvaluator(network, traffic, tiny_config)
         variants = [GaussianSurge(seed=s) for s in range(3)]
         scenarios = cross(
             srlg_failures(network, num_groups=3, group_size=2, seed=4),
@@ -121,7 +119,7 @@ class TestVariantSiblingBounds:
         settings = [
             WeightSetting.random(
                 network.num_arcs,
-                config.weights,
+                tiny_config.weights,
                 np.random.default_rng(s),
             )
             for s in range(7)
@@ -132,8 +130,8 @@ class TestVariantSiblingBounds:
         assert len(siblings) == len(variants)  # one per digest, reused
         for sibling in siblings.values():
             assert sibling.cache is not None
-            assert len(sibling.cache) <= cache_size
-        assert len(evaluator.cache) <= cache_size
+            assert len(sibling.cache) <= parallel.ROUTING_CACHE_ENTRIES
+        assert len(evaluator.cache) <= parallel.ROUTING_CACHE_ENTRIES
         for lru in evaluator._variant_normal_cache.values():
             assert len(lru) <= _VARIANT_NORMAL_CACHE
         evaluator.close()
