@@ -93,13 +93,15 @@ def sweeps_identical(a, b) -> bool:
 def arm_rate(evaluator, setting, scenarios, rounds: int, warmups: int):
     """Warm best-of-``rounds`` evaluations/sec plus the last sweep.
 
-    ``warmups`` untimed sweeps bring pools, routing caches, routers and
-    memos to steady state first — the regime of Phase-2 ordered sweeps,
-    which is what this benchmark tracks (same methodology as
-    ``bench_parallel.py`` / ``bench_incremental.py``).  Several warmups
-    matter for the parallel arms: chunk-to-worker assignment is not
-    deterministic, so every worker needs a few sweeps to have seen
-    every chunk.
+    ``warmups`` untimed sweeps bring pools, routing caches and routers
+    to steady state first (same methodology as ``bench_parallel.py`` /
+    ``bench_incremental.py``).  Every round re-sweeps the *same*
+    setting, so the per-scenario arms replay memoized work; Phase 2
+    answers such repeats from the evaluator's sweep memo before any
+    engine runs, so this is not the regime of its ordered sweeps, where
+    each sweep prices a new setting.  Several warmups matter for the
+    parallel arms: chunk-to-worker assignment is not deterministic, so
+    every worker needs a few sweeps to have seen every chunk.
     """
     normal = evaluator.evaluate_normal(setting)
     sweep = None

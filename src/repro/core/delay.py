@@ -48,19 +48,28 @@ def arc_delays(
     """Per-arc delay ``D_l`` (seconds) under the given total loads.
 
     Args:
-        total_loads: per-arc load ``x_l`` across both classes (bits/s).
+        total_loads: per-arc load ``x_l`` across both classes (bits/s),
+            or an ``(S, A)`` stack of them, one row per scenario.  Every
+            operation is elementwise, so each row's delays equal a
+            one-row call's bit for bit.
         capacity: per-arc capacity ``C_l`` (bits/s).
         prop_delay: per-arc propagation delay ``p_l`` (seconds).
         params: delay-model constants (packet size, thresholds).
 
     Returns:
-        Per-arc delay array; equals ``prop_delay`` wherever utilization is
-        at most ``params.low_load_threshold``.
+        Per-arc delays, shaped like ``total_loads``; equal to
+        ``prop_delay`` wherever utilization is at most
+        ``params.low_load_threshold``.
     """
     loads = np.asarray(total_loads, dtype=np.float64)
     capacity = np.asarray(capacity, dtype=np.float64)
     prop_delay = np.asarray(prop_delay, dtype=np.float64)
-    if loads.shape != capacity.shape or loads.shape != prop_delay.shape:
+    if (
+        capacity.ndim != 1
+        or prop_delay.shape != capacity.shape
+        or loads.ndim not in (1, 2)
+        or loads.shape[-1] != capacity.shape[0]
+    ):
         raise ValueError("loads, capacity and prop_delay shapes must match")
     utilization = loads / capacity
     queueing = (params.packet_size_bits / capacity) * (

@@ -766,7 +766,11 @@ class DistributedSweepExecutor:
         return frame
 
     def plan_tickets(
-        self, count: int, num_nodes: int, chunk_size: "int | None"
+        self,
+        count: int,
+        num_nodes: int,
+        num_arcs: int,
+        chunk_size: "int | None",
     ) -> "list[tuple[int, int, int]]":
         """Contiguous ``(owner, lo, hi)`` tickets over ``count`` scenarios.
 
@@ -774,7 +778,7 @@ class DistributedSweepExecutor:
         invariant to it anyway — tickets reassemble in scenario order).
         """
         n_hosts = max(1, self.n_hosts)
-        budget = group_scenario_budget(num_nodes)
+        budget = group_scenario_budget(num_nodes, num_arcs)
         tickets: "list[tuple[int, int, int]]" = []
         base, extra = divmod(count, n_hosts)
         shard_lo = 0
@@ -1035,7 +1039,10 @@ class DistributedDtrEvaluator(CachingDtrEvaluator):
         wkey, wframe = self._setting_epoch(setting)
         epochs = [(ikey, iframe), (skey, sframe), (wkey, wframe)]
         tickets = self._executor.plan_tickets(
-            len(items), self._network.num_nodes, self._chunk_size
+            len(items),
+            self._network.num_nodes,
+            self._network.num_arcs,
+            self._chunk_size,
         )
 
         tasks = []

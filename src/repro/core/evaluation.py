@@ -874,7 +874,9 @@ class DtrEvaluator:
         """
         reuse = self._base_reuse(setting, reuse)
         results: "list[ScenarioEvaluation | None]" = [None] * len(items)
-        plan = plan_sweep(items, self._network.num_nodes)
+        plan = plan_sweep(
+            items, self._network.num_nodes, self._network.num_arcs
+        )
         for idx in plan.legacy:
             results[idx] = self.evaluate(setting, items[idx], reuse=reuse)
         for _, idxs in plan.variant_groups:
@@ -964,7 +966,6 @@ class DtrEvaluator:
         weights: np.ndarray,
         demands: np.ndarray,
         failures: "list[FailureScenario]",
-        want_reusable: bool,
     ) -> tuple:
         """Route one class under a group's failures in one batch.
 
@@ -976,9 +977,7 @@ class DtrEvaluator:
         """
         router = self._router_for(class_id, weights, demands)
         router.sync(weights)
-        routings, handoffs = route_scenario_batch(
-            router, failures, want_reusable=want_reusable
-        )
+        routings, handoffs = route_scenario_batch(router, failures)
         for failure, scenario_routing in zip(failures, routings):
             self._batch_route_store(
                 class_id, failure, weights, scenario_routing.routing
@@ -995,14 +994,15 @@ class DtrEvaluator:
     ) -> None:
         """Evaluate one batch group of plain arc-failure scenarios.
 
-        Shares :meth:`evaluate`'s stages — the failed-arc shortcut, arc
-        delays with path-delay reuse, cost assembly — but routes and
-        runs the delay DPs of the whole group through single
-        invocations: one :meth:`_route_batch` per class and one
-        :func:`~repro.routing.sweep.flush_delay_batch`.  Every stage
-        replays the identical floats, so each scenario's evaluation is
-        bit-identical to the per-scenario path.  Exact duplicates (same
-        failure, same kind) share one evaluation.
+        Shares :meth:`evaluate`'s failed-arc shortcut and cost assembly,
+        and runs every other stage once per group on arrays: one
+        :meth:`_route_batch` per class, one ``arc_delays`` call on the
+        ``(K, A)`` stack of total loads, one scatter of the reusable
+        NORMAL path-delay columns and one
+        :func:`~repro.routing.sweep.flush_delay_batch` for the rest.
+        Every stage replays the identical floats, so each scenario's
+        evaluation is bit-identical to the per-scenario path.  Exact
+        duplicates (same failure, same kind) share one evaluation.
         """
         self._num_evaluations += len(idxs)
         slots: "dict[tuple, list[int]]" = {}
@@ -1021,13 +1021,13 @@ class DtrEvaluator:
         route_d: "list[tuple]" = []
         route_t: "list[tuple]" = []
         for key in slots:
-            hit, routing_d, routing_t, reusable_d = self._shortcut(
+            hit, routing_d, routing_t, _ = self._shortcut(
                 key[0], key[1], reuse
             )
             if hit is not None:
                 done[key] = hit
                 continue
-            entry = resolved[key] = [routing_d, routing_t, reusable_d]
+            entry = resolved[key] = [routing_d, routing_t]
             for pos, class_id, weights, queue in (
                 (0, "delay", setting.delay, route_d),
                 (1, "tput", setting.tput, route_t),
@@ -1040,9 +1040,9 @@ class DtrEvaluator:
                 if entry[pos] is None:
                     queue.append(key)
                 else:
-                    # A hit reports no reusable set, and is re-stored —
-                    # an incremental (dominated-weights) hit installs
-                    # the exact key — like the caching path's get-put.
+                    # A hit is re-stored — an incremental
+                    # (dominated-weights) hit installs the exact key —
+                    # like the caching path's get-put.
                     self._batch_route_store(
                         class_id, key[0], weights, entry[pos]
                     )
@@ -1050,7 +1050,6 @@ class DtrEvaluator:
         # Stage 2: batch-route the rest per class.  The delay class's
         # load-batch schedules are kept: the delay DPs of the same
         # columns replay them below.
-        base_d = _normal_delay_routing(reuse)
         handoffs: "list" = []
         if route_d:
             routings, handoffs = self._route_batch(
@@ -1058,69 +1057,105 @@ class DtrEvaluator:
                 setting.delay,
                 self._traffic.delay.values,
                 [key[0] for key in route_d],
-                base_d is not None,
             )
             for key, scenario_routing in zip(route_d, routings):
                 resolved[key][0] = scenario_routing.routing
-                resolved[key][2] = (
-                    scenario_routing.reusable if base_d is not None else None
-                )
         if route_t:
             routings, _ = self._route_batch(
                 "tput",
                 setting.tput,
                 self._traffic.throughput.values,
                 [key[0] for key in route_t],
-                False,
             )
             for key, scenario_routing in zip(route_t, routings):
                 resolved[key][1] = scenario_routing.routing
 
-        # Stage 3: arc delays and the path-delay reuse/memo pre-pass per
-        # scenario; outstanding delay columns flush in one batched DP.
-        n = self._network.num_nodes
-        delay_tasks: "list[tuple]" = []
-        assembled: "list[tuple]" = []
-        for key, (routing_d, routing_t, reusable_d) in resolved.items():
-            total, delays, delay_reuse = self._arc_delays(
-                routing_d, routing_t, reusable_d, reuse
-            )
-            out = np.full((n, n), np.nan)
-            pending = self._engine._delay_pending(
-                routing_d, delays, self._delay_mode, delay_reuse, True, out
-            )
-            delay_tasks.append((routing_d, delays, out, pending))
-            assembled.append((key, routing_d, routing_t, total, delays, out))
-        # Resolve the loads-batch handoffs to delay-task indices: every
-        # routed delay-class scenario has a task (only shortcut ones
-        # don't, and those were never routed).
-        task_of = {
-            entry[0]: task_index
-            for task_index, entry in enumerate(assembled)
-        }
-        shared = [
-            (
-                np.asarray(
-                    [task_of[route_d[i]] for i, _ in handoff.cells],
-                    dtype=np.intp,
-                ),
-                np.asarray([t for _, t in handoff.cells], dtype=np.intp),
-                handoff.schedule,
-            )
-            for handoff in handoffs
-        ]
-        flush_delay_batch(
-            self._engine, self._delay_mode, delay_tasks, shared
-        )
-
-        # Stage 4: per-scenario cost assembly.
-        for key, routing_d, routing_t, total, delays, out in assembled:
-            done[key] = self._assemble(
-                key[0], key[1], routing_d, routing_t, total, delays, out
+        if resolved:
+            self._group_delays_and_costs(
+                resolved, route_d, handoffs, reuse, done
             )
         for key, evaluation in done.items():
             for idx in slots[key]:
                 results[idx] = evaluation
+
+    def _group_delays_and_costs(
+        self,
+        resolved: "dict[tuple, list]",
+        route_d: "list[tuple]",
+        handoffs: list,
+        reuse: ScenarioEvaluation | None,
+        done: "dict[tuple, ScenarioEvaluation]",
+    ) -> None:
+        """Stages 3-4 of a failure group: delays, then cost assembly.
+
+        The ``K`` routed scenarios' arc delays come from one
+        ``arc_delays`` call on the ``(K, A)`` total-load stack.  A path
+        delay column is a pure function of its destination, mask row
+        and the delays of the masked arcs (the distance column only
+        orders the DP), so every cell whose mask row equals the NORMAL
+        routing's and whose masked arcs kept their NORMAL delays takes
+        the NORMAL column, in one scatter; the rest run through
+        :func:`~repro.routing.sweep.flush_delay_batch`.
+        """
+        keys = list(resolved)
+        routings_d = [resolved[key][0] for key in keys]
+        routings_t = [resolved[key][1] for key in keys]
+        total = np.stack([r.loads for r in routings_d]) + np.stack(
+            [r.loads for r in routings_t]
+        )
+        delays = arc_delays(
+            total,
+            self._network.capacity,
+            self._network.prop_delay,
+            self._config.delay,
+        )
+        masks = np.stack([r.masks for r in routings_d])
+        dests = routings_d[0].destinations
+        n = self._network.num_nodes
+        out = np.full((len(keys), n, n), np.nan)
+        base = _normal_delay_routing(reuse)
+        if base is None:
+            pending = np.ones(masks.shape[:2], dtype=bool)
+        else:
+            stale = masks != base.masks
+            stale |= base.masks & (delays != reuse.arc_delay)[:, None, :]
+            pending = stale.any(axis=2)
+            rows, pos = np.nonzero(~pending)
+            ts = dests[pos]
+            out[rows, :, ts] = reuse.pair_delays[:, ts].T
+        # Load-batch handoffs name (route_d index, destination) cells;
+        # resolve them to task rows.
+        task_of = {key: k for k, key in enumerate(keys)}
+        route_task = np.asarray(
+            [task_of[key] for key in route_d], dtype=np.intp
+        )
+        shared = []
+        for handoff in handoffs:
+            cells = np.asarray(handoff.cells, dtype=np.intp)
+            shared.append(
+                (route_task[cells[:, 0]], cells[:, 1], handoff.schedule)
+            )
+        flush_delay_batch(
+            self._engine,
+            self._delay_mode,
+            dests,
+            masks,
+            np.stack([r.dist for r in routings_d]),
+            delays,
+            pending,
+            out,
+            shared,
+        )
+        for k, key in enumerate(keys):
+            done[key] = self._assemble(
+                key[0],
+                key[1],
+                routings_d[k],
+                routings_t[k],
+                total[k],
+                delays[k],
+                out[k],
+            )
 
     def evaluate_failures(
         self,

@@ -462,9 +462,7 @@ class RoutingEngine:
 
         Copies reusable and memoized delay columns into ``out`` and
         returns the ``(row, t, memo key)`` triples that still need
-        propagation.  Shared with the sweep engine
-        (:func:`repro.routing.sweep.flush_delay_batch`), which
-        concatenates the pending columns of many scenarios into one DP.
+        propagation.
         """
         changed = (
             arc_delays != reuse.arc_delays if reuse is not None else None

@@ -165,10 +165,9 @@ class _ScenarioStructure:
     base state *except* the per-destination load propagations: the
     scenario's destination set, (possibly demand-zeroed) demand matrix,
     repaired distance matrix and mask rows, plus which positions were hit
-    and therefore still need their contribution recomputed.  The sweep
-    engine (:mod:`repro.routing.sweep`) builds one structure per scenario
-    and batches the outstanding propagations of a whole scenario group
-    through a single kernel invocation.
+    and therefore still need their contribution recomputed.  Only the
+    per-scenario path builds it; the sweep engine holds a whole group of
+    scenarios as arrays instead (:class:`_GroupStructure`).
 
     Attributes:
         scenario: the failure scenario this structure answers.
@@ -194,6 +193,37 @@ class _ScenarioStructure:
     hit_list: list
     dem_list: "list | None"
     need: list
+    base_contribs: np.ndarray
+    base_und: np.ndarray
+
+
+@dataclass
+class _GroupStructure:
+    """The structural half of a group of plain arc-failure scenarios.
+
+    The scenario-axis counterpart of :class:`_ScenarioStructure`, held
+    as a few arrays per group instead of one object per scenario.  Arc
+    failures keep the demand matrix, so every scenario shares the
+    router's destinations, demands and base contributions.
+
+    Attributes:
+        scenarios: the group's scenarios, in order (``S`` of them).
+        dist: ``(S, N, N)`` distance matrices (repaired columns patched).
+        masks: ``(S, D, A)`` DAG mask rows, aligned with the router's
+            destinations.
+        hit: ``(S, D)`` "a failed arc sat on this DAG" flags — the cells
+            whose load contribution must be recomputed; every other cell
+            keeps its base distance column, mask row and contribution.
+        demands: the router's demand matrix.
+        base_contribs: base-state contribution rows, ``(D, A)``.
+        base_und: base-state undelivered volumes, ``(D,)``.
+    """
+
+    scenarios: list
+    dist: np.ndarray
+    masks: np.ndarray
+    hit: np.ndarray
+    demands: np.ndarray
     base_contribs: np.ndarray
     base_und: np.ndarray
 
@@ -270,6 +300,13 @@ class IncrementalRouter:
         self._weights_list: list[float] | None = None
         self._weights_integral = False
         self._arc_src_list = [int(u) for u in network.arc_src]
+        #: Arc ids grouped by source node, and each node's slice bounds
+        #: in that order (the group path's per-node out-arc counts).
+        self._arcs_by_src = np.argsort(network.arc_src, kind="stable")
+        self._src_bounds = np.searchsorted(
+            network.arc_src[self._arcs_by_src],
+            np.arange(network.num_nodes + 1),
+        )
         self._rev_adjacency = _reverse_adjacency(network)
         self.stats = RouterStats()
         self._rebuild(weights)
@@ -805,23 +842,18 @@ class IncrementalRouter:
             struct, computed, batch_info, want_reusable
         )
 
-    def _scenario_structure(
-        self, scenario: FailureScenario
-    ) -> _ScenarioStructure:
-        """Distances, masks and recompute positions of one scenario delta.
+    def _scenario_info_for(self, scenario: FailureScenario) -> tuple:
+        """Weight-independent structures of one scenario, cached.
 
-        The structural first half of :meth:`route_scenario`, shared with
-        the batch sweep engine: everything except the outstanding load
-        propagations (listed in ``need``) and the final fold.
+        ``(failed arcs, failed set, disabled mask, disabled list,
+        removed nodes, survivor out-arcs per failed arc)``.
         """
-        self.stats.scenario_routes += 1
-        net = self._net
         info = self._scenario_info.get(scenario)
         if info is None:
+            net = self._net
             failed = [int(a) for a in scenario.failed_arcs]
             failed_set = set(failed)
             disabled = disabled_arc_mask(net, scenario)
-            rem = list(scenario.removed_nodes)
             survivors = [
                 (
                     a,
@@ -841,13 +873,28 @@ class IncrementalRouter:
                 failed_set,
                 disabled,
                 disabled.tolist(),
-                rem,
+                list(scenario.removed_nodes),
                 survivors,
             )
             if len(self._scenario_info) > 4096:
                 self._scenario_info.clear()
             self._scenario_info[scenario] = info
-        failed, failed_set, disabled, dead_list, rem, survivors = info
+        return info
+
+    def _scenario_structure(
+        self, scenario: FailureScenario
+    ) -> _ScenarioStructure:
+        """Distances, masks and recompute positions of one scenario delta.
+
+        The structural first half of :meth:`route_scenario`: everything
+        except the outstanding load propagations (listed in ``need``)
+        and the final fold.
+        """
+        self.stats.scenario_routes += 1
+        net = self._net
+        failed, failed_set, disabled, dead_list, rem, survivors = (
+            self._scenario_info_for(scenario)
+        )
 
         demands = self._demands
         if rem:
@@ -947,6 +994,99 @@ class IncrementalRouter:
             base_und=base_und,
         )
 
+    def _out_counts(self, rows: np.ndarray) -> np.ndarray:
+        """Per-node DAG out-arc counts of ``(R, A)`` mask rows, ``(R, N)``.
+
+        One cumulative sum over the arcs grouped by source node; a
+        node's count is the difference across its slice.
+        """
+        cum = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.int32)
+        np.cumsum(rows[:, self._arcs_by_src], axis=1, out=cum[:, 1:])
+        bounds = self._src_bounds
+        return cum[:, bounds[1:]] - cum[:, bounds[:-1]]
+
+    def _group_structure(
+        self, scenarios: "list[FailureScenario]"
+    ) -> _GroupStructure:
+        """Distances, masks and hit cells of a group of arc failures.
+
+        The scenario-axis counterpart of :meth:`_scenario_structure`,
+        with the same per-cell arithmetic: failed arcs leave every mask
+        row; a destination is hit when a failed arc sat on its DAG; a
+        hit destination keeps its distances when every node with DAG
+        out-arcs keeps one (counted per node for all hit cells at
+        once), and the rest get a repaired column
+        (:meth:`_repaired_column`, with :meth:`_columns_for` per
+        scenario as the fallback) whose mask rows come from one
+        :func:`destination_mask_rows` call.
+
+        Raises:
+            ValueError: for a normal or node-removing scenario; those
+                change the demand matrix and take :meth:`route_scenario`.
+        """
+        for scenario in scenarios:
+            if scenario.removed_nodes or not scenario.failed_arcs:
+                raise ValueError("scenario groups take arc failures only")
+        infos = [self._scenario_info_for(s) for s in scenarios]
+        net = self._net
+        num_scen, n = len(scenarios), net.num_nodes
+        disabled = np.array(
+            [info[2] for info in infos], dtype=bool
+        ).reshape(num_scen, net.num_arcs)
+        base_masks = self._masks
+        masks = base_masks[None, :, :] & ~disabled[:, None, :]
+        hit = (base_masks[None, :, :] & disabled[:, None, :]).any(axis=2)
+        dist = np.full((num_scen, n, n), np.inf)
+        dist[:, :, self._dest] = self._dist_cols
+        hit_s, hit_d = np.nonzero(hit)
+        if hit_s.size:
+            # A node left without DAG out-arcs lengthens its distance.
+            lost = self._out_counts(masks[hit_s, hit_d]) == 0
+            lost &= self._out_counts(base_masks)[hit_d] > 0
+            need = lost.any(axis=1)
+            spf_s, spf_d = hit_s[need], hit_d[need]
+            if spf_s.size:
+                cols = np.empty((n, spf_s.size), dtype=np.float64)
+                missing: dict[int, list[int]] = {}
+                for i, (s, d) in enumerate(
+                    zip(spf_s.tolist(), spf_d.tolist())
+                ):
+                    failed, failed_set, _, dead_list, _, _ = infos[s]
+                    repaired = self._repaired_column(
+                        self._dist_cols[:, d],
+                        base_masks[d],
+                        failed,
+                        failed_set,
+                        dead_list,
+                    )
+                    if repaired is None:
+                        missing.setdefault(s, []).append(i)
+                    else:
+                        cols[:, i] = repaired
+                for s, idx in missing.items():
+                    cols[:, idx] = self._columns_for(
+                        self._dest[spf_d[idx]], infos[s][2], infos[s][3]
+                    )
+                dist[spf_s, :, self._dest[spf_d]] = cols.T
+                masks[spf_s, spf_d] = destination_mask_rows(
+                    net, self._weights, cols
+                ) & ~disabled[spf_s]
+        recomputed = int(hit_s.size)
+        self.stats.scenario_routes += num_scen
+        self.stats.destinations_recomputed += recomputed
+        self.stats.destinations_reused += (
+            num_scen * int(self._dest.size) - recomputed
+        )
+        return _GroupStructure(
+            scenarios=list(scenarios),
+            dist=dist,
+            masks=masks,
+            hit=hit,
+            demands=self._demands,
+            base_contribs=self._contribs,
+            base_und=self._und,
+        )
+
     def _propagate_structure(
         self, struct: _ScenarioStructure
     ) -> "tuple[dict[int, tuple[np.ndarray, float]], tuple | None]":
@@ -1027,8 +1167,7 @@ class IncrementalRouter:
         ascending destination order — ``route_class``'s float summation
         order — so the result is bit-identical to a from-scratch call
         regardless of how the ``computed`` entries were produced (memo
-        hit, per-destination python kernel, per-scenario batch, or the
-        sweep engine's cross-scenario batch).
+        hit, per-destination python kernel or per-scenario batch).
         """
         dest_s, masks = struct.dest_s, struct.masks
         dist, demands = struct.dist, struct.demands

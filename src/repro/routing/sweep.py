@@ -2,21 +2,20 @@
 
 The vector kernels of :mod:`repro.routing.vectorized` batch along the
 *destination* axis: one scenario's affected destinations share a
-schedule and a level sweep.  On warm incremental sweeps each scenario
-touches only a handful of destinations, so a sweep still pays one
-schedule build and one kernel invocation *per scenario* — pure Python
-overhead that dominates once the per-destination work is memoized.  This
+schedule and a level sweep.  A per-scenario sweep therefore pays one
+structure pass, one schedule build and one kernel invocation *per
+scenario*, plus Python work per (scenario, destination) cell.  This
 module adds the missing axis: the (node, destination) cells of the
-kernels are blind to which scenario a column belongs to, so the
-outstanding propagations of a whole *scenario group* stack into one
-``(cells, arcs)`` batch and run through a single kernel call.  Per
-column the arithmetic is untouched — every contribution row is
-bit-identical to the per-scenario path (which is itself pinned
-bit-identical to the pure-Python kernels), and per-scenario totals are
-still folded in ascending destination order — so batching is purely an
-execution decision.
+kernels are blind to which scenario a column belongs to, so a whole
+*scenario group* is held as a few arrays per traffic class and its
+outstanding propagations run through a single kernel call.  Per column
+the arithmetic is untouched — every contribution row is bit-identical
+to the per-scenario path (which is itself pinned bit-identical to the
+pure-Python kernels), and per-scenario totals are still folded in
+ascending destination order — so batching is purely an execution
+decision.
 
-Two pieces live here:
+Three pieces live here:
 
 * :func:`plan_sweep` — groups a scenario collection by *structural
   footprint*: plain arc-failure scenarios (whose footprint is the
@@ -30,12 +29,20 @@ Two pieces live here:
   variant — collapse onto one evaluation slot.
 * :func:`route_scenario_batch` — the scenario-axis counterpart of
   :meth:`~repro.routing.incremental.IncrementalRouter.route_scenario`:
-  one structure pass per scenario (distances, masks, memo probes), one
-  concatenated ``batch_propagate_loads`` call for every outstanding
-  (scenario, destination) cell, one ascending-destination fold per
-  scenario.  ``tests/routing/test_sweep.py`` pins the bit-identity
-  property-style; the evaluator-level parity across scenario families
-  is pinned by ``tests/core/test_sweep_evaluator.py``.
+  the group's distances ``(S, N, N)``, mask rows ``(S, D, A)`` and hit
+  cells ``(S, D)`` as arrays, one ``batch_propagate_loads`` call for
+  every hit cell (chunked by a kernel budget), one ascending-destination
+  fold into an ``(S, A)`` accumulator.
+* :func:`flush_delay_batch` — the group's outstanding path-delay DPs,
+  replaying the load batches' schedules where they apply.
+
+Neither probes nor fills a memo.  The propagation memo and the engine's
+delay memo serve the move and per-scenario paths, where local search
+revisits states; a batch sweep prices each setting once, so its cells
+never recur (on the costs-only audit workload, 0 of ~90k propagation
+lookups and 0 of ~105k delay probes hit).  ``tests/routing/test_sweep.py``
+pins the bit-identity property-style; the evaluator-level parity across
+scenario families is pinned by ``tests/core/test_sweep_evaluator.py``.
 
 Parallel and distributed sweeps reuse this planner: worker processes
 and sweep hosts receive only index tickets and batch their slice
@@ -48,7 +55,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.routing.engine import _PY_DELAY_BATCH_MAX, _batch_delay_kernel
+from repro.routing.engine import (
+    _PY_DELAY_BATCH_MAX,
+    ClassRouting,
+    _batch_delay_kernel,
+)
 from repro.routing.failures import FailureScenario
 from repro.routing.fastpath import (
     fast_propagate_mean_delay,
@@ -61,10 +72,9 @@ from repro.routing.vectorized import (
     build_schedule,
 )
 
-#: Upper bound on the floats held by one batch group's scenario
-#: structures (each scenario holds a full (N, N) distance matrix per
-#: class while its group is in flight).  ~64 MB per class at float64.
-SWEEP_STATE_BUDGET = 8_000_000
+#: Upper bound on the bytes one batch group holds while it is in flight
+#: (see :func:`group_scenario_budget` for what counts).  64 MB.
+SWEEP_STATE_BUDGET = 64_000_000
 
 #: Upper bound on ``cells x num_arcs`` of one load-propagation kernel
 #: call (the contribution matrix it materializes).  ~48 MB at float64.
@@ -90,15 +100,33 @@ def _maybe_fault(stage: str) -> None:
         _FAULT_HOOK(stage)
 
 
-def group_scenario_budget(num_nodes: int) -> int:
-    """Scenarios per batch group, bounded by the structure-state budget.
+def group_scenario_budget(num_nodes: int, num_arcs: int) -> int:
+    """Scenarios per batch group, bounded by :data:`SWEEP_STATE_BUDGET`.
 
-    Each in-flight scenario pins two ``(N, N)`` float matrices (one per
-    traffic class), so the group size shrinks quadratically with
-    instance size; small instances batch whole sweeps at once.
+    Counts every per-scenario array a group holds, with ``N`` nodes,
+    ``A`` arcs and ``D <= N`` destinations.  Per traffic class the
+    routing holds its distance matrix (``8·N²`` bytes), mask rows
+    (``D·A``), hit flags (``D``) and loads (``8·A``).  The delay stage
+    adds the path-delay matrix (``8·N²``), stacked copies of the delay
+    class's distances and masks (``8·N² + D·A``) and four arc vectors
+    (``32·A``: both classes' loads, total loads, arc delays).  So, with
+    ``D = N``::
+
+        bytes per scenario = 32·N² + 3·N·A + 2·N + 48·A
+
+    The group size shrinks roughly quadratically with instance size;
+    small instances batch whole sweeps at once.  The hit cells'
+    contribution rows are bounded per kernel call by
+    :func:`kernel_cell_budget` instead: each call's scenarios fold as
+    soon as it returns.
     """
-    per_scenario = max(1, 2 * num_nodes * num_nodes)
-    return max(1, SWEEP_STATE_BUDGET // per_scenario)
+    per_scenario = (
+        32 * num_nodes * num_nodes
+        + 3 * num_nodes * num_arcs
+        + 2 * num_nodes
+        + 48 * num_arcs
+    )
+    return max(1, SWEEP_STATE_BUDGET // max(1, per_scenario))
 
 
 def kernel_cell_budget(num_arcs: int) -> int:
@@ -158,13 +186,15 @@ class SweepPlan:
         )
 
 
-def plan_sweep(items: "list", num_nodes: int) -> SweepPlan:
+def plan_sweep(items: "list", num_nodes: int, num_arcs: int) -> SweepPlan:
     """Partition scenarios into batch / variant / legacy buckets.
 
     Args:
         items: :class:`~repro.scenarios.Scenario` or
             :class:`FailureScenario` objects, in sweep order.
-        num_nodes: instance size (drives the group budget).
+        num_nodes: instance size (with ``num_arcs``, drives the group
+            budget).
+        num_arcs: arc count of the instance.
     """
     batchable: list[int] = []
     variant_groups: dict[str, list[int]] = {}
@@ -183,7 +213,7 @@ def plan_sweep(items: "list", num_nodes: int) -> SweepPlan:
             legacy.append(idx)
         else:
             batchable.append(idx)
-    budget = group_scenario_budget(num_nodes)
+    budget = group_scenario_budget(num_nodes, num_arcs)
     groups = tuple(
         tuple(batchable[i: i + budget])
         for i in range(0, len(batchable), budget)
@@ -202,231 +232,226 @@ def route_scenario_batch(
     scenarios: "list[FailureScenario]",
     want_reusable: bool = False,
 ) -> "tuple[list[ScenarioRouting], list[BatchHandoff]]":
-    """Route one class under many scenarios with batched propagation.
+    """Route one class under a group of arc failures, held as arrays.
 
     The scenario-axis counterpart of :meth:`IncrementalRouter.
-    route_scenario`, bit-identical per scenario: structures (distances,
-    masks, memo probes) are built per scenario exactly as the
-    per-scenario path does, but every outstanding (scenario,
-    destination) load propagation across the whole batch runs through
-    one concatenated ``batch_propagate_loads`` call — the kernel's
-    per-column results do not depend on which columns share the batch —
-    and lands in the propagation memo under the same keys.  Per-scenario
-    totals fold in ascending destination order as always.
+    route_scenario`, bit-identical per scenario.  The router builds the
+    group's distances, masks and hit cells as arrays
+    (:meth:`IncrementalRouter._group_structure`); the hit cells' mask
+    rows, distance columns and demand columns are gathered by fancy
+    indexing into chunked ``batch_propagate_loads`` calls — the
+    kernel's per-column results do not depend on which columns share a
+    call — and every scenario's loads fold in ascending destination
+    order, one vector add per destination into an ``(S, A)``
+    accumulator.  The propagation memo is neither probed nor filled: a
+    batch sweep prices each setting once, so the memo serves the move
+    and per-scenario paths only.
 
-    Returns the per-scenario routings plus the batch schedules built
-    along the way (as :class:`BatchHandoff` objects keyed by scenario
-    index), which :func:`flush_delay_batch` replays for the path-delay
+    Takes plain arc failures only (what :func:`plan_sweep` batches).
+    Returns the per-scenario routings, whose arrays are views into the
+    group's, plus the load batches' schedules (as :class:`BatchHandoff`
+    objects), which :func:`flush_delay_batch` replays for the path-delay
     DPs of the same columns.
     """
     _maybe_fault("route_batch")
-    structs = [router._scenario_structure(s) for s in scenarios]
-    computed: "list[dict[int, tuple[np.ndarray, float]]]" = [
-        {} for _ in structs
-    ]
-    pending: list[tuple[int, int, int]] = []  # (struct index, pos, t)
-    memo = router._memo
-    for i, struct in enumerate(structs):
-        dem_list = struct.dem_list
-        for pos in struct.need:
-            t = int(struct.dest_s[pos])
-            if dem_list is not None and dem_list[pos]:
-                # Changed demand column (node removals): not memoizable;
-                # mirrors the per-scenario path.
-                computed[i][pos] = router._propagate_for(
-                    t,
-                    struct.masks[pos],
-                    struct.dist[:, t],
-                    struct.demands[:, t],
-                    False,
-                )
-                continue
-            entry = memo.get(t, struct.masks[pos], struct.dist[:, t])
-            if entry is not None:
-                computed[i][pos] = entry
-            else:
-                pending.append((i, pos, t))
-
+    if not scenarios:
+        return [], []
+    group = router._group_structure(scenarios)
+    plan = router._batch_plan
+    dest = router.destinations
+    hit = group.hit
+    num_scen = hit.shape[0]
     num_arcs = router.network.num_arcs
-    budget = kernel_cell_budget(num_arcs)
+    loads = np.zeros((num_scen, num_arcs))
+    undelivered = np.zeros(num_scen)
     handoffs: "list[BatchHandoff]" = []
-    for lo in range(0, len(pending), budget):
-        chunk = pending[lo: lo + budget]
-        masks = np.stack(
-            [structs[i].masks[pos] for i, pos, _ in chunk]
+    budget = kernel_cell_budget(num_arcs)
+    # Kernel calls take whole scenarios, so each call's scenarios fold
+    # as soon as it returns: at most ``budget`` cells per call, unless
+    # one scenario alone has more.
+    ends = np.cumsum(np.count_nonzero(hit, axis=1))
+    lo = 0
+    while lo < num_scen:
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(
+            lo + 1,
+            int(np.searchsorted(ends, start + budget, side="right")),
         )
-        dist_cols = np.stack(
-            [structs[i].dist[:, t] for i, _, t in chunk], axis=1
-        )
-        demand_cols = np.stack(
-            [structs[i].demands[:, t] for i, _, t in chunk], axis=1
-        )
-        dests = np.asarray([t for _, _, t in chunk], dtype=np.intp)
-        schedule = build_schedule(router._batch_plan, masks, dist_cols)
-        contribs, und = batch_propagate_loads(
-            router._batch_plan,
-            masks,
-            dist_cols,
-            demand_cols,
-            dests,
-            schedule=schedule,
-        )
-        handoffs.append(
-            BatchHandoff(
-                cells=tuple((i, t) for i, _, t in chunk),
+        block = hit[lo:hi]
+        rows, pos = np.nonzero(block)
+        contribs = und = None
+        if rows.size:
+            cells = rows + lo
+            ts = dest[pos]
+            masks = group.masks[cells, pos]
+            dist_cols = group.dist[cells, :, ts].T
+            schedule = build_schedule(plan, masks, dist_cols)
+            contribs, und = batch_propagate_loads(
+                plan,
+                masks,
+                dist_cols,
+                group.demands[:, ts],
+                ts,
                 schedule=schedule,
             )
-        )
-        for j, (i, pos, t) in enumerate(chunk):
-            contrib = contribs[j].copy()
-            und_value = float(und[j])
-            memo.put(
-                t,
-                structs[i].masks[pos],
-                structs[i].dist[:, t],
-                contrib,
-                und_value,
+            handoffs.append(
+                BatchHandoff(
+                    cells=tuple(zip(cells.tolist(), ts.tolist())),
+                    schedule=schedule,
+                )
             )
-            computed[i][pos] = contrib, und_value
+        _fold_loads(
+            group, block, rows, pos, contribs, und,
+            loads[lo:hi], undelivered[lo:hi],
+        )
+        lo = hi
 
-    routings = [
-        router._assemble_scenario(struct, computed[i], None, want_reusable)
-        for i, struct in enumerate(structs)
-    ]
+    routings = []
+    for s, scenario in enumerate(group.scenarios):
+        routing = ClassRouting(
+            network=router.network,
+            scenario=scenario,
+            dist=group.dist[s],
+            destinations=dest,
+            masks=group.masks[s],
+            loads=loads[s],
+            demands=group.demands,
+            undelivered=float(undelivered[s]),
+        )
+        reusable = (
+            frozenset(dest[~hit[s]].tolist()) if want_reusable else frozenset()
+        )
+        routings.append(ScenarioRouting(routing=routing, reusable=reusable))
     return routings, handoffs
+
+
+def _fold_loads(
+    group,
+    hit: np.ndarray,
+    rows: np.ndarray,
+    pos: np.ndarray,
+    contribs: "np.ndarray | None",
+    und: "np.ndarray | None",
+    loads: np.ndarray,
+    undelivered: np.ndarray,
+) -> None:
+    """Fold a block of scenarios into its ``loads`` and ``undelivered``.
+
+    ``hit`` is the block's ``(B, D)`` hit flags, and row ``i`` of
+    ``contribs`` / ``und`` is the recomputed cell ``(rows[i], pos[i])``;
+    every other cell takes its base contribution.  Destinations fold in
+    ascending order — ``route_class``'s float summation order — so every
+    scenario's totals are bit-identical to the per-scenario fold.
+    """
+    cell = np.zeros(hit.shape, dtype=np.intp)
+    cell[rows, pos] = np.arange(rows.size)
+    base_contribs, base_und = group.base_contribs, group.base_und
+    for d, any_hit in enumerate(hit.any(axis=0).tolist()):
+        if any_hit:
+            col = hit[:, d]
+            loads += np.where(
+                col[:, None], contribs[cell[:, d]], base_contribs[d]
+            )
+            undelivered += np.where(col, und[cell[:, d]], base_und[d])
+        else:
+            loads += base_contribs[d]
+            undelivered += base_und[d]
 
 
 def flush_delay_batch(
     engine,
     mode: str,
-    tasks: "list[tuple]",
+    destinations: np.ndarray,
+    masks: np.ndarray,
+    dist: np.ndarray,
+    arc_delays: np.ndarray,
+    pending: np.ndarray,
+    out: np.ndarray,
     shared: "list[tuple[np.ndarray, np.ndarray, BatchSchedule]]" = (),
 ) -> None:
-    """Run the pending path-delay columns of many scenarios in one DP.
+    """Run the pending path-delay DPs of a group's ``K`` delay tasks.
 
     Args:
         engine: the :class:`~repro.routing.engine.RoutingEngine`.
         mode: ``"worst"`` or ``"mean"``.
-        tasks: ``(routing, arc_delays, out, pending)`` per scenario —
-            the output of the engine's reuse/memo pre-pass
-            (:meth:`RoutingEngine._delay_pending`); ``pending`` lists
-            ``(row, t, memo key)`` triples still needing propagation.
-        shared: prebuilt ``(column task indices, column destinations,
-            schedule)`` triples from the load-propagation batches
-            (:class:`BatchHandoff` resolved to task indices by the
-            caller).  A schedule depends only on its columns' (mask,
-            distance) pairs — identical between a scenario's load
-            propagation and its delay DP — so covered pending columns
-            replay these schedules instead of paying a fresh build;
-            recomputing a covered column that was individually
-            reusable replays the identical bits, exactly like the
-            per-scenario handed-subset reuse.
+        destinations: the ``D`` destinations of every task, ascending.
+        masks: ``(K, D, A)`` delay-class mask rows per task.
+        dist: ``(K, N, N)`` delay-class distances per task.
+        arc_delays: ``(K, A)`` arc delays per task.
+        pending: ``(K, D)`` cells still needing their DP (the caller
+            has copied the reusable ones); cleared as cells are served.
+        out: ``(K, N, N)`` path-delay matrices, written in place.
+        shared: prebuilt ``(task rows, destinations, schedule)`` triples
+            from the load-propagation batches (:class:`BatchHandoff`
+            resolved to task rows by the caller).  A schedule depends
+            only on its columns' (mask, distance) pairs — identical
+            between a scenario's load propagation and its delay DP — so
+            those cells replay it instead of paying a fresh build.
 
-    Pending columns not covered by a shared schedule are concatenated,
-    share one schedule build, and read their own scenario's arc-delay
-    vector via the kernels' ``delay_rows`` hook, so every column is
-    bit-identical to a per-scenario ``path_delays`` call; results land
-    in ``out`` in place (diagonal re-NaN'd) and in the engine's delay
-    memo under the per-scenario keys.
+    The other pending cells are gathered by fancy indexing and run
+    through chunked DPs (or, when at most ``_PY_DELAY_BATCH_MAX`` are
+    left, the per-destination python kernel).  Every column reads its
+    own task's arc-delay row via the kernels' ``delay_rows`` hook, so it
+    is bit-identical to a per-scenario ``path_delays`` call.  No memo is
+    probed or filled: a batch sweep prices each setting once.
     """
     _maybe_fault("delay_flush")
-    if not any(pending for _, _, _, pending in tasks):
-        return
-    delays_2d = np.stack([arc_delays for _, arc_delays, _, _ in tasks])
-    #: Outstanding (task, destination) -> memo key; cells leave the map
-    #: as soon as a shared schedule serves them.
-    remaining: "dict[tuple[int, int], tuple | None]" = {
-        (i, t): key
-        for i, (_, _, _, pending) in enumerate(tasks)
-        for _, t, key in pending
-    }
     batch_propagate = _batch_delay_kernel(mode)
-
-    def write(i: int, t: int, key: "tuple | None", column: np.ndarray) -> None:
-        out = tasks[i][2]
-        out[:, t] = column
-        out[t, t] = np.nan
-        if key is not None:
-            engine._memo_put(key, out[:, t].copy())
-
-    for task_rows, dests, schedule in shared:
-        if not remaining:
-            break
-        served = [
-            j
-            for j in range(len(dests))
-            if (int(task_rows[j]), int(dests[j])) in remaining
-        ]
-        # Replay only when it harvests enough of the schedule's columns
-        # — the DP computes every column, so a near-fully-memoized
-        # sweep would pay O(cells x arcs) to harvest a handful (the
-        # batch counterpart of path_delays' covered-fraction guard);
-        # unserved cells fall through to the right-sized path below.
-        if not served or 2 * len(served) < len(dests):
-            continue
+    for rows, ts, schedule in shared:
         columns = batch_propagate(
             engine._batch_plan,
             None,
             None,
-            delays_2d,
-            dests,
+            arc_delays,
+            ts,
             schedule=schedule,
-            delay_rows=task_rows,
+            delay_rows=rows,
         )
-        for j in served:
-            i, t = int(task_rows[j]), int(dests[j])
-            write(i, t, remaining.pop((i, t)), columns[:, j])
+        _write_columns(out, rows, ts, columns)
+        pending[rows, np.searchsorted(destinations, ts)] = False
 
-    if not remaining:
+    rows, pos = np.nonzero(pending)
+    if not rows.size:
         return
-    cells = [
-        (i, row, t, key)
-        for i, (_, _, _, pending) in enumerate(tasks)
-        for row, t, key in pending
-        if (i, t) in remaining
-    ]
-    if len(cells) <= _PY_DELAY_BATCH_MAX:
-        # Leftovers too few to amortize a schedule build: the
-        # per-destination python kernel is cheaper (and bit-identical),
-        # mirroring path_delays' small-batch fallback.
+    pending[rows, pos] = False
+    ts = destinations[pos]
+    if rows.size <= _PY_DELAY_BATCH_MAX:
+        # Too few to amortize a schedule build: the per-destination
+        # python kernel is cheaper (and bit-identical), mirroring
+        # path_delays' small-batch fallback.
         propagate = (
             fast_propagate_mean_delay
             if mode == "mean"
             else fast_propagate_worst_delay
         )
-        delay_lists: "dict[int, list[float]]" = {}
-        for i, row, t, key in cells:
-            delays = delay_lists.get(i)
-            if delays is None:
-                delays = delay_lists[i] = tasks[i][1].tolist()
+        for k, d, t in zip(rows.tolist(), pos.tolist(), ts.tolist()):
             column = propagate(
                 engine.plan,
-                tasks[i][0].masks[row],
-                tasks[i][0].dist[:, t],
-                delays,
+                masks[k, d],
+                dist[k, :, t],
+                arc_delays[k].tolist(),
                 t,
             )
-            write(i, t, key, np.asarray(column))
+            out[k, :, t] = column
+            out[k, t, t] = np.nan
         return
-    num_arcs = engine.network.num_arcs
-    budget = kernel_cell_budget(num_arcs)
-    for lo in range(0, len(cells), budget):
-        chunk = cells[lo: lo + budget]
-        masks = np.stack(
-            [tasks[i][0].masks[row] for i, row, _, _ in chunk]
-        )
-        dist_cols = np.stack(
-            [tasks[i][0].dist[:, t] for i, _, t, _ in chunk], axis=1
-        )
-        dests = np.asarray([t for _, _, t, _ in chunk], dtype=np.intp)
-        delay_rows = np.asarray([i for i, _, _, _ in chunk], dtype=np.intp)
+    budget = kernel_cell_budget(engine.network.num_arcs)
+    for lo in range(0, rows.size, budget):
+        chunk = slice(lo, lo + budget)
         columns = batch_propagate(
             engine._batch_plan,
-            masks,
-            dist_cols,
-            delays_2d,
-            dests,
-            delay_rows=delay_rows,
+            masks[rows[chunk], pos[chunk]],
+            dist[rows[chunk], :, ts[chunk]].T,
+            arc_delays,
+            ts[chunk],
+            delay_rows=rows[chunk],
         )
-        for j, (i, _, t, key) in enumerate(chunk):
-            write(i, t, key, columns[:, j])
+        _write_columns(out, rows[chunk], ts[chunk], columns)
+
+
+def _write_columns(
+    out: np.ndarray, rows: np.ndarray, ts: np.ndarray, columns: np.ndarray
+) -> None:
+    """Scatter ``(N, C)`` delay columns into ``out[rows, :, ts]``."""
+    out[rows, :, ts] = columns.T
+    out[rows, ts, ts] = np.nan

@@ -74,6 +74,24 @@ class TestArcDelays:
         with pytest.raises(ValueError, match="shapes"):
             arc_delays(np.ones(3), np.ones(2), np.ones(3))
 
+    def test_stack_equals_row_by_row_calls(self):
+        """An (S, A) stack of loads gives each row's 1-D delays bit for
+        bit — one call prices a whole scenario group."""
+        rng = np.random.default_rng(0)
+        cap = rng.uniform(1e8, 1e9, 12)
+        prop = rng.uniform(0.001, 0.01, 12)
+        # Utilizations on both sides of the threshold and of the
+        # linearization point.
+        loads = cap * rng.uniform(0.0, 1.3, (7, 12))
+        stacked = arc_delays(loads, cap, prop)
+        assert stacked.shape == (7, 12)
+        for row, delays in zip(loads, stacked):
+            assert np.array_equal(delays, arc_delays(row, cap, prop))
+
+    def test_stack_with_mismatched_arc_count_rejected(self):
+        with pytest.raises(ValueError, match="shapes"):
+            arc_delays(np.ones((4, 3)), np.ones(2), np.ones(2))
+
     @settings(max_examples=40, deadline=None)
     @given(
         util=st.floats(0.0, 1.5),

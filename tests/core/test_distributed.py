@@ -168,7 +168,7 @@ class TestTicketPlanning:
         )
 
     def test_contiguous_cover(self):
-        tickets = self._executor("local:3").plan_tickets(25, 10, None)
+        tickets = self._executor("local:3").plan_tickets(25, 10, 40, None)
         spans = [(lo, hi) for _, lo, hi in tickets]
         assert spans[0][0] == 0 and spans[-1][1] == 25
         for (_, prev_hi), (lo, _) in zip(spans, spans[1:]):
@@ -177,7 +177,7 @@ class TestTicketPlanning:
         assert sorted(set(owners)) == [0, 1, 2]
 
     def test_chunk_size_respected(self):
-        tickets = self._executor("local:2").plan_tickets(20, 10, 3)
+        tickets = self._executor("local:2").plan_tickets(20, 10, 40, 3)
         assert all(hi - lo <= 3 for _, lo, hi in tickets)
 
     def test_budget_caps_tickets(self):
@@ -185,9 +185,9 @@ class TestTicketPlanning:
         # bounds every ticket like it bounds shm batch groups.
         from repro.routing.sweep import group_scenario_budget
 
-        budget = group_scenario_budget(400)
+        budget = group_scenario_budget(400, 2394)
         tickets = self._executor("local:1").plan_tickets(
-            10 * budget, 400, 10 * budget
+            10 * budget, 400, 2394, 10 * budget
         )
         assert all(hi - lo <= budget for _, lo, hi in tickets)
 
