@@ -1,40 +1,34 @@
-"""Scenario-axis batch sweep benchmark: per-scenario vs batched, serial
-and parallel.
+"""Scenario sweep benchmark: serial per-scenario, serial batched and
+``n_jobs=N`` sweep hosts, on the costs-only contract Phase 2 uses.
 
-Runs the same single-link failure sweep on a Rocketfuel-class PLTopo
-instance through four evaluator configurations —
+Each request prices a fresh seeded weight setting (drawn before any
+timing, so no memo can replay a result) across a
+``build_scenarios("link,srlg,surge")`` set on a PLTopo instance — single
+links, SRLGs and traffic surges, so every group kind of
+``repro.routing.sweep.plan_sweep`` runs — through
+``evaluate_scenario_costs``.  Every round sends one request to each arm:
 
-* ``serial`` — the per-scenario serial path (``sweep_batching=off``),
-* ``serial-batched`` — the scenario-axis batch sweep engine
-  (``sweep_batching=auto``),
-* ``parallel`` — :class:`ParallelDtrEvaluator` with per-scenario
-  workers (``sweep_batching=off``) on shared-memory tickets,
-* ``parallel-shm`` — shared-memory workers running the batch engine
+* ``serial`` — the per-scenario serial path (``sweep_batching="off"``),
+* ``serial-batched`` — the scenario-axis batch sweep engine,
+* ``jobs-N`` — ``n_jobs=N`` local sweep hosts, for each N in ``--jobs``.
 
-— and reports warm evaluations/sec for each, the batched workers'
-speedup over the per-scenario workers, the measured per-task ticket
-bytes of both parallel arms (every process sweep publishes its payload
-once and ships ~36-byte index tickets), and a strict bitwise parity
-gate across every arm (exit 1 on divergence).  A composed
-failure-x-surge cross sweep rides along to track the cross-product
-batching gain.  Results land in ``BENCH_sweep.json`` (shared
+Arms alternate their order each round (the order reverses every
+round), and the record reports each arm's median and quartiles of
+evaluations/sec, next to the CPU count and load average of the box.
+A strict bitwise parity gate across every arm and every request exits
+1 on divergence, before any record is written.  Results land in ``BENCH_sweep.json`` (shared
 ``bench_schema`` layout; CI uploads it as an artifact)::
 
-    python benchmarks/bench_sweep.py                      # full report
-    python benchmarks/bench_sweep.py --nodes 40 --rounds 1  # CI smoke
-    python benchmarks/bench_sweep.py --assert-shm-speedup 2.0
-
-The parity gate always applies; ``--assert-shm-speedup`` additionally
-fails the run when the batched shm workers land below the bound over
-the per-scenario workers — meaningful on dedicated hardware,
-deliberately not the default because shared CI runners make wall-clock
-assertions flaky.
+    python benchmarks/bench_sweep.py                          # full report
+    python benchmarks/bench_sweep.py --nodes 40 --rounds 3    # CI smoke
+    python benchmarks/bench_sweep.py --jobs 2,4
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 import time
 
@@ -42,18 +36,19 @@ import numpy as np
 from bench_schema import bench_payload, write_payload
 
 from repro.config import ExecutionParams, OptimizerConfig
-from repro.core.evaluation import DtrEvaluator
-from repro.core.parallel import ParallelDtrEvaluator
+from repro.core.parallel import make_evaluator
 from repro.core.resilience import global_stats
 from repro.core.weights import WeightSetting
 from repro.routing.backend import SWEEP_BATCH_MIN_SCENARIOS
-from repro.routing.failures import single_link_failures
 from repro.scenarios.generators import build_scenarios
 from repro.topology import powerlaw_topology, scale_to_diameter
 from repro.traffic import dtr_traffic, scale_to_utilization
 
 #: BA attachments per arriving node (the paper's PLTopo density).
 PL_ATTACHMENTS = 3
+
+#: Scenario families swept: one per ``plan_sweep`` group kind.
+SCENARIOS = "link,srlg,surge"
 
 
 def build_instance(num_nodes: int, seed: int):
@@ -68,56 +63,32 @@ def build_instance(num_nodes: int, seed: int):
     return network, traffic
 
 
-def config_for(mode: str, jobs: int = 1) -> OptimizerConfig:
-    return OptimizerConfig(
-        execution=ExecutionParams(n_jobs=jobs, sweep_batching=mode)
-    )
+def arm_configs(jobs: "list[int]") -> "dict[str, OptimizerConfig]":
+    """Arm name -> evaluator configuration, in the base arm order."""
+    arms = {
+        "serial": ExecutionParams(sweep_batching="off"),
+        "serial-batched": ExecutionParams(sweep_batching="auto"),
+    }
+    for n in jobs:
+        arms[f"jobs-{n}"] = ExecutionParams(n_jobs=n)
+    return {name: OptimizerConfig(execution=e) for name, e in arms.items()}
 
 
-def sweeps_identical(a, b) -> bool:
-    """Bitwise cost/load/delay equality of two sweeps."""
-    if len(a) != len(b):
-        return False
-    return all(
-        x.cost.lam == y.cost.lam
-        and x.cost.phi == y.cost.phi
-        and x.sla.violations == y.sla.violations
-        and np.array_equal(x.loads_delay, y.loads_delay)
-        and np.array_equal(x.loads_tput, y.loads_tput)
-        and np.array_equal(x.pair_delays, y.pair_delays, equal_nan=True)
-        and x.kind == y.kind
-        for x, y in zip(a.evaluations, b.evaluations)
-    )
+def costs_key(costs) -> "list[tuple]":
+    """Everything a costs-only sweep returns, for bitwise comparison."""
+    return [
+        (e.cost.lam, e.cost.phi, e.sla.violations, e.sla.disconnected)
+        for e in costs.evaluations
+    ]
 
 
-def arm_rate(evaluator, setting, scenarios, rounds: int, warmups: int):
-    """Warm best-of-``rounds`` evaluations/sec plus the last sweep.
-
-    ``warmups`` untimed sweeps bring pools, routing caches and routers
-    to steady state first (same methodology as ``bench_parallel.py`` /
-    ``bench_incremental.py``).  Every round re-sweeps the *same*
-    setting, so the per-scenario arms replay memoized work; Phase 2
-    answers such repeats from the evaluator's sweep memo before any
-    engine runs, so this is not the regime of its ordered sweeps, where
-    each sweep prices a new setting.  Several warmups matter for the
-    parallel arms: chunk-to-worker assignment is not deterministic, so
-    every worker needs a few sweeps to have seen every chunk.
-    """
-    normal = evaluator.evaluate_normal(setting)
-    sweep = None
-    for _ in range(warmups):
-        sweep = evaluator.evaluate_scenarios(
-            setting, scenarios, reuse=normal
-        )
-    best = float("inf")
-    for _ in range(rounds):
-        gc.collect()
-        start = time.perf_counter()
-        sweep = evaluator.evaluate_scenarios(
-            setting, scenarios, reuse=normal
-        )
-        best = min(best, time.perf_counter() - start)
-    return len(scenarios) / best, sweep
+def quartiles(values: "list[float]") -> "dict[str, float]":
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {
+        "median": round(float(median), 2),
+        "q1": round(float(q1), 2),
+        "q3": round(float(q3), 2),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -129,24 +100,21 @@ def main(argv: list[str] | None = None) -> int:
         help="PLTopo node count (default 100)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=2, help="parallel workers (default 2)"
+        "--jobs",
+        default="2",
+        help="comma-separated n_jobs values, one arm each (default 2)",
     )
     parser.add_argument(
-        "--rounds", type=int, default=3, help="timing rounds (best-of)"
+        "--rounds",
+        type=int,
+        default=10,
+        help="timed requests per arm (default 10)",
     )
     parser.add_argument(
         "--warmups",
         type=int,
-        default=5,
-        help="untimed warmup sweeps per arm (default 5)",
-    )
-    parser.add_argument(
-        "--cross",
-        default="srlgxsurge",
-        help=(
-            "composed cross-sweep spec for the serial cross-product rows "
-            "(default srlgxsurge; empty string skips them)"
-        ),
+        default=2,
+        help="untimed requests per arm first (default 2)",
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
@@ -154,146 +122,126 @@ def main(argv: list[str] | None = None) -> int:
         default="BENCH_sweep.json",
         help="result JSON path (default BENCH_sweep.json)",
     )
-    parser.add_argument(
-        "--assert-shm-speedup",
-        type=float,
-        default=None,
-        help=(
-            "exit 1 unless parallel-shm reaches this factor over the "
-            "per-scenario parallel arm"
-        ),
-    )
     args = parser.parse_args(argv)
+    jobs = [int(n) for n in args.jobs.split(",") if n.strip()]
+    if any(n < 2 for n in jobs):
+        parser.error("--jobs values must be >= 2")
+    if args.rounds < 1 or args.warmups < 0:
+        parser.error("need --rounds >= 1 and --warmups >= 0")
 
     network, traffic = build_instance(args.nodes, args.seed)
-    failures = list(single_link_failures(network))
-    setting = WeightSetting.random(
-        network.num_arcs, OptimizerConfig().weights,
-        np.random.default_rng(args.seed + 1),
-    )
+    scenarios = build_scenarios(SCENARIOS, network, args.seed)
+    rng = np.random.default_rng(args.seed + 1)
+    settings = [
+        WeightSetting.random(
+            network.num_arcs, OptimizerConfig().weights, rng
+        )
+        for _ in range(args.warmups + args.rounds)
+    ]
     print(
         f"instance: {network.num_nodes} nodes, {network.num_arcs} arcs, "
-        f"{len(failures)} failure scenarios; n_jobs={args.jobs}"
+        f"{len(scenarios)} scenarios ({SCENARIOS}); jobs={jobs}; "
+        f"{os.cpu_count()} CPUs"
     )
 
-    rows = []
-    sweeps = {}
-    rates = {}
-
-    for arm, mode, jobs in (
-        ("serial", "off", 1),
-        ("serial-batched", "auto", 1),
-    ):
-        evaluator = DtrEvaluator(network, traffic, config_for(mode))
-        rates[arm], sweeps[arm] = arm_rate(
-            evaluator, setting, failures, args.rounds, args.warmups
-        )
-        del evaluator
-    transports = {}
-    worker_busy = {}
-    for arm, mode in (("parallel", "off"), ("parallel-shm", "auto")):
-        with ParallelDtrEvaluator(
-            network, traffic, config_for(mode, args.jobs)
-        ) as evaluator:
-            rates[arm], sweeps[arm] = arm_rate(
-                evaluator, setting, failures, args.rounds, args.warmups
+    configs = arm_configs(jobs)
+    evaluators = {
+        name: make_evaluator(network, traffic, config)
+        for name, config in configs.items()
+    }
+    order = list(configs)
+    rates: "dict[str, list[float]]" = {name: [] for name in order}
+    parity = True
+    try:
+        for index, setting in enumerate(settings):
+            timed = index >= args.warmups
+            results = {}
+            for name in order:
+                gc.collect()
+                start = time.perf_counter()
+                costs = evaluators[name].evaluate_scenario_costs(
+                    setting, scenarios
+                )
+                elapsed = time.perf_counter() - start
+                results[name] = costs_key(costs)
+                if timed:
+                    rates[name].append(len(scenarios) / elapsed)
+            reference = results["serial"]
+            parity = parity and all(
+                got == reference for got in results.values()
             )
-            transports[arm] = evaluator.transport_stats.as_dict()
-            worker_busy[arm] = {
-                str(pid): round(seconds, 3)
-                for pid, seconds in sorted(
+            order.reverse()
+        transports = {
+            name: evaluator.transport_stats.as_dict()
+            for name, evaluator in evaluators.items()
+            if name.startswith("jobs-")
+        }
+        host_busy = {
+            name: {
+                str(host): round(seconds, 3)
+                for host, seconds in sorted(
                     evaluator.worker_busy_seconds.items()
                 )
             }
-
-    parity = all(
-        sweeps_identical(sweeps["serial"], sweeps[arm])
-        for arm in ("serial-batched", "parallel", "parallel-shm")
-    )
-    shm_speedup = rates["parallel-shm"] / rates["parallel"]
-    for arm in ("serial", "serial-batched", "parallel", "parallel-shm"):
-        transport = transports.get(arm)
-        row = {
-            "workload": "link-sweep",
-            "arm": arm,
-            "evals_per_sec": round(rates[arm], 2),
-            "per_task_payload_bytes": (
-                round(transport["task_bytes"] / transport["tasks"])
-                if transport
-                else 0
-            ),
+            for name, evaluator in evaluators.items()
+            if name.startswith("jobs-")
         }
-        rows.append(row)
-        print(
-            f"  {arm:>15}: {row['evals_per_sec']:>9.2f} evals/s  "
-            f"task payload {row['per_task_payload_bytes']:>7d} B"
-        )
-    print(
-        f"  batched speedup over per-scenario shm workers: "
-        f"{shm_speedup:.2f}x; parity={parity}"
-    )
-
-    cross_parity = True
-    if args.cross:
-        scenarios = build_scenarios(args.cross, network, args.seed)
-        cross_rates = {}
-        cross_sweeps = {}
-        for arm, mode in (("serial", "off"), ("serial-batched", "auto")):
-            evaluator = DtrEvaluator(network, traffic, config_for(mode))
-            cross_rates[arm], cross_sweeps[arm] = arm_rate(
-                evaluator, setting, scenarios, args.rounds, args.warmups
-            )
+    finally:
+        for evaluator in evaluators.values():
             evaluator.close()
-        cross_parity = sweeps_identical(
-            cross_sweeps["serial"], cross_sweeps["serial-batched"]
-        )
-        for arm in ("serial", "serial-batched"):
-            rows.append(
-                {
-                    "workload": f"cross:{args.cross}",
-                    "arm": arm,
-                    "scenarios": len(scenarios),
-                    "evals_per_sec": round(cross_rates[arm], 2),
-                }
+
+    rows = []
+    for name in configs:
+        row = {
+            "workload": f"costs-only:{SCENARIOS}",
+            "arm": name,
+            "evals_per_sec": quartiles(rates[name]),
+        }
+        transport = transports.get(name)
+        if transport:
+            row["bytes_per_task"] = round(
+                transport["task_bytes"] / max(1, transport["tasks"])
             )
+        rows.append(row)
+        stats = row["evals_per_sec"]
         print(
-            f"  cross {args.cross} ({len(scenarios)} scenarios): serial "
-            f"{cross_rates['serial']:.2f} -> batched "
-            f"{cross_rates['serial-batched']:.2f} evals/s "
-            f"({cross_rates['serial-batched'] / cross_rates['serial']:.2f}x)"
-            f"; parity={cross_parity}"
+            f"  {name:>15}: {stats['median']:>9.2f} evals/s "
+            f"[{stats['q1']:.2f}, {stats['q3']:.2f}]"
         )
+    print(f"  parity={parity}")
+    if not parity:
+        print("FAIL: an arm diverged from the serial sweep", file=sys.stderr)
+        return 1
 
     payload = bench_payload(
         "sweep",
         (
-            "warm single-link failure sweeps through the four evaluator "
-            "configurations (per-scenario serial, scenario-axis batched "
-            "serial, per-scenario workers on shm tickets, batched "
-            "workers on shm tickets), plus a composed cross sweep; "
+            "costs-only sweeps of a fresh seeded setting per request "
+            f"across {SCENARIOS} scenarios: per-scenario serial, "
+            "batched serial and n_jobs local sweep hosts, arms "
+            "alternating each round; evals/s median and quartiles; "
             "bitwise parity gated"
         ),
         rows=rows,
         context={
             "nodes": network.num_nodes,
             "arcs": network.num_arcs,
-            "scenarios": len(failures),
-            "jobs": args.jobs,
+            "scenarios": len(scenarios),
+            "scenario_spec": SCENARIOS,
+            "jobs": jobs,
             "rounds": args.rounds,
             "warmups": args.warmups,
             "seed": args.seed,
             "attachments": PL_ATTACHMENTS,
+            "cpu_count": os.cpu_count(),
+            "load_average": [round(x, 2) for x in os.getloadavg()],
             "sweep_batch_min_scenarios": SWEEP_BATCH_MIN_SCENARIOS,
-            "batched_speedup_vs_per_scenario_workers": round(
-                shm_speedup, 2
-            ),
-            "parity": parity and cross_parity,
-            # Measured dispatch accounting of the parallel arms:
-            # publishes/payload bytes (shm blocks), per-task ticket
-            # bytes, and summed in-worker busy seconds (per worker pid)
-            # — so payload-size regressions show up next to the rates.
+            "parity": parity,
+            # Measured dispatch accounting of the host arms: publishes
+            # and payload bytes (per-host epochs), ticket bytes, result
+            # bytes and summed in-host busy seconds (per host index).
             "transport_stats": transports,
-            "worker_busy_seconds": worker_busy,
+            "host_busy_seconds": host_busy,
             # Supervisor counters across every sweep of this run: all
             # zero on a healthy box; nonzero values flag that measured
             # rates include retry/degradation overhead.
@@ -301,22 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         },
     )
     write_payload(args.out, payload)
-
-    failed = False
-    if not (parity and cross_parity):
-        print("FAIL: batched sweep diverged from serial", file=sys.stderr)
-        failed = True
-    if (
-        args.assert_shm_speedup is not None
-        and shm_speedup < args.assert_shm_speedup
-    ):
-        print(
-            f"FAIL: shm speedup {shm_speedup:.2f}x < "
-            f"{args.assert_shm_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Chaos-parity smoke test: kill workers mid-sweep, compare bitwise.
+"""Chaos-parity smoke test: kill sweep hosts mid-sweep, compare bitwise.
 
 CI drives this as one self-contained step against one small seeded
 instance::
@@ -8,17 +8,16 @@ instance::
 
 The run sweeps the same seeded single-link failure set three times:
 
-* **fault-free** on the parallel shared-memory path (the reference),
-* under an injected **worker SIGKILL** plan (a worker kills itself
-  mid-sweep; the supervisor rebuilds the pool and re-dispatches), and
+* **fault-free** across ``--jobs`` local sweep hosts (the reference),
+* under an injected **worker SIGKILL** plan (a host kills itself
+  mid-sweep; the supervisor respawns it and re-dispatches), and
 * under an injected **task delay** plan with a per-task timeout (a
-  wedged worker trips the deadline and is recycled).
+  wedged host trips the deadline and is retired and respawned).
 
 It exits nonzero unless every chaos sweep is bit-identical to the
 fault-free run, the resilience counters actually recorded the injected
-damage (a silent pass would mean the faults never fired), and no
-shared-memory block leaked — neither in the process-local registry nor
-on ``/dev/shm``.
+damage (a silent pass would mean the faults never fired), and after
+``close()`` no host process is alive and every host socket is closed.
 
 Any divergence is a real bug in the supervision path, never tolerance
 noise: the recovery contract is bitwise.
@@ -27,6 +26,7 @@ noise: the recovery contract is bitwise.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import sys
 
 import numpy as np
@@ -34,22 +34,12 @@ import numpy as np
 from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.evaluation import DtrEvaluator
 from repro.core.faults import FaultPlan, TaskDelay, WorkerKill
-from repro.core.parallel import _LIVE_SWEEP_STATES, ParallelDtrEvaluator
+from repro.core.parallel import ParallelDtrEvaluator
 from repro.core.resilience import global_stats
 from repro.core.weights import WeightSetting
 from repro.routing.failures import single_link_failures
 from repro.topology.isp import isp_topology
 from repro.traffic import dtr_traffic, scale_to_utilization
-
-
-def shm_blocks() -> "set[str]":
-    """Names of the POSIX shared-memory blocks currently on the box."""
-    import os
-
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # non-Linux: fall back to the registry
-        return set()
 
 
 def sweeps_identical(a, b) -> bool:
@@ -67,21 +57,35 @@ def sweeps_identical(a, b) -> bool:
 
 
 def run_sweep(network, traffic, setting, failures, execution):
-    """One supervised parallel sweep; returns (result, stats)."""
+    """One supervised fan-out sweep; returns (result, stats, leaks).
+
+    ``leaks`` lists what ``close()`` left behind: host sockets still
+    open and host processes still alive.
+    """
     with ParallelDtrEvaluator(
         network,
         traffic,
         OptimizerConfig().replace(execution=execution),
     ) as evaluator:
         result = evaluator.evaluate_failures(setting, failures)
-        return result, evaluator.resilience_stats
+        stats = evaluator.resilience_stats
+        pool = evaluator._executor.pool
+    leaks = [
+        f"open socket of host {client.describe()}"
+        for client in pool.clients
+        if not client.closed
+    ] + [
+        f"live host process {child.pid}"
+        for child in multiprocessing.active_children()
+    ]
+    return result, stats, leaks
 
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--jobs", type=int, default=2, help="pool workers (default 2)"
+        "--jobs", type=int, default=2, help="local sweep hosts (default 2)"
     )
     parser.add_argument(
         "--timeout-delay",
@@ -107,7 +111,6 @@ def main(argv: "list[str] | None" = None) -> int:
         f"{len(failures)} failure scenarios; n_jobs={args.jobs}"
     )
 
-    blocks_before = shm_blocks()
     serial = DtrEvaluator(network, traffic, OptimizerConfig())
     reference = serial.evaluate_failures(setting, failures)
 
@@ -131,6 +134,7 @@ def main(argv: "list[str] | None" = None) -> int:
             lambda s: s.worker_failures >= 1
             and s.retries >= 1
             and s.pool_rebuilds >= 1
+            and s.host_respawns >= 1
             and not s.degraded,
         ),
         (
@@ -146,15 +150,17 @@ def main(argv: "list[str] | None" = None) -> int:
                     seed=args.seed,
                 ),
             ),
+            # the host still holding the stalled ticket was retired
             lambda s: s.timeouts >= 1
             and s.retries >= 1
+            and s.host_respawns >= 1
             and not s.degraded,
         ),
     ]
 
     failed = False
     for name, execution, stats_ok in scenarios:
-        result, stats = run_sweep(
+        result, stats, leaks = run_sweep(
             network, traffic, setting, failures, execution
         )
         parity = sweeps_identical(reference, result)
@@ -175,17 +181,12 @@ def main(argv: "list[str] | None" = None) -> int:
                 file=sys.stderr,
             )
             failed = True
-
-    if list(_LIVE_SWEEP_STATES):
-        print("FAIL: live shared sweep state leaked", file=sys.stderr)
-        failed = True
-    leaked = shm_blocks() - blocks_before
-    if leaked:
-        print(
-            f"FAIL: leaked /dev/shm blocks: {sorted(leaked)}",
-            file=sys.stderr,
-        )
-        failed = True
+        if leaks:
+            print(
+                f"FAIL: {name} close() left behind: {leaks}",
+                file=sys.stderr,
+            )
+            failed = True
 
     total = global_stats()
     print(
@@ -196,7 +197,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return 1
     print(
         "chaos parity OK: every injected-fault sweep bit-identical "
-        "to the fault-free run; no shm leaks"
+        "to the fault-free run; no host process or socket leaked"
     )
     return 0
 

@@ -218,18 +218,19 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class ExecutionParams:
-    """How the cost oracle executes: parallelism and routing-cache knobs.
+    """How the cost oracle executes: fan-out and routing-cache knobs.
 
     These parameters never change *what* is computed — evaluations are
     bit-identical for every setting — only how fast it happens (see
     docs/PERFORMANCE.md).
 
     Attributes:
-        n_jobs: worker count for failure-sweep fan-out over a local
-            worker-process pool; 1 runs fully serial, 0 resolves to one
-            worker per available CPU.
-        chunk_size: scenarios per parallel task; None picks a chunk count
-            of roughly four tasks per worker for load balancing.
+        n_jobs: local sweep hosts for scenario-sweep and normal-batch
+            fan-out: N > 1 forks N host processes, each connected by a
+            private socketpair (nothing listens on a port); 1 runs
+            fully serial, 0 resolves to one host per available CPU.
+        chunk_size: items per fan-out ticket; None cuts each host's
+            shard into roughly four tickets.
         routing_cache: enable the incremental routing cache that reuses
             class routings across weight settings and scenarios.
         incremental_routing: answer single-arc weight moves and failure
@@ -253,38 +254,38 @@ class ExecutionParams:
             scenarios, ``"off"`` keeps the per-scenario path.  Batching
             requires ``incremental_routing`` and a backend other than
             ``"python"``; either way results are bit-identical to the
-            per-scenario path on integer-weight instances, and the
-            parallel evaluator publishes sweep state once through
-            shared memory.
-        max_retries: extra dispatch attempts per parallel sweep task
-            after a worker failure (crash, raise, timeout) before the
-            task is quarantined to the serial in-process path; 0
+            per-scenario path on integer-weight instances, and each
+            sweep host batches its own slice the same way.
+        max_retries: extra dispatch attempts per fan-out ticket after
+            a host failure (crash, raise, timeout) before the ticket is
+            quarantined to the serial in-process path; 0
             quarantines on first failure.  Like every execution knob
             this is cost-neutral: degraded tasks produce bit-identical
             results (see docs/RESILIENCE.md).
         retry_backoff: base seconds of exponential backoff between
             dispatch attempts (deterministic jitter; 0 retries
             immediately).
-        task_timeout: per-task deadline in seconds; a task exceeding
-            it counts as failed (and the pool, possibly holding a
-            wedged worker, is recycled).  None disables.
+        task_timeout: per-ticket deadline in seconds; a ticket
+            exceeding it counts as failed, and once the round has
+            waited on every ticket, a host still holding one is
+            retired as wedged (a local host is killed) and revived by
+            pool recycling.  None disables.
         sweep_deadline: whole-sweep deadline in seconds; once
             exhausted the rest of the sweep degrades to the serial
             path so it still completes.  None disables.
         fault_plan: deterministic fault-injection plan
             (:class:`repro.core.faults.FaultPlan`) installed in the
-            pool workers — chaos testing only; None (always, outside
+            sweep hosts — chaos testing only; None (always, outside
             tests) injects nothing.
-        hosts: host pool spec; setting it selects multi-host
-            scenario-shard sweeps over a TCP host pool (see
-            :mod:`repro.core.distributed`) instead of ``n_jobs``
-            workers.  ``"local:N"`` spawns N localhost host processes
-            (testable on one box), ``"host:port,host:port"`` connects
-            to running ``repro-exp serve-host`` servers; None (the
-            default) uses no hosts.  Like every execution knob the host
-            set never changes a computed bit, and it is excluded from
-            checkpoint fingerprints so a run may resume under a
-            different host set, or none.
+        hosts: remote sweep hosts, ``"host:port,host:port"``: running
+            ``repro-exp serve-host`` servers reached over TCP (see
+            :mod:`repro.core.distributed`).  Setting it fans sweeps out
+            to those hosts in place of ``n_jobs`` local ones; same-box
+            hosts are ``n_jobs``, so a host named ``local`` is refused.
+            None (the default) uses no remote hosts.  Like every
+            execution knob the host set never changes a computed bit,
+            and it is excluded from checkpoint fingerprints so a run
+            may resume under a different host set, or none.
     """
 
     n_jobs: int = 1

@@ -1,17 +1,23 @@
-"""Multi-host distributed scenario sweeps over a TCP host pool.
+"""The sweep-host transport: scenario sweeps fanned out to hosts.
 
-:class:`~repro.core.parallel.ParallelDtrEvaluator` caps out at one
-machine's cores.  This module generalizes its ticket-dispatch design
-across machines: each **host** (a ``repro-exp serve-host`` process,
-possibly on another box) owns a contiguous *scenario* shard of every
-sweep and ships back per-scenario results — compacted to
+:class:`~repro.core.parallel.ParallelDtrEvaluator` fans its sweeps out
+through this module.  Each **host** owns a contiguous *scenario* shard
+of every sweep and ships back per-scenario results — compacted to
 :class:`~repro.core.evaluation.ScenarioCosts` scalars on costs-only
-sweeps — as each shard batch completes, so the parent can fold results
-while the slowest host is still computing.
+sweeps — as each ticket completes, so the parent can fold results while
+the slowest host is still computing.
 
-The wire design mirrors :class:`~repro.core.parallel.SharedSweepState`'s
-publish-once discipline, with content digests instead of shm block
-names:
+Two kinds of host run the same connection loop
+(:func:`serve_connection`):
+
+* ``n_jobs=N`` forks N local hosts, each handed one end of a private
+  ``socket.socketpair()``.  Nothing listens on a port, and a local host
+  exits when the parent's end closes;
+* ``hosts="host:port,host:port"`` connects over TCP to running
+  ``repro-exp serve-host`` servers (:class:`HostWorker`), possibly on
+  other machines.
+
+The wire is publish-once, keyed by content digests:
 
 * **instance epoch** — ``(network, traffic, config, delay_mode)`` ships
   once per host; the host builds a long-lived
@@ -19,47 +25,41 @@ names:
   caches and incremental routers stay warm across every sweep of the
   connection.
 * **scenario-set epoch** — the scenario tuple ships once per host per
-  content digest, exactly like a shm publish.
+  content digest.
 * **setting epoch** — each new weight setting ships only its two weight
   vectors (the "weight delta" of a local-search move), once per host.
-* **tasks** — after the epochs are in flight, a task is
-  ``(digests, lo, hi, costs_only, seq, attempt)``: tens of bytes, like
-  PR 5's ~36-byte shm tickets.
+* **tickets** — a sweep ticket is ``(digests, lo, hi, costs_only)``
+  plus its ``(seq, attempt)``: tens of bytes.  A normal-batch ticket
+  carries the weight vectors of its settings.
 
-Messages are length-prefixed protocol-5 pickles over one TCP connection
-per host; TCP ordering guarantees a host sees every epoch payload
-before any task that references it.  Hosts evaluate their slice through
-the same serial ``evaluate_scenarios`` as shm workers (the scenario-axis
-``plan_sweep`` engine of :mod:`repro.routing.sweep` runs host-side, and
-parent-side ticket sizing is capped by the same
+Messages are length-prefixed protocol-5 pickles, one ordered stream
+per host, so a host sees every epoch payload before any ticket that
+references it; a length prefix above :data:`MAX_FRAME_BYTES` is refused
+before its body is read.  Hosts evaluate their slice through the same
+serial ``evaluate_scenarios`` as the parent's fallback (the
+scenario-axis ``plan_sweep`` engine of :mod:`repro.routing.sweep` runs
+host-side, and parent-side ticket sizing is capped by the same
 ``group_scenario_budget``), and compute their own NORMAL reuse
 evaluation per setting — bit-identical to shipping it, by the repo's
 evaluator-parity invariant, and hundreds of KB cheaper.
 
-Failure handling rides the existing resilience layer unchanged: a dead
-host fails its in-flight futures with :class:`HostLost` (a
+Failure handling rides the resilience layer unchanged: a dead host
+fails its in-flight futures with :class:`HostLost` (a
 ``BrokenExecutor``, so :func:`~repro.core.resilience.classify_failure`
 says ``dead_pool``), the :class:`~repro.core.resilience.SweepSupervisor`
-re-dispatches the lost host's unfinished tickets to surviving hosts
-(pool recycling respawns ``local:`` hosts / reconnects TCP hosts), and
-a ticket out of attempts degrades to the parent's serial in-process
-path — so a sweep **always completes bit-identical to a fault-free
-run**, killed hosts included (pinned by
-``tests/core/test_distributed.py`` and the CI ``dist-smoke`` job).
-
-Two pool flavors share all of this code:
-
-* ``hosts="local:N"`` forks N localhost host processes (each serving
-  one connection on an ephemeral port), so the whole stack is testable
-  on one box and in CI;
-* ``hosts="host:port,host:port"`` connects to already-running
-  ``repro-exp serve-host`` servers — the two-machine story.
+re-dispatches the lost host's unfinished tickets to surviving hosts,
+pool recycling retires a wedged host, respawns local hosts and
+reconnects TCP ones, and a ticket out of attempts degrades to the
+parent's serial in-process path — so a sweep **always completes
+bit-identical to a fault-free run**, killed hosts included (pinned by
+``tests/core/test_distributed.py``, ``tests/core/test_resilience.py``
+and ``scripts/chaos_smoke.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
+import multiprocessing
 import pickle
 import socket
 import struct
@@ -68,39 +68,20 @@ import time
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, Future
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.config import OptimizerConfig
 from repro.core import faults
-from repro.core.evaluation import (
-    ScenarioCosts,
-    ScenarioEvaluation,
-    Scenarios,
-    compact_evaluation,
-)
+from repro.core.evaluation import ScenarioEvaluation
 from repro.core.parallel import (
-    CacheStats,
     CachingDtrEvaluator,
-    _serial_ticket,
-    _strip_routings,
+    _normal_slice,
+    _sweep_slice,
 )
-from repro.core.resilience import (
-    ResilienceCounters,
-    ResilienceStats,
-    RetryPolicy,
-    SupervisedTask,
-    SweepSupervisor,
-    TransportCounters,
-    TransportStats,
-    global_counters,
-)
+from repro.core.resilience import ResilienceCounters, TransportCounters
 from repro.core.weights import WeightSetting
-from repro.routing.backend import parse_hosts
-from repro.routing.network import Network
 from repro.routing.sweep import group_scenario_budget
-from repro.traffic.gravity import DtrTraffic
 
-#: Seconds to wait for a TCP connect / a spawned local host's port.
+#: Seconds to wait for a TCP connect.
 _CONNECT_TIMEOUT = 10.0
 
 #: Seconds close() waits for a local host process to exit gracefully.
@@ -108,6 +89,16 @@ _JOIN_TIMEOUT = 5.0
 
 #: Wire-format message length prefix (8-byte big-endian).
 _LEN = struct.Struct(">Q")
+
+#: Largest frame body either side reads; a longer length prefix drops
+#: the connection before any of its body is read.  The largest
+#: legitimate frames, measured on a 400-node / 2,388-arc PLTopo: the
+#: instance epoch (2.9 MB) and a full-result ticket (9.4 MB: seven
+#: single-link scenarios, the ``group_scenario_budget`` cap at that
+#: size, without costs-only compaction).  That cap keeps any
+#: full-result ticket under ``SWEEP_STATE_BUDGET`` (64 MB) at every
+#: size; the instance epoch grows with the two N x N demand matrices.
+MAX_FRAME_BYTES = 256 << 20
 
 #: Cap on cached encoded frames parent-side (settings churn in phase-2;
 #: frames are re-encoded on a miss, sent-epoch bookkeeping is separate).
@@ -157,161 +148,117 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 
 def _recv_msg(sock: socket.socket) -> "tuple[object, int]":
-    """Read one message; returns ``(message, frame_bytes)``."""
+    """Read one message; returns ``(message, frame_bytes)``.
+
+    Raises ``ConnectionError`` on a length prefix above
+    :data:`MAX_FRAME_BYTES`, before reading any of the body.
+    """
     header = _recv_exact(sock, _LEN.size)
     (length,) = _LEN.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ConnectionError(
+            f"refused a {length}-byte frame (limit {MAX_FRAME_BYTES})"
+        )
     body = _recv_exact(sock, length)
     return pickle.loads(body), _LEN.size + length
 
 
-def _digest(payload: bytes) -> bytes:
-    return hashlib.sha1(payload).digest()
-
-
 # ----------------------------------------------------------------------
-# host side: the server one `repro-exp serve-host` process runs
+# host side: the connection loop every host runs
 # ----------------------------------------------------------------------
-class HostWorker:
-    """Serves one host's share of distributed sweeps over TCP.
+def serve_connection(conn: socket.socket) -> None:
+    """Serve one parent connection until it closes or says goodbye.
 
-    Per **connection** the worker keeps a fresh state table — the
-    parent's publish-once bookkeeping is per-connection too, so both
-    sides agree on exactly which epochs are resident; a reconnecting
-    parent re-ships them.  Within a connection everything is warm: the
+    Per connection the host keeps a fresh state table — the parent's
+    publish-once bookkeeping is per-connection too, so both sides agree
+    on exactly which epochs are resident; a reconnecting parent
+    re-ships them.  Within a connection everything is warm: the
     evaluator (with its routing caches and incremental routers),
     published scenario sets and the weight vectors of every setting
     seen.  NORMAL reuse evaluations are LRU-capped; an evicted one is
-    recomputed bit-identically on the next task that needs it.
-
-    Args:
-        bind: interface to listen on (default loopback; bind
-            ``"0.0.0.0"`` to serve another machine).
-        port: TCP port; 0 picks an ephemeral one (see :attr:`port`).
-        once: serve a single connection then return — the ``local:``
-            spawn mode, so a finished (or dead) parent never leaks a
-            host process.  False serves connections forever.
+    recomputed bit-identically on the next ticket that needs it.
     """
-
-    def __init__(
-        self, bind: str = "127.0.0.1", port: int = 0, once: bool = False
-    ) -> None:
-        self._once = once
-        self._server = socket.create_server(
-            (bind, port), reuse_port=False
-        )
-        self._port = self._server.getsockname()[1]
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (useful with ``port=0``)."""
-        return self._port
-
-    def serve_forever(self) -> None:
-        """Accept and serve connections until ``once`` (or forever)."""
-        try:
-            while True:
-                conn, _addr = self._server.accept()
+    evaluators: "dict[bytes, CachingDtrEvaluator]" = {}
+    scenario_sets: "dict[bytes, tuple]" = {}
+    settings: "dict[bytes, WeightSetting]" = {}
+    normal_cache: "OrderedDict[bytes, ScenarioEvaluation]" = OrderedDict()
+    try:
+        while True:
+            try:
+                message, _ = _recv_msg(conn)
+            except (ConnectionError, OSError):
+                return
+            kind = message[0]
+            if kind == "shutdown":
+                return
+            try:
+                if kind == "init":
+                    _, ikey, blob = message
+                    evaluators[ikey] = _build_host_evaluator(blob)
+                elif kind == "scenarios":
+                    _, skey, items = message
+                    scenario_sets[skey] = tuple(items)
+                elif kind == "setting":
+                    _, wkey, delay, tput = message
+                    settings[wkey] = WeightSetting(delay, tput)
+                elif kind in ("sweep", "normal"):
+                    reply = _run_ticket(
+                        message,
+                        evaluators,
+                        scenario_sets,
+                        settings,
+                        normal_cache,
+                    )
+                    _send_frame(conn, _encode(reply))
+                else:
+                    raise ValueError(f"unknown message kind {kind!r}")
+            except (ConnectionError, OSError):
+                return
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except BaseException as exc:  # noqa: BLE001 - shipped back
+                # A state message failed (bad payload, missing key):
+                # the connection's bookkeeping can no longer be
+                # trusted, so report and drop it — the parent marks
+                # this host dead and its supervisor re-dispatches.
                 try:
-                    self._serve_connection(conn)
-                finally:
-                    conn.close()
-                if self._once:
-                    return
-        finally:
-            self._server.close()
+                    _send_frame(
+                        conn,
+                        _encode(("fatal", f"{type(exc).__name__}: {exc}")),
+                    )
+                except OSError:
+                    pass
+                return
+    finally:
+        for evaluator in evaluators.values():
+            evaluator.close()
 
-    # ------------------------------------------------------------------
-    def _serve_connection(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        evaluators: "dict[bytes, CachingDtrEvaluator]" = {}
-        scenario_sets: "dict[bytes, tuple]" = {}
-        settings: "dict[bytes, WeightSetting]" = {}
-        normal_cache: "OrderedDict[bytes, ScenarioEvaluation]" = (
-            OrderedDict()
-        )
-        try:
-            while True:
-                try:
-                    message, _ = _recv_msg(conn)
-                except (ConnectionError, OSError):
-                    return
-                kind = message[0]
-                if kind == "shutdown":
-                    return
-                try:
-                    if kind == "init":
-                        _, ikey, blob = message
-                        evaluators[ikey] = _build_host_evaluator(blob)
-                    elif kind == "scenarios":
-                        _, skey, items = message
-                        scenario_sets[skey] = tuple(items)
-                    elif kind == "setting":
-                        _, wkey, delay, tput = message
-                        settings[wkey] = WeightSetting(delay, tput)
-                    elif kind == "task":
-                        reply = self._run_task(
-                            message,
-                            evaluators,
-                            scenario_sets,
-                            settings,
-                            normal_cache,
-                        )
-                        _send_frame(conn, _encode(reply))
-                    else:
-                        raise ValueError(f"unknown message kind {kind!r}")
-                except (ConnectionError, OSError):
-                    return
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - shipped back
-                    # A state message failed (bad payload, missing key):
-                    # the connection's bookkeeping can no longer be
-                    # trusted, so report and drop it — the parent marks
-                    # this host dead and its supervisor re-dispatches.
-                    try:
-                        _send_frame(
-                            conn,
-                            _encode(
-                                (
-                                    "fatal",
-                                    f"{type(exc).__name__}: {exc}",
-                                )
-                            ),
-                        )
-                    except OSError:
-                        pass
-                    return
-        finally:
-            for evaluator in evaluators.values():
-                evaluator.close()
 
-    def _run_task(
-        self,
-        message: tuple,
-        evaluators: "dict[bytes, CachingDtrEvaluator]",
-        scenario_sets: "dict[bytes, tuple]",
-        settings: "dict[bytes, WeightSetting]",
-        normal_cache: "OrderedDict[bytes, ScenarioEvaluation]",
-    ) -> tuple:
-        """One ticket: evaluate a scenario slice, reply with outcomes.
+def _run_ticket(
+    message: tuple,
+    evaluators: "dict[bytes, CachingDtrEvaluator]",
+    scenario_sets: "dict[bytes, tuple]",
+    settings: "dict[bytes, WeightSetting]",
+    normal_cache: "OrderedDict[bytes, ScenarioEvaluation]",
+) -> tuple:
+    """One ticket: evaluate a slice, reply with its outcomes.
 
-        Runs inside the fault context keyed on the parent's
-        ``(task seq, attempt)`` — exactly like the process pool's
-        ``_supervised_task`` wrapper — so chaos plans SIGKILL/delay/
-        poison a *host* the way they do a worker.
-        """
-        _, task_id, ikey, skey, wkey, lo, hi, costs_only, seq, attempt = (
-            message
-        )
-        try:
-            # enter_task sits inside the try: an injected StageFault
-            # raises here and must come back as a task *error* (retry /
-            # quarantine), exactly like a process-pool worker — only
-            # injected kills take the whole host down.
-            faults.enter_task(seq, attempt)
-            begin = time.perf_counter()
-            evaluator = evaluators[ikey]
-            scenarios = scenario_sets[skey]
+    A ``"sweep"`` ticket sweeps a scenario slice of published epochs; a
+    ``"normal"`` ticket evaluates the settings whose weight vectors it
+    carries.  Both run inside the fault context keyed on the parent's
+    ``(task seq, attempt)``, so chaos plans SIGKILL/delay/poison a host
+    exactly where the plan says.
+    """
+    kind, task_id, body, seq, attempt = message
+    try:
+        # enter_task sits inside the try: an injected StageFault raises
+        # here and must come back as a task *error* (retry /
+        # quarantine); only injected kills take the whole host down.
+        faults.enter_task(seq, attempt)
+        begin = time.perf_counter()
+        evaluator = evaluators[body[0]]
+        if kind == "sweep":
+            _, skey, wkey, lo, hi, costs_only = body
             setting = settings[wkey]
             reuse = normal_cache.get(wkey)
             if reuse is None:
@@ -321,25 +268,28 @@ class HostWorker:
                     normal_cache.popitem(last=False)
             else:
                 normal_cache.move_to_end(wkey)
-            costs = evaluator.evaluate_scenarios(
-                setting, list(scenarios[lo:hi]), reuse=reuse
+            outcomes = _sweep_slice(
+                evaluator, setting, scenario_sets[skey][lo:hi], reuse,
+                costs_only,
             )
-            fold = compact_evaluation if costs_only else _strip_routings
-            outcomes = [fold(e) for e in costs.evaluations]
-            stats = evaluator.cache_stats
-            return (
-                "result",
-                task_id,
-                outcomes,
-                (stats.hits_exact, stats.hits_incremental, stats.misses),
-                time.perf_counter() - begin,
+        else:
+            outcomes = _normal_slice(
+                evaluator, [WeightSetting(d, t) for d, t in body[1]]
             )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:  # noqa: BLE001 - shipped to parent
-            return ("error", task_id, f"{type(exc).__name__}: {exc}")
-        finally:
-            faults.exit_task()
+        stats = evaluator.cache_stats
+        return (
+            "result",
+            task_id,
+            outcomes,
+            (stats.hits_exact, stats.hits_incremental, stats.misses),
+            time.perf_counter() - begin,
+        )
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except BaseException as exc:  # noqa: BLE001 - shipped to parent
+        return ("error", task_id, f"{type(exc).__name__}: {exc}")
+    finally:
+        faults.exit_task()
 
 
 def _build_host_evaluator(blob: tuple) -> CachingDtrEvaluator:
@@ -360,21 +310,62 @@ def _build_host_evaluator(blob: tuple) -> CachingDtrEvaluator:
     )
 
 
-def serve_host(
-    bind: str = "127.0.0.1", port: int = 0, once: bool = False
-) -> None:
-    """Run a sweep host server (the ``repro-exp serve-host`` entry)."""
-    HostWorker(bind, port, once=once).serve_forever()
+def _local_host_main(sock: socket.socket, peer: socket.socket) -> None:
+    """Entry point of a forked local host: serve the socketpair end.
+
+    ``peer`` is the parent's end, passed so the host can close its own
+    copy: a host holding both ends would never see its stream end, and
+    so would outlive a parent that died without saying goodbye.
+    """
+    peer.close()
+    with sock:
+        serve_connection(sock)
 
 
-def _local_host_main(conn) -> None:
-    """Entry point of a ``local:`` spawned host process."""
-    worker = HostWorker("127.0.0.1", 0, once=True)
-    try:
-        conn.send(worker.port)
-    finally:
-        conn.close()
-    worker.serve_forever()
+class HostWorker:
+    """A TCP sweep host: the server one ``repro-exp serve-host`` runs.
+
+    Accepts connections one at a time and serves each with
+    :func:`serve_connection`, which keeps fresh per-connection state.
+
+    Args:
+        bind: interface to listen on (default loopback; bind
+            ``"0.0.0.0"`` to serve another machine).
+        port: TCP port; 0 picks an ephemeral one (see :attr:`port`).
+    """
+
+    def __init__(self, bind: str = "127.0.0.1", port: int = 0) -> None:
+        self._server = socket.create_server((bind, port), reuse_port=False)
+        self._port = self._server.getsockname()[1]
+        self._closing = False
+
+    @property
+    def port(self) -> int:
+        """The bound TCP port (useful with ``port=0``)."""
+        return self._port
+
+    def serve_forever(self) -> None:
+        """Accept and serve connections until :meth:`close`."""
+        with self._server:
+            while True:
+                try:
+                    conn, _addr = self._server.accept()
+                except OSError:
+                    if self._closing:
+                        return
+                    raise
+                with conn:
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    serve_connection(conn)
+
+    def close(self) -> None:
+        """Stop listening; a blocked :meth:`serve_forever` returns."""
+        self._closing = True
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._server.close()
 
 
 # ----------------------------------------------------------------------
@@ -383,13 +374,15 @@ def _local_host_main(conn) -> None:
 class HostClient:
     """Parent-side endpoint of one host connection.
 
-    Owns the socket, a receiver thread resolving task futures, the
+    ``spec`` is ``"local"`` for a forked local host on a socketpair, or
+    a ``(host, port)`` TCP endpoint.  Owns the socket (and a local
+    host's process), a receiver thread resolving task futures, the
     per-connection publish-once bookkeeping (which epoch digests this
     host already holds) and per-host transfer/timing counters.  Sends
-    run on the caller's thread, in order; TCP ordering then guarantees
-    epoch payloads precede the tasks that reference them.  The state
-    the receiver thread shares (liveness, pending futures, counters)
-    is guarded by ``_state_lock``.
+    run on the caller's thread, in order; stream ordering then
+    guarantees epoch payloads precede the tickets that reference them.
+    The state the receiver thread shares (liveness, pending futures,
+    counters) is guarded by ``_state_lock``.
     """
 
     def __init__(
@@ -432,29 +425,21 @@ class HostClient:
         self._receiver.start()
 
     def _spawn_local(self) -> None:
-        import multiprocessing
-
-        parent_conn, child_conn = multiprocessing.Pipe()
+        ours, theirs = socket.socketpair()
         process = multiprocessing.Process(
-            target=_local_host_main, args=(child_conn,), daemon=True
+            target=_local_host_main, args=(theirs, ours), daemon=True
         )
-        process.start()
-        child_conn.close()
         try:
-            if not parent_conn.poll(_CONNECT_TIMEOUT):
-                raise HostLost(
-                    f"local host {self.index} did not report a port"
-                )
-            port = parent_conn.recv()
-        except (EOFError, OSError) as exc:
-            process.terminate()
+            process.start()
+        except OSError as exc:
+            ours.close()
             raise HostLost(
-                f"local host {self.index} died during startup"
+                f"cannot start local host {self.index}: {exc}"
             ) from exc
         finally:
-            parent_conn.close()
+            theirs.close()
         self.process = process
-        self._connect("127.0.0.1", port)
+        self._sock = ours
 
     def _connect(self, host: str, port: int) -> None:
         try:
@@ -508,7 +493,13 @@ class HostClient:
             self.mark_dead(exc)
 
     def mark_dead(self, cause: "BaseException | None" = None) -> None:
-        """Fail every pending future and retire the connection (idempotent)."""
+        """Fail every pending future and retire the connection (idempotent).
+
+        A live local host's process is killed too, so a wedged host
+        never outlives its retirement.  The socket is shut down before
+        it closes: that wakes the receiver thread and ends the host's
+        stream even where a forked sibling still holds a copy of it.
+        """
         with self._state_lock:
             was_alive, self.alive = self.alive, False
             pending, self._pending = self._pending, {}
@@ -518,13 +509,25 @@ class HostClient:
         for future in pending.values():
             if not future.done():
                 future.set_exception(exc)
+        if was_alive and self.process is not None:
+            self.process.kill()
         if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the peer is already gone
+                pass
             try:
                 sock.close()
             except OSError:  # pragma: no cover - teardown
                 pass
         if was_alive and self._on_death is not None:
             self._on_death(self)
+
+    @property
+    def busy(self) -> bool:
+        """Whether the host holds an unfinished ticket."""
+        with self._state_lock:
+            return bool(self._pending)
 
     # ------------------------------------------------------------------
     def submit(
@@ -536,7 +539,7 @@ class HostClient:
         """Dispatch one ticket; returns ``(future, epoch_bytes, bytes)``.
 
         Not-yet-resident epoch frames and the task form one ordered
-        burst, so TCP ordering makes the task's payloads resident
+        burst, so stream ordering makes the task's payloads resident
         before it runs.  Never raises: a send failure marks the host
         dead and the returned future carries :class:`HostLost`, so the
         supervisor charges an attempt and the ticket terminates (retry
@@ -610,25 +613,20 @@ class HostPool:
 
     Host order is shard order: ticket ``owner`` indexes into the
     configured host list, first attempts go to the owner, retries to
-    the next live host (deterministically), and
-    :meth:`recycle` revives what it can — respawning ``local:`` hosts,
+    the next live host (deterministically), and :meth:`recycle` retires
+    wedged hosts and revives what it can — respawning local hosts,
     reconnecting TCP ones — counting every death and revival into the
     evaluator's :class:`~repro.core.resilience.ResilienceStats`.
     """
 
     def __init__(
         self,
-        hosts: str,
+        specs: "Sequence[tuple[str, int] | str]",
         resilience: ResilienceCounters,
         transport: "TransportCounters | None" = None,
     ) -> None:
-        parsed = parse_hosts(hosts)
         self._resilience = resilience
         self._transport = transport
-        if isinstance(parsed, int):
-            specs: "list[tuple[str, int] | str]" = ["local"] * parsed
-        else:
-            specs = list(parsed)
         self.clients = [
             HostClient(index, spec, transport)
             for index, spec in enumerate(specs)
@@ -670,14 +668,20 @@ class HostPool:
         return live[(owner + attempt - 1) % len(live)]
 
     def recycle(self) -> None:
-        """Revive dead hosts where possible (respawn local, reconnect TCP).
+        """Retire wedged hosts, then revive dead ones where possible.
 
-        A host that cannot be revived stays dead — its shard keeps
-        flowing to survivors, and with no survivors every ticket
-        quarantines to the parent's serial path, preserving the
-        always-completes invariant.
+        The supervisor recycles after a round has waited on every
+        ticket it dispatched, so a live host still holding a ticket is
+        wedged (a timeout): it is marked dead — a local host's process
+        is killed — and revived like any other dead host.  A host that
+        cannot be revived stays dead: its shard keeps flowing to
+        survivors, and with no survivors every ticket quarantines to
+        the parent's serial path, preserving the always-completes
+        invariant.
         """
         for index, client in enumerate(self.clients):
+            if client.alive and client.busy:
+                client.mark_dead(TimeoutError("ticket outlived its round"))
             if client.alive:
                 continue
             client.close()
@@ -697,25 +701,32 @@ class HostPool:
 
 
 class DistributedSweepExecutor:
-    """Plans and dispatches one evaluator's sweeps across a host pool.
+    """Plans and dispatches one evaluator's tickets across a host pool.
 
     Owns the pool, the content-digest frame cache and the ticket
-    planner; :class:`DistributedDtrEvaluator` delegates its fan-out
-    here.  Ticket planning follows the shm path's discipline: the
-    scenario list is cut into contiguous shards (one per configured
-    host, in scenario order, so reassembly is a concatenation), each
-    shard into roughly four tickets per host — bounded by the sweep
-    planner's ``group_scenario_budget`` so one ticket never exceeds one
-    ``plan_sweep`` batch group's state budget host-side.
+    planner; :class:`~repro.core.parallel.ParallelDtrEvaluator`
+    delegates its fan-out here.  Ticket planning cuts the item list
+    into contiguous shards (one per configured host, in item order, so
+    reassembly is a concatenation), each shard into roughly four
+    tickets — bounded by the sweep planner's ``group_scenario_budget``
+    so one ticket never exceeds one ``plan_sweep`` batch group's state
+    budget host-side.
+
+    Args:
+        specs: one entry per host, in shard order: ``"local"`` forks a
+            local host on a socketpair, ``(host, port)`` connects to a
+            ``repro-exp serve-host`` server.
+        resilience: the evaluator's resilience counters.
+        transport: the evaluator's transport counters.
     """
 
     def __init__(
         self,
-        hosts: str,
+        specs: "Sequence[tuple[str, int] | str]",
         resilience: ResilienceCounters,
         transport: TransportCounters,
     ) -> None:
-        self._hosts = hosts
+        self._specs = tuple(specs)
         self._resilience = resilience
         self._transport = transport
         self._pool: "HostPool | None" = None
@@ -726,14 +737,13 @@ class DistributedSweepExecutor:
     @property
     def n_hosts(self) -> int:
         """Configured host count (the shard count)."""
-        parsed = parse_hosts(self._hosts)
-        return parsed if isinstance(parsed, int) else len(parsed)
+        return len(self._specs)
 
     def ensure_pool(self) -> HostPool:
         """The live pool, building it lazily on first use."""
         if self._pool is None:
             self._pool = HostPool(
-                self._hosts, self._resilience, self._transport
+                self._specs, self._resilience, self._transport
             )
         return self._pool
 
@@ -772,7 +782,7 @@ class DistributedSweepExecutor:
         num_arcs: int,
         chunk_size: "int | None",
     ) -> "list[tuple[int, int, int]]":
-        """Contiguous ``(owner, lo, hi)`` tickets over ``count`` scenarios.
+        """Contiguous ``(owner, lo, hi)`` tickets over ``count`` items.
 
         Deterministic in the configured host count alone (results are
         invariant to it anyway — tickets reassemble in scenario order).
@@ -803,7 +813,8 @@ class DistributedSweepExecutor:
         owner: int,
         attempt: int,
         seq: int,
-        task_payload: tuple,
+        kind: str,
+        body: tuple,
         epochs: "list[tuple[bytes, Callable[[], bytes]]]",
     ) -> Future:
         """Dispatch one ticket attempt to the owner (or a survivor)."""
@@ -818,7 +829,7 @@ class DistributedSweepExecutor:
             )
             return future
         task_id = next(self._task_ids)
-        frame = _encode(("task", task_id) + task_payload + (seq, attempt))
+        frame = _encode((kind, task_id, body, seq, attempt))
         future, epoch_bytes, task_bytes = client.submit(
             task_id, frame, epochs
         )
@@ -829,261 +840,3 @@ class DistributedSweepExecutor:
         if task_bytes:
             self._transport.record(tasks=1, task_bytes=task_bytes)
         return future
-
-
-class DistributedDtrEvaluator(CachingDtrEvaluator):
-    """Cost oracle that sweeps scenario sets across a TCP host pool.
-
-    The ``hosts=`` counterpart of
-    :class:`~repro.core.parallel.ParallelDtrEvaluator`, with the same
-    surface (``close()``/context manager, aggregated ``cache_stats``,
-    ``resilience_stats``, ``transport_stats``) and the same contract:
-    results are **bit-identical** to the serial evaluator — scenarios
-    evaluate independently against a NORMAL reuse evaluation, tickets
-    reassemble in scenario order, sums fold in scenario order.  Sweeps
-    of fewer than two scenarios, normal evaluations and normal batches
-    run on the parent's serial path (phase-2 scenario sweeps are what
-    justify shipping work off-box).
-
-    Args:
-        network: the topology.
-        traffic: the two-class traffic instance.
-        config: optimizer configuration; ``config.execution.hosts``
-            names the pool (``"local:N"`` or ``"host:port,..."``).
-        delay_mode: path-delay aggregation mode.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        traffic: DtrTraffic,
-        config: OptimizerConfig,
-        delay_mode: str = "worst",
-    ) -> None:
-        super().__init__(network, traffic, config, delay_mode)
-        execution = config.execution
-        self._chunk_size = execution.chunk_size
-        self._resilience = ResilienceCounters(mirror=global_counters())
-        self._transport = TransportCounters()
-        self._retry_policy = RetryPolicy.from_execution(execution)
-        self._executor = DistributedSweepExecutor(
-            execution.hosts, self._resilience, self._transport
-        )
-        self._host_stats: "dict[int, CacheStats]" = {}
-        self._host_busy: "dict[int, float]" = {}
-        self._instance_key: "bytes | None" = None
-        self._scen_keys: "OrderedDict[tuple[int, ...], tuple]" = (
-            OrderedDict()
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def n_hosts(self) -> int:
-        """Configured host count."""
-        return self._executor.n_hosts
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Cache counters aggregated over this process and all hosts."""
-        total = CachingDtrEvaluator.cache_stats.fget(self)
-        for stats in self._host_stats.values():
-            total = total + stats
-        return total
-
-    @property
-    def resilience_stats(self) -> ResilienceStats:
-        """Failure/retry/degradation counters of this evaluator's sweeps."""
-        return self._resilience.snapshot()
-
-    @property
-    def transport_stats(self) -> TransportStats:
-        """Bytes-on-wire / busy-seconds accounting of the host pool."""
-        return self._transport.snapshot()
-
-    def host_report(self) -> "list[dict[str, object]]":
-        """Per-host transfer/timing rows for benchmarks and summaries."""
-        pool = self._executor.pool
-        if pool is None:
-            return []
-        return [
-            {
-                "host": client.describe(),
-                "alive": client.alive,
-                "tasks_done": client.tasks_done,
-                "bytes_sent": client.bytes_sent,
-                "bytes_received": client.bytes_received,
-                "busy_seconds": round(client.busy_seconds, 6),
-            }
-            for client in pool.clients
-        ]
-
-    def close(self) -> None:
-        """Shut down every host connection and sibling oracle (idempotent)."""
-        self._executor.close()
-        super().close()
-
-    def __enter__(self) -> "DistributedDtrEvaluator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except (OSError, RuntimeError):  # pragma: no cover - teardown
-            pass
-
-    # ------------------------------------------------------------------
-    # epoch keys and frames
-    # ------------------------------------------------------------------
-    def _instance_epoch(self) -> "tuple[bytes, Callable[[], bytes]]":
-        if self._instance_key is None:
-            blob = (
-                self._network,
-                self._traffic,
-                self._config,
-                self._delay_mode,
-            )
-            payload = pickle.dumps(blob, protocol=5)
-            self._instance_key = b"i" + _digest(payload)
-        key = self._instance_key
-
-        def build() -> tuple:
-            return (
-                "init",
-                key,
-                (
-                    self._network,
-                    self._traffic,
-                    self._config,
-                    self._delay_mode,
-                ),
-            )
-
-        return key, lambda: self._executor.frame_for(key, build)
-
-    def _scenario_epoch(
-        self, items: "tuple"
-    ) -> "tuple[bytes, Callable[[], bytes]]":
-        # Keyed by object identity first (scenario objects are frozen;
-        # phase-2 re-sweeps the same set thousands of times), falling
-        # back to a content digest of the pickled tuple.  The memo holds
-        # the tuples it keyed, so ids cannot be recycled under it.
-        id_key = tuple(id(s) for s in items)
-        memo = self._scen_keys
-        hit = memo.get(id_key)
-        if hit is not None:
-            memo.move_to_end(id_key)
-            key = hit[0]
-        else:
-            key = b"s" + _digest(pickle.dumps(items, protocol=5))
-            memo[id_key] = (key, items)
-            if len(memo) > 8:
-                memo.popitem(last=False)
-
-        def build() -> tuple:
-            return ("scenarios", key, items)
-
-        return key, lambda: self._executor.frame_for(key, build)
-
-    def _setting_epoch(
-        self, setting: WeightSetting
-    ) -> "tuple[bytes, Callable[[], bytes]]":
-        delay_key, tput_key = setting.key()
-        key = b"w" + _digest(delay_key + b"|" + tput_key)
-
-        def build() -> tuple:
-            return ("setting", key, setting.delay, setting.tput)
-
-        return key, lambda: self._executor.frame_for(key, build)
-
-    # ------------------------------------------------------------------
-    # the distributed sweep
-    # ------------------------------------------------------------------
-    def evaluate_scenarios(
-        self,
-        setting: WeightSetting,
-        scenarios: Scenarios,
-        reuse: "ScenarioEvaluation | None" = None,
-    ) -> ScenarioCosts:
-        """Distributed counterpart of the serial scenario sweep."""
-        items = list(scenarios)
-        if len(items) < 2:
-            return super().evaluate_scenarios(setting, items, reuse=reuse)
-        return self._host_sweep(setting, items, reuse, costs_only=False)
-
-    def _sweep_costs(
-        self,
-        setting: WeightSetting,
-        items: list,
-        reuse: "ScenarioEvaluation | None",
-    ) -> ScenarioCosts:
-        """Costs-only sweep: hosts fold locally, scalars stream back."""
-        if len(items) < 2:
-            return super()._sweep_costs(setting, items, reuse)
-        return self._host_sweep(setting, items, reuse, costs_only=True)
-
-    def _host_sweep(
-        self,
-        setting: WeightSetting,
-        items: list,
-        reuse: "ScenarioEvaluation | None",
-        costs_only: bool,
-    ) -> ScenarioCosts:
-        if reuse is None:
-            reuse = self.evaluate_normal(setting)
-        scenario_tuple = tuple(items)
-        ikey, iframe = self._instance_epoch()
-        skey, sframe = self._scenario_epoch(scenario_tuple)
-        wkey, wframe = self._setting_epoch(setting)
-        epochs = [(ikey, iframe), (skey, sframe), (wkey, wframe)]
-        tickets = self._executor.plan_tickets(
-            len(items),
-            self._network.num_nodes,
-            self._network.num_arcs,
-            self._chunk_size,
-        )
-
-        tasks = []
-        for seq, (owner, lo, hi) in enumerate(tickets):
-            payload = (ikey, skey, wkey, lo, hi, costs_only)
-
-            def submit(
-                pool, attempt, owner=owner, seq=seq, payload=payload
-            ):
-                return self._executor.submit_ticket(
-                    pool, owner, attempt, seq, payload, epochs
-                )
-
-            def fallback(lo=lo, hi=hi):
-                return _serial_ticket(
-                    self, setting, items[lo:hi], reuse, costs_only
-                )
-
-            tasks.append(
-                SupervisedTask(seq=seq, submit=submit, fallback=fallback)
-            )
-
-        supervisor = SweepSupervisor(
-            policy=self._retry_policy,
-            counters=self._resilience,
-            ensure_pool=self._executor.ensure_pool,
-            reset_pool=self._executor.recycle_pool,
-        )
-        outcomes = self._collect(supervisor.run(tasks))
-        self._num_evaluations += len(items)
-        return ScenarioCosts(tuple(outcomes))
-
-    def _collect(self, results: list) -> "list[ScenarioEvaluation]":
-        """Fold ticket results in ticket (= scenario) order."""
-        outcomes: "list[ScenarioEvaluation]" = []
-        for chunk_outcomes, host_index, counters, elapsed in results:
-            outcomes.extend(chunk_outcomes)
-            if host_index is not None:
-                self._host_stats[host_index] = CacheStats(*counters)
-                self._host_busy[host_index] = (
-                    self._host_busy.get(host_index, 0.0) + elapsed
-                )
-                self._transport.record(busy_seconds=elapsed)
-        return outcomes

@@ -710,7 +710,7 @@ class DtrEvaluator:
         """Failure-free costs of several settings, in input order.
 
         The serial implementation is a plain loop; the parallel evaluator
-        fans the batch out across its worker pool.
+        fans the batch out to its sweep hosts.
         """
         return tuple(self.evaluate_normal(s) for s in settings)
 

@@ -93,7 +93,7 @@ class RobustDtrOptimizer:
         traffic: the two-class traffic instance.
         config: parameters (defaults to the paper's values).  The
             ``config.execution`` block selects the evaluation engine:
-            ``n_jobs > 1`` sweeps failure sets across a worker pool and
+            ``n_jobs > 1`` sweeps failure sets across local sweep hosts and
             ``routing_cache`` reuses class routings across settings; both
             are bit-identical to the serial evaluator.
         failure_model: granularity of single-failure enumeration
@@ -129,7 +129,7 @@ class RobustDtrOptimizer:
         return self._evaluator
 
     def close(self) -> None:
-        """Release the evaluator's execution resources (worker pools)."""
+        """Release the evaluator's execution resources (sweep hosts)."""
         self._evaluator.close()
 
     # ------------------------------------------------------------------

@@ -26,53 +26,39 @@ without changing a single computed bit:
   (legacy failure sets and composed :class:`~repro.scenarios.ScenarioSet`
   collections alike, through the one
   :meth:`~repro.core.evaluation.DtrEvaluator.evaluate_scenarios`
-  contract) and normal-evaluation batches out across a process pool.
-  Scenario order, and therefore every floating-point sum, is preserved,
-  so results are bit-identical to the serial evaluator;
-  ``tests/core/test_parallel.py`` pins this.
+  contract) and normal-evaluation batches out to sweep hosts:
+  ``n_jobs=N`` forked local hosts on socketpairs, or ``repro-exp
+  serve-host`` servers over TCP (:mod:`repro.core.distributed` holds the
+  one transport).  Scenario order, and therefore every floating-point
+  sum, is preserved, so results are bit-identical to the serial
+  evaluator; ``tests/core/test_parallel.py`` pins this.
 
-Workers are long-lived: each holds its own :class:`CachingDtrEvaluator`
-(built once per process by the pool initializer) so routing caches stay
-warm across sweeps, and every task reports its cumulative cache counters
-back so :attr:`ParallelDtrEvaluator.cache_stats` aggregates the whole
-fleet.
+Hosts are long-lived: each builds its own :class:`CachingDtrEvaluator`
+once per connection, so routing caches stay warm across sweeps, and
+every ticket reports its host's cumulative cache counters back so
+:attr:`ParallelDtrEvaluator.cache_stats` aggregates the whole fleet.
 
-Sweep state never ships by value: a :class:`SharedSweepState`
-publishes the weight setting, the scenario list and the reuse
-evaluation once per sweep through ``multiprocessing.shared_memory``
-(arrays leave the pickle stream as protocol-5 out-of-band buffers),
-workers attach zero-copy, and every task carries only a ``(block name,
-scenario-index range)`` ticket.  Each worker sweeps its slice through
-its own :meth:`~repro.core.evaluation.DtrEvaluator.evaluate_scenarios`,
-which picks the scenario-axis batch engine (:mod:`repro.routing.sweep`)
-or the per-scenario path exactly as a serial sweep would.  Results stay
-bit-identical and invariant to ``n_jobs`` / ``chunk_size``.
+Sweep state never ships per ticket: the instance, the scenario set and
+each weight setting are published once per host as content-keyed
+epochs, and a sweep ticket names them by digest plus a scenario-index
+range.  Each host sweeps its slice through its own serial
+:meth:`~repro.core.evaluation.DtrEvaluator.evaluate_scenarios`, which
+picks the scenario-axis batch engine (:mod:`repro.routing.sweep`) or the
+per-scenario path exactly as a serial sweep would.
 """
 
 from __future__ import annotations
 
-import atexit
-import math
-import os
+import hashlib
 import pickle
-import signal
-import struct
-import threading
 import time
-import weakref
 from collections import OrderedDict, deque
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    wait as futures_wait,
-)
 from dataclasses import dataclass, replace
-from multiprocessing import shared_memory
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.config import OptimizerConfig
-from repro.core import faults
 from repro.core.evaluation import (
     DtrEvaluator,
     ScenarioCosts,
@@ -91,6 +77,7 @@ from repro.core.resilience import (
     global_counters,
 )
 from repro.core.weights import WeightSetting
+from repro.routing.backend import parse_hosts
 from repro.routing.engine import ClassRouting
 from repro.routing.failures import FailureScenario
 from repro.routing.network import Network
@@ -339,52 +326,9 @@ class CachingDtrEvaluator(DtrEvaluator):
 
 
 # ----------------------------------------------------------------------
-# worker-process state and task functions
+# ticket bodies: what a sweep host runs, and what the parent's serial
+# fallback runs in its place
 # ----------------------------------------------------------------------
-_WORKER_EVALUATOR: CachingDtrEvaluator | None = None
-
-
-def _init_worker(
-    network: Network,
-    traffic: DtrTraffic,
-    config: OptimizerConfig,
-    delay_mode: str,
-) -> None:
-    """Build the per-process evaluator once; its cache outlives tasks.
-
-    Also installs the execution's fault plan (chaos testing) — workers
-    only, so the parent's serial fallback path always computes clean.
-    """
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = CachingDtrEvaluator(
-        network, traffic, config, delay_mode
-    )
-    faults.install_fault_plan(config.execution.fault_plan)
-    # Under fork the worker inherits the parent's live-sweep registry
-    # and its SIGTERM/atexit cleanup hooks.  A pool (re)built while a
-    # sweep state is live — routine once the supervisor rebuilds pools
-    # mid-sweep — would otherwise let a terminating worker *unlink the
-    # parent's block*, failing every ticket still to be dispatched.
-    # The worker owns none of these states: forget them, never dispose.
-    _LIVE_SWEEP_STATES.clear()
-
-
-def _supervised_task(fn, task_seq: int, attempt: int, /, *args):
-    """Run one dispatched task inside its fault context (worker side).
-
-    Every process-pool submission goes through this wrapper so the
-    deterministic fault registry (:mod:`repro.core.faults`) can key
-    kill/delay/raise faults on ``(task_seq, attempt)``.  With no plan
-    installed — every production run — it is a try/finally around the
-    task function.
-    """
-    faults.enter_task(task_seq, attempt)
-    try:
-        return fn(*args)
-    finally:
-        faults.exit_task()
-
-
 def _strip_routings(evaluation: ScenarioEvaluation) -> ScenarioEvaluation:
     """Drop the attached routings (cuts IPC volume; costs are complete)."""
     if evaluation.routing_delay is None and evaluation.routing_tput is None:
@@ -392,333 +336,88 @@ def _strip_routings(evaluation: ScenarioEvaluation) -> ScenarioEvaluation:
     return replace(evaluation, routing_delay=None, routing_tput=None)
 
 
-def _serial_ticket(
+def _sweep_slice(
     evaluator: DtrEvaluator,
     setting: WeightSetting,
-    items: "list[FailureScenario | Scenario]",
+    items: "Sequence[FailureScenario | Scenario]",
     reuse: ScenarioEvaluation,
     costs_only: bool,
-) -> tuple[list[ScenarioEvaluation], None, None, float]:
-    """One quarantined/degraded ticket on the in-process serial path.
+) -> list[ScenarioEvaluation]:
+    """One sweep ticket: the serial sweep of a scenario slice, folded.
 
-    Shared by the process-pool and host-pool evaluators.  Mirrors a
-    dispatched ticket exactly — the serial ``evaluate_scenarios`` of
-    the slice, which picks the batched or the per-scenario path the
-    same way a worker does — so the result is bit-identical to a
-    successful dispatch, the parity the whole resilience layer rests
-    on.  The evaluation counter is restored because the sweep caller
-    accounts ``len(items)`` once for the whole sweep, dispatched or
-    not.
+    The unbound ``DtrEvaluator.evaluate_scenarios`` call keeps a fan-out
+    evaluator's fallback in-process instead of dispatching again; on a
+    host's serial evaluator it is the ordinary call.  Either way the
+    slice picks the batched or the per-scenario path exactly as a serial
+    sweep would.  ``costs_only`` folds to cost/SLA scalars before the
+    outcomes ship.
     """
     fold = compact_evaluation if costs_only else _strip_routings
+    costs = DtrEvaluator.evaluate_scenarios(
+        evaluator, setting, list(items), reuse=reuse
+    )
+    return [fold(e) for e in costs.evaluations]
+
+
+def _normal_slice(
+    evaluator: DtrEvaluator, settings: "Sequence[WeightSetting]"
+) -> list[ScenarioEvaluation]:
+    """One normal-batch ticket: failure-free evaluations, no routings."""
+    return [_strip_routings(evaluator.evaluate_normal(s)) for s in settings]
+
+
+def _serial_ticket(
+    evaluator: DtrEvaluator, work, *args
+) -> tuple[list[ScenarioEvaluation], None, None, float]:
+    """One quarantined/degraded ticket on the parent's serial path.
+
+    ``work`` is the ticket body a host would have run
+    (:func:`_sweep_slice` or :func:`_normal_slice`), so the result is
+    bit-identical to a successful dispatch — the parity the whole
+    resilience layer rests on.  The evaluation counter is restored
+    because the caller accounts for the whole sweep or batch once,
+    dispatched or not.  The worker slot is None: the parent's own cache
+    counters are already in ``cache_stats``.
+    """
     before = evaluator._num_evaluations
     begin = time.perf_counter()
     try:
-        costs = DtrEvaluator.evaluate_scenarios(
-            evaluator, setting, list(items), reuse=reuse
-        )
-        outcomes = [fold(e) for e in costs.evaluations]
+        outcomes = work(evaluator, *args)
     finally:
         evaluator._num_evaluations = before
     return (outcomes, None, None, time.perf_counter() - begin)
 
 
-# ----------------------------------------------------------------------
-# zero-copy shared-memory sweep state
-# ----------------------------------------------------------------------
-#: Alignment of buffers inside a shared-memory block (numpy-friendly).
-_SHM_ALIGN = 64
-
-#: Upper bound on waiting for straggler tickets before a sweep's shm
-#: block is unlinked anyway (unlink-while-attached is safe; see
-#: :meth:`ParallelDtrEvaluator._process_sweep_shared`).
-_DISPOSE_SETTLE_TIMEOUT = 10.0
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _SHM_ALIGN - 1) & ~(_SHM_ALIGN - 1)
-
-
-class SharedSweepState:
-    """One sweep's shared payload, published once through shared memory.
-
-    The weight setting, the scenario list and the reuse evaluation
-    (with its routings) are published exactly once per sweep instead
-    of being pickled into every task: the payload is pickled with
-    protocol 5, every contiguous array body (distance columns, DAG
-    masks, demand matrices, per-variant traffic, load vectors) leaves
-    the stream as an out-of-band buffer, and the buffers land in one
-    shared-memory block.  Workers attach by name
-    and rebuild the payload with read-only memoryviews over the block,
-    so every array is a **zero-copy view** of shared memory — tasks
-    then carry only ``(block name, scenario-index range)`` tickets, a
-    few dozen bytes regardless of instance size.
-
-    The parent disposes the block once the sweep's futures complete
-    (workers that attached keep their mapping alive until they move to
-    the next sweep, so in-flight reads are safe; POSIX keeps the pages
-    until the last map closes).
-
-    Args:
-        payload: any picklable object graph; arrays must tolerate
-            read-only reconstruction (evaluation inputs are never
-            mutated).
-    """
-
-    def __init__(self, payload: object) -> None:
-        buffers: "list[pickle.PickleBuffer]" = []
-        meta = pickle.dumps(
-            payload, protocol=5, buffer_callback=buffers.append
-        )
-        raws = [buffer.raw() for buffer in buffers]
-        header = struct.pack("<QQ", len(meta), len(raws))
-        lengths = struct.pack(f"<{len(raws)}Q", *(len(r) for r in raws))
-        offset = _aligned(len(header) + len(lengths)) + _aligned(len(meta))
-        starts = []
-        for raw in raws:
-            starts.append(offset)
-            offset += _aligned(len(raw))
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(offset, 1)
-        )
-        buf = self._shm.buf
-        buf[: len(header)] = header
-        buf[len(header): len(header) + len(lengths)] = lengths
-        meta_start = _aligned(len(header) + len(lengths))
-        buf[meta_start: meta_start + len(meta)] = meta
-        for raw, start in zip(raws, starts):
-            buf[start: start + len(raw)] = raw
-        self._size = offset
-        self._disposed = False
-        _LIVE_SWEEP_STATES.add(self)
-        _install_sweep_cleanup()
-
-    @property
-    def name(self) -> str:
-        """The shared-memory block name workers attach to."""
-        return self._shm.name
-
-    @property
-    def size(self) -> int:
-        """Published payload size in bytes (for benchmarks)."""
-        return self._size
-
-    def dispose(self) -> None:
-        """Close and unlink the block (idempotent; parent side only)."""
-        if self._disposed:
-            return
-        self._disposed = True
-        _LIVE_SWEEP_STATES.discard(self)
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    @staticmethod
-    def attach(name: str) -> "tuple[object, shared_memory.SharedMemory]":
-        """Rebuild a published payload as zero-copy views (worker side).
-
-        Returns the payload and the attached block; the caller must keep
-        the block referenced for as long as the payload's arrays live.
-        """
-        # Attaching re-registers the block with the resource tracker;
-        # under fork the tracker process is shared with the parent, so
-        # the duplicate registration is an idempotent set-add and the
-        # parent's unlink() clears it exactly once.
-        shm = shared_memory.SharedMemory(name=name)
-        buf = shm.buf
-        meta_len, num_buffers = struct.unpack_from("<QQ", buf, 0)
-        lengths = struct.unpack_from(f"<{num_buffers}Q", buf, 16)
-        meta_start = _aligned(16 + 8 * num_buffers)
-        meta = bytes(buf[meta_start: meta_start + meta_len])
-        offset = meta_start + _aligned(meta_len)
-        views = []
-        for length in lengths:
-            views.append(
-                memoryview(buf)[offset: offset + length].toreadonly()
-            )
-            offset += _aligned(length)
-        payload = pickle.loads(meta, buffers=views)
-        return payload, shm
-
-
-#: Parent-side registry of live (undisposed) sweep blocks.  Shared
-#: memory outlives the process on abnormal exits — a SIGTERM mid-sweep
-#: would leak the block in /dev/shm until reboot — so every live state
-#: is tracked weakly and unlinked from an ``atexit`` hook and (when no
-#: other handler claimed the signal) a chaining SIGTERM handler.
-_LIVE_SWEEP_STATES: "weakref.WeakSet[SharedSweepState]" = weakref.WeakSet()
-_SWEEP_CLEANUP_INSTALLED = False
-
-
-def _dispose_live_sweep_states() -> None:
-    """Unlink every still-live sweep block (idempotent, best-effort).
-
-    Only OS-level disposal failures are swallowed (the block may be
-    half-gone already during interpreter teardown); anything else —
-    and in particular ``KeyboardInterrupt``/``SystemExit`` — must
-    propagate.
-    """
-    for state in list(_LIVE_SWEEP_STATES):
-        try:
-            state.dispose()
-        except (OSError, BufferError):  # pragma: no cover - teardown
-            pass
-
-
-def _sweep_cleanup_handler(signum: int, frame: object) -> None:
-    """Dispose live blocks, then re-deliver the signal with SIG_DFL."""
-    _dispose_live_sweep_states()
-    signal.signal(signum, signal.SIG_DFL)
-    os.kill(os.getpid(), signum)
-
-
-def _install_sweep_cleanup() -> None:
-    """One-shot registration of the atexit/SIGTERM cleanup hooks.
-
-    The atexit hook always registers; the SIGTERM handler only when the
-    signal is still at its default disposition and we are on the main
-    thread — an application (or :class:`~repro.core.checkpoint.
-    CheckpointManager`) that installed its own handler keeps it, and its
-    orderly unwind disposes the blocks through the existing
-    ``try/finally`` paths.
-    """
-    global _SWEEP_CLEANUP_INSTALLED
-    if _SWEEP_CLEANUP_INSTALLED:
-        return
-    _SWEEP_CLEANUP_INSTALLED = True
-    atexit.register(_dispose_live_sweep_states)
-    if threading.current_thread() is not threading.main_thread():
-        return
-    try:
-        if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
-            signal.signal(signal.SIGTERM, _sweep_cleanup_handler)
-    except (ValueError, OSError):  # pragma: no cover - exotic contexts
-        pass
-
-
-#: The worker's attached sweep states: name -> (payload, shm block).
-#: One sweep is live at a time; superseded blocks are closed as soon as
-#: no exported views remain (a retired block whose views are still
-#: referenced survives until the next retirement pass).
-_WORKER_SWEEPS: "dict[str, tuple[object, shared_memory.SharedMemory]]" = {}
-_WORKER_RETIRED: "list[shared_memory.SharedMemory]" = []
-
-
-def _close_retired() -> None:
-    still_open = []
-    for shm in _WORKER_RETIRED:
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - views still exported
-            still_open.append(shm)
-    _WORKER_RETIRED[:] = still_open
-
-
-def _attach_sweep_state(name: str) -> object:
-    """The (cached) payload of one published sweep, attached zero-copy."""
-    cached = _WORKER_SWEEPS.get(name)
-    if cached is not None:
-        return cached[0]
-    for stale_name in list(_WORKER_SWEEPS):
-        _, shm = _WORKER_SWEEPS.pop(stale_name)
-        _WORKER_RETIRED.append(shm)
-    _close_retired()
-    payload, shm = SharedSweepState.attach(name)
-    _WORKER_SWEEPS[name] = (payload, shm)
-    return payload
-
-
-def _worker_sweep_shared(
-    name: str, start: int, stop: int, costs_only: bool = False
-) -> tuple[list[ScenarioEvaluation], int, tuple[int, int, int], float]:
-    """Evaluate one ticketed scenario slice against the shared state.
-
-    The ticket carries only the block name and the slice bounds; the
-    setting, scenarios and reuse evaluation are read zero-copy from the
-    attached block (once per sweep, cached across this worker's
-    tickets).  The slice sweeps through the worker evaluator's own
-    ``evaluate_scenarios``, which picks the batched or the per-scenario
-    path exactly as a serial sweep would.  ``costs_only`` folds locally
-    — only cost/SLA scalars ship back.
-    """
-    evaluator = _WORKER_EVALUATOR
-    assert evaluator is not None, "worker initializer did not run"
-    begin = time.perf_counter()
-    delay, tput, scenarios, reuse = _attach_sweep_state(name)
-    setting = WeightSetting(delay, tput)
-    costs = evaluator.evaluate_scenarios(
-        setting, list(scenarios[start:stop]), reuse=reuse
-    )
-    fold = compact_evaluation if costs_only else _strip_routings
-    outcomes = [fold(e) for e in costs.evaluations]
-    stats = evaluator.cache_stats
-    return (
-        outcomes,
-        os.getpid(),
-        (stats.hits_exact, stats.hits_incremental, stats.misses),
-        time.perf_counter() - begin,
-    )
-
-
-def _worker_normal_batch(
-    settings: tuple[tuple[np.ndarray, np.ndarray], ...],
-) -> tuple[list[ScenarioEvaluation], int, tuple[int, int, int], float]:
-    """Evaluate a batch of settings under the failure-free scenario."""
-    evaluator = _WORKER_EVALUATOR
-    assert evaluator is not None, "worker initializer did not run"
-    begin = time.perf_counter()
-    outcomes = [
-        _strip_routings(
-            evaluator.evaluate_normal(WeightSetting(delay, tput))
-        )
-        for delay, tput in settings
-    ]
-    stats = evaluator.cache_stats
-    return (
-        outcomes,
-        os.getpid(),
-        (stats.hits_exact, stats.hits_incremental, stats.misses),
-        time.perf_counter() - begin,
-    )
-
-
-def _shutdown_pool(pool: Executor, wait: bool = True) -> None:
-    """Shut an executor down, tolerating one that is already broken.
-
-    A pool whose workers were SIGKILLed (``BrokenProcessPool``) must
-    still shut down cleanly — ``close()`` on a crashed evaluator cannot
-    be allowed to raise.  With ``wait=False``
-    queued tasks are cancelled too (used when recycling a *suspect*
-    pool that may hold a wedged worker).  Only pool-teardown failures
-    are swallowed; ``KeyboardInterrupt``/``SystemExit`` propagate.
-    """
-    try:
-        pool.shutdown(wait=wait, cancel_futures=not wait)
-    except (OSError, RuntimeError):  # pragma: no cover - best effort
-        pass
+def _digest(payload: bytes) -> bytes:
+    return hashlib.sha1(payload).digest()
 
 
 class ParallelDtrEvaluator(CachingDtrEvaluator):
-    """Cost oracle that sweeps failure sets across a worker pool.
+    """Cost oracle that fans sweeps and normal batches out to sweep hosts.
 
-    Results are bit-identical to :class:`DtrEvaluator`: scenarios are
-    evaluated independently with the same arithmetic, reassembled in
-    scenario order, and summed in the same order.  Evaluations returned
-    from parallel sweeps carry no attached routings (they stay in the
-    workers); everything else — costs, SLA accounting, load vectors —
-    is complete.
+    ``config.execution`` names the hosts: ``n_jobs=N`` forks N local
+    hosts, each connected by a private ``socket.socketpair()``, and
+    ``hosts="host:port,..."`` connects to running ``repro-exp
+    serve-host`` servers over TCP.  Both run the one transport of
+    :mod:`repro.core.distributed`.  The pool is built lazily on the
+    first fan-out and torn down by :meth:`close` (also a context
+    manager).
 
-    The pool is created lazily on the first parallel call and torn down
-    by :meth:`close` (also a context manager).  With ``n_jobs=1`` every
-    call degrades gracefully to the serial cached path.
+    Results are **bit-identical** to :class:`DtrEvaluator`: scenarios
+    evaluate independently against a NORMAL reuse evaluation, tickets
+    reassemble in scenario order and sums fold in scenario order, so
+    results are invariant to the host count, ``chunk_size`` and host
+    failures.  Evaluations returned from fan-out carry no attached
+    routings (they stay on the hosts); costs, SLA accounting and load
+    vectors are complete.  Sweeps of fewer than two scenarios, batches
+    of fewer than two settings and single evaluations run on the
+    parent.
 
     Args:
         network: the topology.
         traffic: the two-class traffic instance.
         config: optimizer configuration; ``config.execution`` supplies
-            ``n_jobs``, chunking and cache knobs.
+            the hosts, chunking, cache and resilience knobs.
         delay_mode: path-delay aggregation mode.
     """
 
@@ -730,27 +429,41 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         delay_mode: str = "worst",
     ) -> None:
         super().__init__(network, traffic, config, delay_mode)
+        # Deferred import: repro.core.distributed imports this module.
+        from repro.core.distributed import DistributedSweepExecutor
+
         execution = config.execution
-        self._n_jobs = execution.resolved_jobs
+        if execution.hosts is not None:
+            specs: "tuple[tuple[str, int] | str, ...]" = parse_hosts(
+                execution.hosts
+            )
+        else:
+            specs = ("local",) * execution.resolved_jobs
         self._chunk_size = execution.chunk_size
-        self._pool: Executor | None = None
-        self._worker_stats: dict[int, CacheStats] = {}
-        self._worker_busy: dict[int, float] = {}
         self._resilience = ResilienceCounters(mirror=global_counters())
         self._transport = TransportCounters()
         self._retry_policy = RetryPolicy.from_execution(execution)
+        self._executor = DistributedSweepExecutor(
+            specs, self._resilience, self._transport
+        )
+        self._host_stats: "dict[int, CacheStats]" = {}
+        self._host_busy: "dict[int, float]" = {}
+        self._instance_key: "bytes | None" = None
+        self._scen_keys: "OrderedDict[tuple[int, ...], tuple]" = (
+            OrderedDict()
+        )
 
     # ------------------------------------------------------------------
     @property
-    def n_jobs(self) -> int:
-        """Effective worker count."""
-        return self._n_jobs
+    def n_hosts(self) -> int:
+        """Configured host count (the shard count)."""
+        return self._executor.n_hosts
 
     @property
     def cache_stats(self) -> CacheStats:
-        """Cache counters aggregated over this process and all workers."""
+        """Cache counters aggregated over this process and all hosts."""
         total = CachingDtrEvaluator.cache_stats.fget(self)
-        for stats in self._worker_stats.values():
+        for stats in self._host_stats.values():
             total = total + stats
         return total
 
@@ -761,31 +474,46 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
 
     @property
     def transport_stats(self) -> TransportStats:
-        """Bytes/seconds accounting of this evaluator's dispatches.
+        """Bytes-on-wire / busy-seconds accounting of the host pool.
 
-        ``payload_bytes`` counts publish-once shm blocks, ``task_bytes``
-        the pickled per-task arguments (~36-byte sweep tickets; normal
-        batches ship their weight vectors) and ``busy_seconds`` the
-        summed in-worker compute time, so benchmarks can separate
-        compute from dispatch overhead.
+        ``payload_bytes`` counts publish-once epoch frames (instance,
+        scenario set, setting; once per host), ``task_bytes`` the ticket
+        frames (sweep tickets are tens of bytes; normal-batch tickets
+        carry their weight vectors), ``result_bytes`` the replies and
+        ``busy_seconds`` the summed in-host compute time, so benchmarks
+        can separate compute from dispatch overhead.
         """
         return self._transport.snapshot()
 
     @property
     def worker_busy_seconds(self) -> "dict[int, float]":
-        """Per-worker (pid-keyed) cumulative task compute seconds."""
-        return dict(self._worker_busy)
+        """Per-host (index-keyed) cumulative ticket compute seconds."""
+        return dict(self._host_busy)
+
+    def host_report(self) -> "list[dict[str, object]]":
+        """Per-host transfer/timing rows for benchmarks and summaries."""
+        pool = self._executor.pool
+        if pool is None:
+            return []
+        return [
+            {
+                "host": client.describe(),
+                "alive": client.alive,
+                "tasks_done": client.tasks_done,
+                "bytes_sent": client.bytes_sent,
+                "bytes_received": client.bytes_received,
+                "busy_seconds": round(client.busy_seconds, 6),
+            }
+            for client in pool.clients
+        ]
 
     def close(self) -> None:
-        """Shut down the worker pool and sibling oracles (idempotent).
+        """Shut down every host and sibling oracle (idempotent).
 
-        Safe on a broken pool (SIGKILLed workers): teardown failures of
-        the executor are swallowed so callers' ``finally`` blocks never
-        mask the original error.
+        Safe after host deaths: a killed host's teardown never raises,
+        so callers' ``finally`` blocks never mask the original error.
         """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            _shutdown_pool(pool)
+        self._executor.close()
         super().close()
 
     def __enter__(self) -> "ParallelDtrEvaluator":
@@ -795,266 +523,204 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         self.close()
 
     def __del__(self) -> None:
-        # Interpreter-teardown finalizer: only plausible teardown noise
-        # is swallowed — KeyboardInterrupt/SystemExit (or anything else
-        # unexpected) propagates instead of being silently eaten.
         try:
             self.close()
-        except (OSError, RuntimeError):
+        except (OSError, RuntimeError):  # pragma: no cover - teardown
             pass
 
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> Executor:
-        if self._pool is None:
-            # Start the resource tracker BEFORE forking workers so they
-            # inherit it: shared-memory blocks are then registered and
-            # unregistered against one tracker (the parent's unlink
-            # clears the worker attaches), instead of every worker
-            # lazily spawning its own tracker that warns about "leaked"
-            # blocks it never saw unlinked.  Best-effort: purely
-            # cosmetic on platforms where it is unavailable.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover
-                pass
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._n_jobs,
-                initializer=_init_worker,
-                initargs=(
-                    self._network,
-                    self._traffic,
-                    self._config,
-                    self._delay_mode,
-                ),
-            )
-        return self._pool
-
-    def _chunk_ranges(self, count: int) -> list[tuple[int, int]]:
-        """Contiguous index ranges; ~four tasks per worker unless pinned."""
-        if self._chunk_size is not None:
-            size = self._chunk_size
-        else:
-            size = max(1, math.ceil(count / (self._n_jobs * 4)))
-        return [(i, min(i + size, count)) for i in range(0, count, size)]
-
-    def _chunks(self, items: list) -> list[list]:
-        """Contiguous chunks; about four tasks per worker unless pinned."""
-        return [
-            items[lo:hi] for lo, hi in self._chunk_ranges(len(items))
-        ]
-
-    def _record_worker_stats(
-        self, pid: int, counters: tuple[int, int, int]
-    ) -> None:
-        self._worker_stats[pid] = CacheStats(*counters)
-
+    # epoch keys and frames
     # ------------------------------------------------------------------
-    # supervision: retry/backoff, pool rebuild, serial degradation
-    # ------------------------------------------------------------------
-    def _reset_pool(self) -> None:
-        """Discard a dead or suspect pool; the next call rebuilds it.
-
-        The stale executor is shut down without waiting (a wedged
-        worker must not block the supervisor) and queued tasks are
-        cancelled.  Dead workers' last-reported cache counters are
-        kept — the work they completed happened.  Rebuild goes through
-        :meth:`_ensure_pool`, i.e. the same warm-state machinery as a
-        first build.
-        """
-        stale, self._pool = self._pool, None
-        if stale is not None:
-            _shutdown_pool(stale, wait=False)
-
-    def _supervise(self, tasks: "list[SupervisedTask]") -> list:
-        """Run tickets under the retry/degradation supervisor."""
-        supervisor = SweepSupervisor(
-            policy=self._retry_policy,
-            counters=self._resilience,
-            ensure_pool=self._ensure_pool,
-            reset_pool=self._reset_pool,
+    def _instance_epoch(self) -> "tuple[bytes, Callable[[], bytes]]":
+        blob = (self._network, self._traffic, self._config, self._delay_mode)
+        if self._instance_key is None:
+            payload = pickle.dumps(blob, protocol=5)
+            self._instance_key = b"i" + _digest(payload)
+        key = self._instance_key
+        return key, lambda: self._executor.frame_for(
+            key, lambda: ("init", key, blob)
         )
-        return supervisor.run(tasks)
 
-    def _collect(self, results: list) -> list[ScenarioEvaluation]:
-        """Fold supervised task results in task (= scenario) order.
+    def _scenario_epoch(
+        self, items: tuple
+    ) -> "tuple[bytes, Callable[[], bytes]]":
+        # Keyed by object identity first (scenario objects are frozen;
+        # phase-2 re-sweeps the same set thousands of times), falling
+        # back to a content digest of the pickled tuple.  The memo holds
+        # the tuples it keyed, so ids cannot be recycled under it.
+        id_key = tuple(id(s) for s in items)
+        memo = self._scen_keys
+        hit = memo.get(id_key)
+        if hit is not None:
+            memo.move_to_end(id_key)
+            key = hit[0]
+        else:
+            key = b"s" + _digest(pickle.dumps(items, protocol=5))
+            memo[id_key] = (key, items)
+            if len(memo) > 8:
+                memo.popitem(last=False)
+        return key, lambda: self._executor.frame_for(
+            key, lambda: ("scenarios", key, items)
+        )
 
-        Serial-fallback results carry no pid/counters (the parent's own
-        cache counters are already in :attr:`cache_stats`); recording
-        them would double-count, so they are skipped.
-        """
-        outcomes: list[ScenarioEvaluation] = []
-        for chunk_outcomes, pid, counters, elapsed in results:
-            outcomes.extend(chunk_outcomes)
-            if pid is not None:
-                self._record_worker_stats(pid, counters)
-                self._worker_busy[pid] = (
-                    self._worker_busy.get(pid, 0.0) + elapsed
-                )
-                self._transport.record(busy_seconds=elapsed)
-        return outcomes
+    def _setting_epoch(
+        self, setting: WeightSetting
+    ) -> "tuple[bytes, Callable[[], bytes]]":
+        delay_key, tput_key = setting.key()
+        key = b"w" + _digest(delay_key + b"|" + tput_key)
+        return key, lambda: self._executor.frame_for(
+            key, lambda: ("setting", key, setting.delay, setting.tput)
+        )
 
-    def _make_task(
-        self,
-        seq: int,
-        fn,
-        args: tuple,
-        fallback,
-        sink: "list | None" = None,
-    ) -> SupervisedTask:
-        """A supervised ticket: dispatch via the fault-context wrapper.
-
-        ``sink`` collects every future ever submitted for the ticket so
-        shared-memory sweeps can settle stragglers before unlinking.
-        Every submission's pickled argument size lands in
-        :attr:`transport_stats`, so the bytes-on-wire of every ticket
-        stay measured, not asserted.
-        """
-        ticket_bytes = len(pickle.dumps(args, protocol=5))
-
-        def submit(pool: Executor, attempt: int):
-            future = pool.submit(_supervised_task, fn, seq, attempt, *args)
-            self._transport.record(tasks=1, task_bytes=ticket_bytes)
-            if sink is not None:
-                sink.append(future)
-            return future
-
-        return SupervisedTask(seq=seq, submit=submit, fallback=fallback)
-
+    # ------------------------------------------------------------------
+    # fan-out
     # ------------------------------------------------------------------
     def evaluate_scenarios(
         self,
         setting: WeightSetting,
         scenarios: Scenarios,
-        reuse: ScenarioEvaluation | None = None,
+        reuse: "ScenarioEvaluation | None" = None,
     ) -> ScenarioCosts:
-        """Parallel counterpart of :meth:`DtrEvaluator.evaluate_scenarios`.
+        """Fan-out counterpart of :meth:`DtrEvaluator.evaluate_scenarios`.
 
         Same contract as the serial sweep — a
         :class:`~repro.scenarios.ScenarioSet`, a legacy ``FailureSet``
-        or any scenario sequence.  Scenario chunks run concurrently;
-        results are reassembled in scenario order, so
-        ``ScenarioCosts.total_cost`` sums in the same order as the
-        serial sweep and is bit-identical to it.  Chunk boundaries key
-        off nothing but list position, so the split is deterministic.
+        or any scenario sequence.  Chunk boundaries key off nothing but
+        list position and the host count, so the split is
+        deterministic.
         """
         items = list(scenarios)
-        if self._n_jobs == 1 or len(items) < 2:
+        if len(items) < 2:
             return super().evaluate_scenarios(setting, items, reuse=reuse)
-        return self._process_sweep(setting, items, reuse, costs_only=False)
+        return self._host_sweep(setting, items, reuse, costs_only=False)
 
     def _sweep_costs(
         self,
         setting: WeightSetting,
         items: list,
-        reuse: ScenarioEvaluation | None,
+        reuse: "ScenarioEvaluation | None",
     ) -> ScenarioCosts:
-        """Costs-only sweep across the pool: workers fold locally.
+        """Costs-only sweep: hosts fold locally, scalars stream back.
 
-        Same fan-out and fold order as :meth:`evaluate_scenarios`, but
-        each worker compacts its outcomes before shipping, so the IPC
-        return is a few scalars per scenario instead of load vectors
-        and SLA arrays.  Cost values are bit-identical — compaction
-        happens strictly after the worker computed the full evaluation.
+        Cost values are bit-identical — compaction happens strictly
+        after the host computed the full evaluation.
         """
-        if self._n_jobs == 1 or len(items) < 2:
+        if len(items) < 2:
             return super()._sweep_costs(setting, items, reuse)
-        return self._process_sweep(setting, items, reuse, costs_only=True)
+        return self._host_sweep(setting, items, reuse, costs_only=True)
 
-    def _process_sweep(
+    def _host_sweep(
         self,
         setting: WeightSetting,
-        scenarios: "list[FailureScenario | Scenario]",
-        reuse: ScenarioEvaluation | None,
+        items: list,
+        reuse: "ScenarioEvaluation | None",
         costs_only: bool,
     ) -> ScenarioCosts:
-        """The zero-copy sweep: publish once, ship index tickets only.
-
-        The sweep payload — weights, the scenario list, the reuse
-        evaluation with its routings (workers need them for the
-        failed-arc shortcut) — is published once through a
-        :class:`SharedSweepState`; every task pickles nothing but
-        ``(block name, start, stop, costs_only)``.  Workers attach
-        zero-copy and sweep their slice through their own
-        ``evaluate_scenarios``, so results (reassembled in scenario
-        order) are bit-identical to the serial sweep and invariant to
-        ``n_jobs`` and ``chunk_size``.
-
-        Dispatch runs under the resilience supervisor: the state block
-        outlives pool rebuilds (re-dispatched tickets re-attach by
-        name) and is disposed only after every future ever submitted —
-        across all attempts — has settled, so a worker dying mid-attach
-        still ends with the block unlinked, never leaked.
-        """
+        # Hosts compute their own NORMAL reuse evaluation per setting
+        # (bit-identical by the evaluator-parity invariant, and far
+        # cheaper than shipping routings); the parent's serves the
+        # fallback.
         if reuse is None:
             reuse = self.evaluate_normal(setting)
-        state = SharedSweepState(
-            (setting.delay, setting.tput, tuple(scenarios), reuse)
+        ikey, iframe = self._instance_epoch()
+        skey, sframe = self._scenario_epoch(tuple(items))
+        wkey, wframe = self._setting_epoch(setting)
+        outcomes = self._fan_out(
+            "sweep",
+            len(items),
+            [(ikey, iframe), (skey, sframe), (wkey, wframe)],
+            lambda lo, hi: (ikey, skey, wkey, lo, hi, costs_only),
+            lambda lo, hi: _serial_ticket(
+                self, _sweep_slice, setting, items[lo:hi], reuse, costs_only
+            ),
         )
-        self._transport.record(publishes=1, payload_bytes=state.size)
-        futures: list = []
-        tasks = [
-            self._make_task(
-                seq,
-                _worker_sweep_shared,
-                (state.name, lo, hi, costs_only),
-                lambda lo=lo, hi=hi: _serial_ticket(
-                    self, setting, scenarios[lo:hi], reuse, costs_only
-                ),
-                sink=futures,
-            )
-            for seq, (lo, hi) in enumerate(self._chunk_ranges(len(scenarios)))
-        ]
-        try:
-            outcomes = self._collect(self._supervise(tasks))
-        finally:
-            # Unlinking before a straggler ticket attaches would fail
-            # it spuriously: settle every submitted future first.  The
-            # wait is bounded — a truly wedged worker must not pin the
-            # block forever; unlink-while-attached is safe (POSIX keeps
-            # the pages mapped) and a subsequent attach raises into a
-            # future nobody reads.
-            if futures:
-                futures_wait(futures, timeout=_DISPOSE_SETTLE_TIMEOUT)
-            state.dispose()
-        self._num_evaluations += len(scenarios)
+        self._num_evaluations += len(items)
         return ScenarioCosts(tuple(outcomes))
 
-    # ------------------------------------------------------------------
     def evaluate_normal_batch(
         self, settings: "list[WeightSetting] | tuple[WeightSetting, ...]"
     ) -> tuple[ScenarioEvaluation, ...]:
-        """Failure-free costs of several settings, fanned across the pool."""
+        """Failure-free costs of several settings, fanned out to hosts.
+
+        Each ticket carries the weight vectors of its settings; outcomes
+        come back without routings, in input order.
+        """
         settings = list(settings)
-        if self._n_jobs == 1 or len(settings) < 2:
+        if len(settings) < 2:
             return super().evaluate_normal_batch(settings)
-        tasks = [
-            self._make_task(
-                seq,
-                _worker_normal_batch,
-                (tuple((s.delay, s.tput) for s in chunk),),
-                lambda chunk=chunk: self._serial_normal_ticket(chunk),
-            )
-            for seq, chunk in enumerate(self._chunks(settings))
-        ]
-        outcomes = self._collect(self._supervise(tasks))
+        ikey, iframe = self._instance_epoch()
+        vectors = [(s.delay, s.tput) for s in settings]
+        outcomes = self._fan_out(
+            "normal",
+            len(settings),
+            [(ikey, iframe)],
+            lambda lo, hi: (ikey, tuple(vectors[lo:hi])),
+            lambda lo, hi: _serial_ticket(
+                self, _normal_slice, settings[lo:hi]
+            ),
+        )
         self._num_evaluations += len(settings)
         return tuple(outcomes)
 
-    def _serial_normal_ticket(
-        self, chunk: "list[WeightSetting]"
-    ) -> tuple[list[ScenarioEvaluation], None, None, float]:
-        """Quarantined/degraded normal-batch ticket, computed in-process."""
-        before = self._num_evaluations
-        begin = time.perf_counter()
-        try:
-            outcomes = [
-                _strip_routings(self.evaluate_normal(s)) for s in chunk
-            ]
-        finally:
-            self._num_evaluations = before
-        return (outcomes, None, None, time.perf_counter() - begin)
+    def _fan_out(
+        self,
+        kind: str,
+        count: int,
+        epochs: "list[tuple[bytes, Callable[[], bytes]]]",
+        body: "Callable[[int, int], tuple]",
+        fallback: "Callable[[int, int], tuple]",
+    ) -> list[ScenarioEvaluation]:
+        """Run ``count`` items as supervised tickets; outcomes in order.
+
+        ``body(lo, hi)`` is a ticket's wire body and ``fallback(lo, hi)``
+        computes the same slice on the parent's serial path.
+        """
+        tasks = []
+        tickets = self._executor.plan_tickets(
+            count,
+            self._network.num_nodes,
+            self._network.num_arcs,
+            self._chunk_size,
+        )
+        for seq, (owner, lo, hi) in enumerate(tickets):
+
+            def submit(pool, attempt, owner=owner, seq=seq, args=body(lo, hi)):
+                return self._executor.submit_ticket(
+                    pool, owner, attempt, seq, kind, args, epochs
+                )
+
+            tasks.append(
+                SupervisedTask(
+                    seq=seq,
+                    submit=submit,
+                    fallback=lambda lo=lo, hi=hi: fallback(lo, hi),
+                )
+            )
+        supervisor = SweepSupervisor(
+            policy=self._retry_policy,
+            counters=self._resilience,
+            ensure_pool=self._executor.ensure_pool,
+            reset_pool=self._executor.recycle_pool,
+        )
+        return self._collect(supervisor.run(tasks))
+
+    def _collect(self, results: list) -> "list[ScenarioEvaluation]":
+        """Fold ticket results in ticket (= item) order.
+
+        Serial-fallback results carry no host index or counters (the
+        parent's own cache counters are already in :attr:`cache_stats`),
+        so they are skipped.
+        """
+        outcomes: "list[ScenarioEvaluation]" = []
+        for chunk_outcomes, host_index, counters, elapsed in results:
+            outcomes.extend(chunk_outcomes)
+            if host_index is not None:
+                self._host_stats[host_index] = CacheStats(*counters)
+                self._host_busy[host_index] = (
+                    self._host_busy.get(host_index, 0.0) + elapsed
+                )
+                self._transport.record(busy_seconds=elapsed)
+        return outcomes
 
 
 def make_evaluator(
@@ -1065,19 +731,13 @@ def make_evaluator(
 ) -> DtrEvaluator:
     """The right evaluator for ``config.execution``.
 
-    A ``hosts`` spec selects the distributed evaluator (scenario sweeps
-    across a TCP host pool), ``n_jobs > 1`` (or 0 = all CPUs on a
-    multi-core host) the parallel evaluator, ``routing_cache`` alone
-    the caching one, and the plain serial evaluator otherwise.  All
-    four produce bit-identical results.
+    A ``hosts`` spec or ``n_jobs > 1`` (0 = all CPUs on a multi-core
+    host) selects the fan-out evaluator, ``routing_cache`` alone the
+    caching one, and the plain serial evaluator otherwise.  All three
+    produce bit-identical results.
     """
     execution = config.execution
-    if execution.hosts is not None:
-        # Deferred import: repro.core.distributed imports this module.
-        from repro.core.distributed import DistributedDtrEvaluator
-
-        return DistributedDtrEvaluator(network, traffic, config, delay_mode)
-    if execution.resolved_jobs > 1:
+    if execution.hosts is not None or execution.resolved_jobs > 1:
         return ParallelDtrEvaluator(network, traffic, config, delay_mode)
     if execution.routing_cache:
         return CachingDtrEvaluator(network, traffic, config, delay_mode)

@@ -1,26 +1,24 @@
-"""Supervision, retry and degradation policy for parallel sweeps.
+"""Supervision, retry and degradation policy for fan-out sweeps.
 
 :class:`~repro.core.parallel.ParallelDtrEvaluator` fans a sweep out to
-a process pool as cheap ticket tasks.  Before this module, one
-OOM-killed worker lost the whole sweep: futures had no timeout, a
-``BrokenProcessPool`` propagated to the caller, and the shared-memory
-payload could leak.  The :class:`SweepSupervisor` here wraps dispatch
+sweep hosts (:mod:`repro.core.distributed`) as cheap tickets.  Hosts
+die, wedge and raise; the :class:`SweepSupervisor` here wraps dispatch
 so a sweep **always completes with results bit-identical to a
 fault-free run**:
 
 * Failures are classified (:func:`classify_failure`) as ``dead_pool``
-  (the pool itself broke — worker SIGKILLed, interpreter died),
-  ``timeout`` (a task exceeded its per-task deadline; the pool is
-  treated as suspect and recycled), or ``task_error`` (the worker
-  raised — possibly a poison task).
+  (a host died or dropped its connection — ``HostLost`` is a
+  ``BrokenExecutor``), ``timeout`` (a ticket exceeded its per-task
+  deadline; the pool is recycled, which retires the wedged host), or
+  ``task_error`` (the host raised — possibly a poison task).
 * Transient failures are retried with exponential backoff and
-  deterministic jitter (:class:`RetryPolicy`), rebuilding the pool
-  through the evaluator's existing warm-state machinery and
-  re-dispatching **only the unfinished tickets**.
+  deterministic jitter (:class:`RetryPolicy`), recycling the pool —
+  dead hosts respawn or reconnect — and re-dispatching **only the
+  unfinished tickets**.
 * A task that exhausts ``max_attempts`` is quarantined: its ticket is
   computed on the parent's serial in-process path, which shares no
-  state with workers and is already pinned bit-identical to the
-  parallel path.
+  state with the hosts and is pinned bit-identical to a dispatched
+  ticket.
 * A sweep that exhausts its overall deadline degrades the whole
   remainder to serial and reports it.
 
@@ -133,10 +131,10 @@ class ResilienceStats:
             exhausting ``max_attempts``.
         deadline_degraded_tasks: tickets degraded to the serial path
             because the sweep deadline ran out.
-        host_failures: distributed sweep hosts (the ``hosts`` knob) that
-            died or dropped their connection mid-sweep.
-        host_respawns: dead hosts successfully respawned (``local:``
-            mode) or reconnected (TCP mode) by pool recycling.
+        host_failures: sweep hosts that died, dropped their connection
+            or were retired as wedged mid-sweep.
+        host_respawns: dead hosts successfully respawned (local hosts)
+            or reconnected (TCP hosts) by pool recycling.
     """
 
     worker_failures: int = 0
@@ -208,22 +206,21 @@ class TransportStats:
     """Where a fan-out sweep's bytes and seconds went (``cache_stats``
     style).
 
-    One instance summarizes a dispatch transport — the process pool's
-    shm/pickle channel or the distributed host pool's TCP sockets — so
-    ``BENCH_*.json`` context blocks can show payload amortization
-    (publish-once bytes vs per-task ticket bytes) and worker/host busy
-    time next to wall-clock.
+    One instance summarizes the host pool's transport — socketpairs to
+    local hosts, TCP to remote ones — so ``BENCH_*.json`` context
+    blocks can show payload amortization (publish-once bytes vs
+    per-task ticket bytes) and host busy time next to wall-clock.
 
     Attributes:
-        publishes: publish-once payload shipments (shm sweep states, or
-            per-host instance/scenario/setting epochs).
+        publishes: publish-once payload shipments (per-host
+            instance/scenario/setting epochs).
         payload_bytes: bytes of those publish-once payloads.
         tasks: tickets dispatched (every attempt counts — retries ship
             bytes too).
         task_bytes: bytes of ticket messages (the per-task cost once
             payloads are amortized).
         result_bytes: bytes of results shipped back.
-        busy_seconds: summed worker/host compute time spent on tasks.
+        busy_seconds: summed host compute time spent on tickets.
     """
 
     publishes: int = 0

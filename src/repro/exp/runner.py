@@ -6,13 +6,14 @@ Usage::
     repro-exp table2 --preset quick --seed 0
     repro-exp table2 --preset quick --jobs 4
     repro-exp scenarios --scenarios srlg,multi2,linkxsurge
-    repro-exp table2 --hosts local:4
     repro-exp serve-host --bind 0.0.0.0 --port 7777
+    repro-exp table2 --hosts alpha:7777,beta:7777
     repro-exp all --preset default
 
 Each experiment prints the table rows and figure series the corresponding
-paper artifact reports.  ``--jobs`` fans scenario sweeps out across
-worker processes (0 = one per CPU); results are bit-identical to serial
+paper artifact reports.  ``--jobs N`` fans scenario sweeps out across
+N forked local sweep hosts (0 = one per CPU) and ``--hosts`` across
+running ``serve-host`` servers; results are bit-identical to serial
 runs.  ``--scenarios`` selects the composed scenario families of the
 ``scenarios`` experiment (see :mod:`repro.scenarios.generators`).
 """
@@ -148,8 +149,8 @@ def run_experiment(
         experiment_id: registered experiment id.
         preset: execution-scale preset name (or a Preset object).
         seed: base seed.
-        jobs: evaluation workers; None keeps the preset's setting, 0
-            means one worker per CPU.
+        jobs: local sweep hosts; None keeps the preset's setting, 0
+            means one per CPU.
         backend: routing kernel backend (``auto``/``python``/
             ``vector``); None keeps the preset's setting.
             Execution-only: results are identical whichever backend
@@ -168,10 +169,10 @@ def run_experiment(
             preset's setting.
         sweep_deadline: whole-sweep deadline in seconds; None keeps
             the preset's setting.
-        hosts: distributed sweep host pool (``"local:N"`` or
-            ``"host:port,host:port"``); the hosts then own the sweep
-            fan-out.  Execution-only: results are bit-identical to serial runs
-            (see docs/PERFORMANCE.md, "Distributed sweeps").
+        hosts: ``"host:port,host:port"`` endpoints of running
+            ``serve-host`` servers; the hosts then own the sweep
+            fan-out.  Execution-only: results are bit-identical to
+            serial runs (see docs/PERFORMANCE.md, "Sweep fan-out").
     """
     resolved = _apply_execution_flags(
         preset,
@@ -220,7 +221,10 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="evaluation workers (0 = one per CPU; default: serial)",
+        help=(
+            "fan sweeps out to N forked local sweep hosts (0 = one per "
+            "CPU; default: serial)"
+        ),
     )
     parser.add_argument(
         "--backend",
@@ -278,9 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SPEC",
         help=(
-            "distribute scenario sweeps across sweep hosts: "
-            "'local:N' forks N localhost hosts, 'host:port,host:port' "
-            "connects to running 'repro-exp serve-host' servers; "
+            "fan sweeps out to running 'repro-exp serve-host' servers "
+            "('host:port,host:port'; same-box hosts are --jobs N); "
             "results are bit-identical to serial runs"
         ),
     )

@@ -125,16 +125,14 @@ def validate_resilience(
         )
 
 
-def parse_hosts(spec: str) -> "tuple[tuple[str, int], ...] | int":
-    """Parse a ``hosts=`` spec into concrete host endpoints.
+def parse_hosts(spec: str) -> "tuple[tuple[str, int], ...]":
+    """Parse a ``hosts=`` spec into TCP host endpoints.
 
-    Two grammars are accepted (see ``repro.core.distributed``):
-
-    * ``"local:N"`` — spawn ``N`` localhost host processes; returns the
-      integer ``N``.
-    * ``"host:port[,host:port...]"`` — connect to already-running
-      ``repro-exp serve-host`` servers; returns a tuple of
-      ``(host, port)`` pairs in spec order (order is the shard order).
+    ``"host:port[,host:port...]"`` names already-running ``repro-exp
+    serve-host`` servers; returns a tuple of ``(host, port)`` pairs in
+    spec order (order is the shard order).  Same-box hosts are
+    ``n_jobs`` (``--jobs``), not a spec: a host named ``local`` — the
+    old host-count spelling — is refused.
 
     Raises ``ValueError`` on anything else, so a typo fails at
     configuration time instead of hanging in a connect loop.
@@ -142,18 +140,6 @@ def parse_hosts(spec: str) -> "tuple[tuple[str, int], ...] | int":
     if not isinstance(spec, str) or not spec.strip():
         raise ValueError("hosts spec must be a non-empty string")
     spec = spec.strip()
-    if spec.startswith("local:"):
-        tail = spec[len("local:"):]
-        try:
-            count = int(tail)
-        except ValueError:
-            raise ValueError(
-                f"malformed hosts spec {spec!r}: 'local:' needs an "
-                "integer host count, e.g. 'local:2'"
-            ) from None
-        if count < 1:
-            raise ValueError("hosts spec 'local:N' needs N >= 1")
-        return count
     endpoints = []
     for part in spec.split(","):
         part = part.strip()
@@ -161,7 +147,12 @@ def parse_hosts(spec: str) -> "tuple[tuple[str, int], ...] | int":
         if not sep or not host:
             raise ValueError(
                 f"malformed hosts spec entry {part!r}: expected "
-                "'host:port' (or 'local:N' to spawn localhost hosts)"
+                "'host:port'"
+            )
+        if host == "local":
+            raise ValueError(
+                f"hosts spec entry {part!r}: same-box sweep hosts are "
+                "n_jobs=N (--jobs N); hosts names 'host:port' endpoints"
             )
         try:
             port = int(port_text)

@@ -44,9 +44,8 @@ lookups and 0 of ~105k delay probes hit).  ``tests/routing/test_sweep.py``
 pins the bit-identity property-style; the evaluator-level parity across
 scenario families is pinned by ``tests/core/test_sweep_evaluator.py``.
 
-Parallel and distributed sweeps reuse this planner: worker processes
-and sweep hosts receive only index tickets and batch their slice
-locally (see :mod:`repro.core.parallel`).
+Fan-out sweeps reuse this planner: sweep hosts receive only index
+tickets and batch their slice locally (see :mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations

@@ -292,7 +292,11 @@ def test_resume_accepts_any_host_set(tmp_path, small_instance, tiny_config):
     path = tmp_path / "ck.pkl"
     hosts = make_optimizer(
         small_instance,
-        tiny_config.replace(execution=ExecutionParams(hosts="local:2")),
+        tiny_config.replace(
+            execution=ExecutionParams(
+                hosts="127.0.0.1:7777,127.0.0.1:7778"
+            )
+        ),
     )
     single = make_optimizer(
         small_instance, tiny_config.replace(execution=ExecutionParams())

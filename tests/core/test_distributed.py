@@ -1,13 +1,15 @@
-"""Tests for the multi-host distributed sweep executor.
+"""Tests for the sweep-host transport: local and TCP hosts.
 
-The contract is the repo-wide one: ``hosts`` is an execution knob, so
-every distributed sweep — across any host count, any chunking,
-any streamed return order, and any injected host death — must produce
-results *bit-identical* to the serial evaluator.  Parity assertions use
-exact equality throughout.
+The contract is the repo-wide one: ``n_jobs`` and ``hosts`` are
+execution knobs, so every fanned-out sweep — across any host count,
+any chunking, any streamed return order, and any injected host death —
+must produce results *bit-identical* to the serial evaluator.  Parity
+assertions use exact equality throughout.
 """
 
+import multiprocessing
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -15,13 +17,10 @@ import pytest
 
 from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.checkpoint import execution_fingerprint
-from repro.core.distributed import (
-    DistributedDtrEvaluator,
-    HostWorker,
-)
+from repro.core.distributed import HostWorker
 from repro.core.evaluation import DtrEvaluator
 from repro.core.faults import FaultPlan, StageFault, TaskDelay, WorkerKill
-from repro.core.parallel import make_evaluator
+from repro.core.parallel import ParallelDtrEvaluator, make_evaluator
 from repro.core.weights import WeightSetting
 from repro.routing.backend import parse_hosts
 from repro.routing.failures import single_link_failures
@@ -99,19 +98,28 @@ def _assert_bit_identical(reference, candidate):
         assert np.array_equal(ref.loads_tput, got.loads_tput)
 
 
-def _assert_pool_released(evaluator):
+def _assert_pool_released(pool):
     """After close(): no open sockets, no live local host processes."""
-    pool = evaluator._executor.pool
-    if pool is None:
-        return
     for client in pool.clients:
         assert client.closed, client.describe()
         assert client.process is None
+    assert not multiprocessing.active_children()
+
+
+def _serve_in_thread(worker):
+    thread = threading.Thread(target=worker.serve_forever, daemon=True)
+    thread.start()
+    return thread
 
 
 class TestHostSpecParsing:
     def test_local_spec(self):
-        assert parse_hosts("local:3") == 3
+        # Same-box hosts are n_jobs: the old local:N spelling fails
+        # closed instead of parsing as a host named "local".
+        with pytest.raises(ValueError, match="n_jobs"):
+            parse_hosts("local:3")
+        with pytest.raises(ValueError, match="n_jobs"):
+            ExecutionParams(hosts="local:2")
 
     def test_endpoint_spec(self):
         assert parse_hosts("alpha:7777,beta:7778") == (
@@ -137,10 +145,10 @@ class TestHostSpecParsing:
         # There is no executor selector left to contradict the spec:
         # ``hosts`` alone selects the host pool.
         with pytest.raises(TypeError, match="executor"):
-            ExecutionParams(executor="process", hosts="local:2")
+            ExecutionParams(executor="process", hosts="alpha:7777")
 
     def test_execution_params_validate(self):
-        assert ExecutionParams(hosts="local:2").hosts == "local:2"
+        assert ExecutionParams(hosts="alpha:7777").hosts == "alpha:7777"
         assert ExecutionParams().hosts is None
         with pytest.raises(ValueError):
             ExecutionParams(hosts="local:0")
@@ -150,25 +158,28 @@ class TestHostSpecParsing:
     def test_fingerprint_ignores_hosts(self):
         # Resuming a cluster run on different (or no) hosts must not be
         # refused: hosts is execution-only, like every resilience knob.
-        base = _config(hosts="local:2")
+        base = _config(hosts="alpha:7777")
         other = _config(hosts="alpha:7777,beta:7778")
         assert execution_fingerprint(
             base.execution
         ) == execution_fingerprint(other.execution)
+        assert execution_fingerprint(
+            base.execution
+        ) == execution_fingerprint(_config().execution)
 
 
 class TestTicketPlanning:
-    def _executor(self, hosts):
+    def _executor(self, n_hosts):
         from repro.core.distributed import DistributedSweepExecutor
         from repro.core.resilience import ResilienceCounters
         from repro.core.resilience import TransportCounters
 
         return DistributedSweepExecutor(
-            hosts, ResilienceCounters(), TransportCounters()
+            ("local",) * n_hosts, ResilienceCounters(), TransportCounters()
         )
 
     def test_contiguous_cover(self):
-        tickets = self._executor("local:3").plan_tickets(25, 10, 40, None)
+        tickets = self._executor(3).plan_tickets(25, 10, 40, None)
         spans = [(lo, hi) for _, lo, hi in tickets]
         assert spans[0][0] == 0 and spans[-1][1] == 25
         for (_, prev_hi), (lo, _) in zip(spans, spans[1:]):
@@ -177,7 +188,7 @@ class TestTicketPlanning:
         assert sorted(set(owners)) == [0, 1, 2]
 
     def test_chunk_size_respected(self):
-        tickets = self._executor("local:2").plan_tickets(20, 10, 40, 3)
+        tickets = self._executor(2).plan_tickets(20, 10, 40, 3)
         assert all(hi - lo <= 3 for _, lo, hi in tickets)
 
     def test_budget_caps_tickets(self):
@@ -186,7 +197,7 @@ class TestTicketPlanning:
         from repro.routing.sweep import group_scenario_budget
 
         budget = group_scenario_budget(400, 2394)
-        tickets = self._executor("local:1").plan_tickets(
+        tickets = self._executor(1).plan_tickets(
             10 * budget, 400, 2394, 10 * budget
         )
         assert all(hi - lo <= budget for _, lo, hi in tickets)
@@ -198,8 +209,8 @@ class TestLocalHostParity:
         self, dist_instance, dist_setting, mixed_scenarios, serial_reference
     ):
         network, traffic = dist_instance
-        with DistributedDtrEvaluator(
-            network, traffic, _config(hosts="local:2")
+        with ParallelDtrEvaluator(
+            network, traffic, _config(n_jobs=2)
         ) as dist:
             candidate = dist.evaluate_scenarios(
                 dist_setting, mixed_scenarios
@@ -214,10 +225,10 @@ class TestLocalHostParity:
     ):
         network, traffic = dist_instance
         for execution in (
-            _config(hosts="local:3"),
-            _config(hosts="local:2", chunk_size=1),
+            _config(n_jobs=3),
+            _config(n_jobs=2, chunk_size=1),
         ):
-            with DistributedDtrEvaluator(
+            with ParallelDtrEvaluator(
                 network, traffic, execution
             ) as dist:
                 candidate = dist.evaluate_scenarios(
@@ -229,8 +240,8 @@ class TestLocalHostParity:
         self, dist_instance, dist_setting, mixed_scenarios, serial_reference
     ):
         network, traffic = dist_instance
-        with DistributedDtrEvaluator(
-            network, traffic, _config(hosts="local:2")
+        with ParallelDtrEvaluator(
+            network, traffic, _config(n_jobs=2)
         ) as dist:
             costs = dist.evaluate_scenario_costs(
                 dist_setting, mixed_scenarios
@@ -257,8 +268,8 @@ class TestLocalHostParity:
             OptimizerConfig().weights,
             np.random.default_rng(99),
         )
-        with DistributedDtrEvaluator(
-            network, traffic, _config(hosts="local:2")
+        with ParallelDtrEvaluator(
+            network, traffic, _config(n_jobs=2)
         ) as dist:
             dist.evaluate_scenarios(dist_setting, mixed_scenarios)
             first = dist.transport_stats
@@ -274,22 +285,37 @@ class TestLocalHostParity:
 
     def test_make_evaluator_dispatch(self, dist_instance):
         network, traffic = dist_instance
-        evaluator = make_evaluator(
-            network, traffic, _config(hosts="local:2")
-        )
+        evaluator = make_evaluator(network, traffic, _config(n_jobs=2))
         try:
-            assert isinstance(evaluator, DistributedDtrEvaluator)
+            assert isinstance(evaluator, ParallelDtrEvaluator)
             assert evaluator.n_hosts == 2
         finally:
             evaluator.close()
+
+    def test_local_hosts_listen_on_nothing(
+        self, dist_instance, dist_setting, mixed_scenarios
+    ):
+        # Every local host hangs off an unnamed AF_UNIX socketpair: no
+        # port is bound, so nothing else on the box can reach a host.
+        network, traffic = dist_instance
+        with ParallelDtrEvaluator(
+            network, traffic, _config(n_jobs=2)
+        ) as dist:
+            dist.evaluate_scenarios(dist_setting, mixed_scenarios)
+            clients = dist._executor.pool.clients
+            assert len(clients) == 2
+            for client in clients:
+                assert client._sock.family == socket.AF_UNIX
+                assert client._sock.getsockname() == ""
+                assert client._sock.getpeername() == ""
 
     def test_single_scenario_stays_serial(
         self, dist_instance, dist_setting
     ):
         network, traffic = dist_instance
         failures = single_link_failures(network)
-        with DistributedDtrEvaluator(
-            network, traffic, _config(hosts="local:2")
+        with ParallelDtrEvaluator(
+            network, traffic, _config(n_jobs=2)
         ) as dist:
             one = dist.evaluate_scenarios(dist_setting, failures[:1])
             assert len(one) == 1
@@ -301,12 +327,11 @@ class TestLocalHostParity:
         self, dist_instance, dist_setting, mixed_scenarios
     ):
         network, traffic = dist_instance
-        dist = DistributedDtrEvaluator(
-            network, traffic, _config(hosts="local:2")
-        )
+        dist = ParallelDtrEvaluator(network, traffic, _config(n_jobs=2))
         dist.evaluate_scenarios(dist_setting, mixed_scenarios)
+        pool = dist._executor.pool
         dist.close()
-        _assert_pool_released(dist)
+        _assert_pool_released(pool)
         dist.close()  # idempotent
 
 
@@ -316,22 +341,106 @@ class TestTcpHosts:
         self, dist_instance, dist_setting, mixed_scenarios, serial_reference
     ):
         network, traffic = dist_instance
-        worker = HostWorker("127.0.0.1", 0, once=True)
-        server = threading.Thread(
-            target=worker.serve_forever, daemon=True
-        )
-        server.start()
-        with DistributedDtrEvaluator(
-            network,
-            traffic,
-            _config(hosts=f"127.0.0.1:{worker.port}"),
-        ) as dist:
-            candidate = dist.evaluate_scenarios(
-                dist_setting, mixed_scenarios
-            )
+        worker = HostWorker("127.0.0.1", 0)
+        server = _serve_in_thread(worker)
+        try:
+            with ParallelDtrEvaluator(
+                network,
+                traffic,
+                _config(hosts=f"127.0.0.1:{worker.port}"),
+            ) as dist:
+                candidate = dist.evaluate_scenarios(
+                    dist_setting, mixed_scenarios
+                )
+        finally:
+            worker.close()
         _assert_bit_identical(serial_reference, candidate)
         server.join(timeout=10)
         assert not server.is_alive()
+
+    def test_oversized_frame_drops_connection_not_host(
+        self, dist_instance, dist_setting, mixed_scenarios, serial_reference
+    ):
+        # A peer announcing a 2**62-byte frame and then going quiet must
+        # not pin the host: it drops that connection unread and serves
+        # the next one.
+        network, traffic = dist_instance
+        worker = HostWorker("127.0.0.1", 0)
+        server = _serve_in_thread(worker)
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", worker.port), timeout=10
+            ) as raw:
+                raw.sendall(struct.pack(">Q", 2**62))
+                assert raw.recv(1) == b""  # closed by the host
+            with ParallelDtrEvaluator(
+                network,
+                traffic,
+                _config(hosts=f"127.0.0.1:{worker.port}"),
+            ) as dist:
+                candidate = dist.evaluate_scenarios(
+                    dist_setting, mixed_scenarios
+                )
+                stats = dist.resilience_stats
+        finally:
+            worker.close()
+        _assert_bit_identical(serial_reference, candidate)
+        assert stats.host_failures == 0
+        server.join(timeout=10)
+        assert not server.is_alive()
+
+    def test_oversized_reply_marks_host_dead(
+        self, dist_instance, dist_setting, mixed_scenarios, serial_reference
+    ):
+        # The parent bounds frames too: a host replying with a 2**62
+        # length prefix is marked dead at once and its tickets take the
+        # supervisor path, ending bit-identical on the serial fallback.
+        network, traffic = dist_instance
+        listener = socket.create_server(("127.0.0.1", 0))
+        held = []
+
+        def liar():
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                held.append(conn)
+                try:
+                    conn.recv(1 << 16)
+                    conn.sendall(struct.pack(">Q", 2**62))
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=liar, daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        try:
+            with ParallelDtrEvaluator(
+                network,
+                traffic,
+                _config(
+                    hosts=f"127.0.0.1:{port}",
+                    max_retries=1,
+                    retry_backoff=0.0,
+                    task_timeout=30.0,
+                ),
+            ) as dist:
+                candidate = dist.evaluate_scenarios(
+                    dist_setting, mixed_scenarios
+                )
+                stats = dist.resilience_stats
+        finally:
+            listener.shutdown(socket.SHUT_RDWR)
+            listener.close()
+            for conn in held:
+                conn.close()
+        _assert_bit_identical(serial_reference, candidate)
+        assert stats.host_failures >= 1
+        assert stats.timeouts == 0
+        assert stats.quarantined_tasks > 0
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_unreachable_host_degrades_to_serial(
         self, dist_instance, dist_setting, mixed_scenarios, serial_reference
@@ -343,7 +452,7 @@ class TestTcpHosts:
         sink.bind(("127.0.0.1", 0))
         dead_port = sink.getsockname()[1]
         sink.close()
-        with DistributedDtrEvaluator(
+        with ParallelDtrEvaluator(
             network,
             traffic,
             _config(hosts=f"127.0.0.1:{dead_port}", max_retries=1),
@@ -365,23 +474,24 @@ class TestHostChaos:
     ):
         network, traffic = dist_instance
         plan = FaultPlan(faults=(WorkerKill(task=1),))
-        dist = DistributedDtrEvaluator(
+        dist = ParallelDtrEvaluator(
             network,
             traffic,
-            _config(hosts="local:2", fault_plan=plan),
+            _config(n_jobs=2, fault_plan=plan),
         )
         try:
             candidate = dist.evaluate_scenarios(
                 dist_setting, mixed_scenarios
             )
             stats = dist.resilience_stats
+            pool = dist._executor.pool
         finally:
             dist.close()
         _assert_bit_identical(serial_reference, candidate)
         assert stats.host_failures == 1
         assert stats.host_respawns == 1
         assert stats.worker_failures >= 1
-        _assert_pool_released(dist)
+        _assert_pool_released(pool)
 
     def test_delayed_host_keeps_streaming_order(
         self, dist_instance, dist_setting, mixed_scenarios, serial_reference
@@ -390,10 +500,10 @@ class TestHostChaos:
         # Stall the first shard's first ticket: results from the other
         # host stream back earlier, yet reassembly is in scenario order.
         plan = FaultPlan(faults=(TaskDelay(task=0, seconds=0.4),))
-        with DistributedDtrEvaluator(
+        with ParallelDtrEvaluator(
             network,
             traffic,
-            _config(hosts="local:2", fault_plan=plan),
+            _config(n_jobs=2, fault_plan=plan),
         ) as dist:
             candidate = dist.evaluate_scenarios(
                 dist_setting, mixed_scenarios
@@ -409,10 +519,10 @@ class TestHostChaos:
         plan = FaultPlan(
             faults=(StageFault(stage="task", task=2, attempts=None),)
         )
-        with DistributedDtrEvaluator(
+        with ParallelDtrEvaluator(
             network,
             traffic,
-            _config(hosts="local:2", fault_plan=plan, max_retries=1),
+            _config(n_jobs=2, fault_plan=plan, max_retries=1),
         ) as dist:
             candidate = dist.evaluate_scenarios(
                 dist_setting, mixed_scenarios

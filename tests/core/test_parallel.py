@@ -1,8 +1,8 @@
 """Tests for the parallel, cache-aware evaluation subsystem.
 
 The contract under test is strict: every evaluator variant — serial,
-caching, process-parallel — must produce *bit-identical* results for
-the same inputs.  Parity assertions therefore use exact
+caching, fanned out to sweep hosts — must produce *bit-identical*
+results for the same inputs.  Parity assertions therefore use exact
 equality, not approximate comparisons.
 """
 
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.config import ExecutionParams, OptimizerConfig
-from repro.core.distributed import DistributedDtrEvaluator
 from repro.core.evaluation import DtrEvaluator
 from repro.core.parallel import (
     CachingDtrEvaluator,
@@ -324,10 +323,12 @@ class TestMakeEvaluator:
         parallel = make_evaluator(network, traffic, _config(n_jobs=2))
         assert type(parallel) is ParallelDtrEvaluator
         parallel.close()
-        # a hosts spec alone selects the host pool (built lazily, so
-        # nothing is spawned here)
-        hosts = make_evaluator(network, traffic, _config(hosts="local:2"))
-        assert type(hosts) is DistributedDtrEvaluator
+        # an endpoint spec alone selects the same evaluator (the pool is
+        # built lazily, so nothing connects here)
+        hosts = make_evaluator(
+            network, traffic, _config(hosts="127.0.0.1:7777")
+        )
+        assert type(hosts) is ParallelDtrEvaluator
         hosts.close()
 
     def test_with_traffic_preserves_type(self, small_instance):
@@ -350,16 +351,25 @@ class TestMakeEvaluator:
         assert ExecutionParams(n_jobs=0).resolved_jobs >= 1
 
 
+def _host_pids(evaluator) -> "list[int]":
+    """Process ids of the evaluator's live local sweep hosts."""
+    return [
+        client.process.pid
+        for client in evaluator._executor.pool.clients
+        if client.process is not None
+    ]
+
+
 # ----------------------------------------------------------------------
-# pool-crash recovery: real worker deaths, not injected ones
+# pool-crash recovery: real host deaths, not injected ones
 # ----------------------------------------------------------------------
 @pytest.mark.parallel
 class TestPoolFailureRecovery:
-    """SIGKILL a live worker out from under the evaluator.
+    """SIGKILL a live local host out from under the evaluator.
 
-    The fault-harness chaos tests (``test_resilience.py``) kill workers
+    The fault-harness chaos tests (``test_resilience.py``) kill hosts
     from the inside; these kill them from the outside — the parent
-    delivers SIGKILL to a pool pid — so the recovery path is exercised
+    delivers SIGKILL to a host pid — so the recovery path is exercised
     against a genuine, unannounced process death too.
     """
 
@@ -377,17 +387,16 @@ class TestPoolFailureRecovery:
             network, traffic, _config(n_jobs=2, retry_backoff=0.0)
         ) as parallel:
             first = parallel.evaluate_failures(isp_setting, failures)
-            victims = list(parallel._worker_stats)
-            assert victims  # pids reported by the warm sweep
+            victims = _host_pids(parallel)
+            assert len(victims) == 2  # the warm sweep's hosts
             os.kill(victims[0], signal.SIGKILL)
             candidate = parallel.evaluate_failures(isp_setting, failures)
             stats = parallel.resilience_stats
         _assert_bit_identical(reference, first)
         _assert_bit_identical(reference, candidate)
-        from repro.core.parallel import _LIVE_SWEEP_STATES
-
-        assert not list(_LIVE_SWEEP_STATES)  # no leaked shm block
+        assert stats.host_failures >= 1
         assert stats.pool_rebuilds >= 1
+        assert stats.host_respawns >= 1
         assert stats.quarantined_tasks == 0
 
     def test_close_tolerates_broken_pool(self, isp_instance, isp_setting):
@@ -400,100 +409,7 @@ class TestPoolFailureRecovery:
             network, traffic, _config(n_jobs=2)
         )
         parallel.evaluate_failures(isp_setting, failures)
-        for pid in parallel._worker_stats:
+        for pid in _host_pids(parallel):
             os.kill(pid, signal.SIGKILL)
         parallel.close()  # must not raise on the broken pool
         parallel.close()  # and stays idempotent
-
-
-# ----------------------------------------------------------------------
-# shared-memory lifecycle under signals and interpreter exit
-# ----------------------------------------------------------------------
-class TestSweepStateCleanup:
-    def test_live_registry_tracks_states(self):
-        from repro.core.parallel import (
-            SharedSweepState,
-            _LIVE_SWEEP_STATES,
-        )
-
-        state = SharedSweepState((np.arange(4.0),))
-        assert state in _LIVE_SWEEP_STATES
-        state.dispose()
-        assert state not in _LIVE_SWEEP_STATES
-        state.dispose()  # idempotent
-
-    def test_dispose_live_sweep_states_unlinks(self):
-        from multiprocessing import shared_memory
-
-        from repro.core.parallel import (
-            SharedSweepState,
-            _dispose_live_sweep_states,
-        )
-
-        state = SharedSweepState((np.arange(8.0),))
-        name = state.name
-        _dispose_live_sweep_states()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_sigterm_unlinks_shared_memory(self, tmp_path):
-        """A SIGTERM'd process must not leak its shm block: the cleanup
-        handler unlinks live states, then re-delivers the signal."""
-        import signal
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        name_file = tmp_path / "name.txt"
-        code = (
-            "import os, signal\n"
-            "import numpy as np\n"
-            "from repro.core.parallel import SharedSweepState\n"
-            "state = SharedSweepState((np.arange(16.0),))\n"
-            f"open({str(name_file)!r}, 'w').write(state.name)\n"
-            "os.kill(os.getpid(), signal.SIGTERM)\n"
-            "raise SystemExit('unreachable: SIGTERM did not fire')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONPATH": str(
-                    Path(__file__).resolve().parents[2] / "src"
-                ),
-                "PATH": "/usr/bin:/bin",
-            },
-        )
-        # Died by SIGTERM (the handler re-raises with SIG_DFL)...
-        assert proc.returncode == -signal.SIGTERM, proc.stderr
-        # ...and the block it owned is gone.
-        from multiprocessing import shared_memory
-
-        name = name_file.read_text()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_handler_defers_to_existing_sigterm_handler(self):
-        """When another SIGTERM handler is already installed (e.g. the
-        CheckpointManager's), the cleanup must not displace it."""
-        import signal
-        import threading
-
-        import repro.core.parallel as par
-
-        if threading.current_thread() is not threading.main_thread():
-            pytest.skip("signal handling requires the main thread")
-        sentinel = lambda signum, frame: None  # noqa: E731
-        previous = signal.signal(signal.SIGTERM, sentinel)
-        installed_flag = par._SWEEP_CLEANUP_INSTALLED
-        try:
-            par._SWEEP_CLEANUP_INSTALLED = False
-            state = par.SharedSweepState((np.arange(4.0),))
-            try:
-                assert signal.getsignal(signal.SIGTERM) is sentinel
-            finally:
-                state.dispose()
-        finally:
-            par._SWEEP_CLEANUP_INSTALLED = installed_flag
-            signal.signal(signal.SIGTERM, previous)

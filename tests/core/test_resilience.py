@@ -1,14 +1,16 @@
-"""Chaos tests for the supervised parallel sweep executor.
+"""Chaos tests for the supervised sweep-host executor.
 
 Every test here pins the same invariant from a different failure mode:
-a sweep run under injected faults — worker SIGKILL, poison tasks, task
+a sweep run under injected faults — host SIGKILL, poison tasks, task
 timeouts, exhausted sweep deadlines — must **complete with results
 bit-identical to a fault-free serial run**, with the damage visible in
-``resilience_stats`` and no shared-memory block left behind.
+``resilience_stats`` and no host process or socket left behind.
 
 Fault plans come from :mod:`repro.core.faults`, keyed on deterministic
 task sequence numbers, so every chaos run here is reproducible.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.checkpoint import execution_fingerprint
 from repro.core.evaluation import DtrEvaluator
 from repro.core.faults import FaultPlan, StageFault, TaskDelay, WorkerKill
-from repro.core.parallel import _LIVE_SWEEP_STATES, ParallelDtrEvaluator
+from repro.core.parallel import ParallelDtrEvaluator
 from repro.core.resilience import (
     FAILURE_DEAD_POOL,
     FAILURE_TASK_ERROR,
@@ -89,9 +91,12 @@ def _assert_bit_identical(reference, candidate):
         assert np.array_equal(ref.utilization, got.utilization)
 
 
-def _assert_no_leaked_shm():
-    """Every shared sweep block has been disposed (nothing live)."""
-    assert not list(_LIVE_SWEEP_STATES)
+def _assert_hosts_released(pool):
+    """After close(): every host socket closed, no host process alive."""
+    for client in pool.clients if pool is not None else ():
+        assert client.closed, client.describe()
+        assert client.process is None
+    assert not multiprocessing.active_children()
 
 
 class TestClassifyFailure:
@@ -168,12 +173,13 @@ class TestChaosParity:
         ) as parallel:
             candidate = parallel.evaluate_failures(isp_setting, failures)
             stats = parallel.resilience_stats
+            pool = parallel._executor.pool
             assert parallel.num_evaluations == len(failures) + 1
             # the next sweep on the rebuilt pool is healthy too
             again = parallel.evaluate_failures(isp_setting, failures)
         _assert_bit_identical(reference_sweep, candidate)
         _assert_bit_identical(reference_sweep, again)
-        _assert_no_leaked_shm()
+        _assert_hosts_released(pool)
         assert stats.worker_failures >= 1
         assert stats.retries >= 1
         assert stats.pool_rebuilds >= 1
@@ -199,9 +205,10 @@ class TestChaosParity:
         ) as parallel:
             candidate = parallel.evaluate_failures(isp_setting, failures)
             stats = parallel.resilience_stats
+            pool = parallel._executor.pool
             assert parallel.num_evaluations == len(failures) + 1
         _assert_bit_identical(reference_sweep, candidate)
-        _assert_no_leaked_shm()
+        _assert_hosts_released(pool)
         assert stats.task_failures == 2  # initial attempt + one retry
         assert stats.retries == 1
         assert stats.quarantined_tasks == 1
@@ -222,8 +229,9 @@ class TestChaosParity:
         ) as parallel:
             candidate = parallel.evaluate_failures(isp_setting, failures)
             stats = parallel.resilience_stats
+            pool = parallel._executor.pool
         _assert_bit_identical(reference_sweep, candidate)
-        _assert_no_leaked_shm()
+        _assert_hosts_released(pool)
         assert stats.task_failures == 1
         assert stats.retries == 1
         assert stats.quarantined_tasks == 0
@@ -231,7 +239,7 @@ class TestChaosParity:
     def test_per_scenario_shm_tickets_recover_too(
         self, isp_instance, isp_setting, reference_sweep
     ):
-        """Chaos parity holds for per-scenario workers on shm tickets
+        """Chaos parity holds for hosts sweeping per scenario
         (sweep_batching='off')."""
         network, traffic = isp_instance
         failures = single_link_failures(network)
@@ -274,11 +282,15 @@ class TestChaosParity:
         ) as parallel:
             candidate = parallel.evaluate_failures(isp_setting, failures)
             stats = parallel.resilience_stats
+            pool = parallel._executor.pool
         _assert_bit_identical(reference_sweep, candidate)
-        _assert_no_leaked_shm()
+        _assert_hosts_released(pool)
         assert stats.timeouts >= 1
         assert stats.retries >= 1
         assert stats.pool_rebuilds >= 1
+        # the host still holding the stalled ticket was retired and
+        # respawned, not left wedged in the pool
+        assert stats.host_respawns >= 1
         assert stats.quarantined_tasks == 0
 
     def test_sweep_deadline_degrades_remainder_serially(
@@ -291,9 +303,10 @@ class TestChaosParity:
         ) as parallel:
             candidate = parallel.evaluate_failures(isp_setting, failures)
             stats = parallel.resilience_stats
+            pool = parallel._executor.pool
             assert parallel.num_evaluations == len(failures) + 1
         _assert_bit_identical(reference_sweep, candidate)
-        _assert_no_leaked_shm()
+        _assert_hosts_released(pool)
         # every ticket ran on the parent's serial path
         assert stats.deadline_degraded_tasks > 0
         assert stats.degraded

@@ -155,8 +155,12 @@ class TestRunner:
             ),
             (["--jobs", "-1"], "n_jobs must be >= 0"),
             (["--max-retries", "-1"], "max_retries must be >= 0"),
-            (["--hosts", "local:0"], "needs N >= 1"),
-            (["--jobs", "2", "--hosts", "local:2"], "mutually exclusive"),
+            (["--hosts", "local:0"], "--jobs"),
+            (["--hosts", "local:2"], "--jobs"),
+            (
+                ["--jobs", "2", "--hosts", "127.0.0.1:7777"],
+                "mutually exclusive",
+            ),
             (["--backend", "numba"], "invalid choice"),
             (["--sweep-batch", "on", "--backend", "python"], "invalid choice"),
         ],
@@ -165,6 +169,7 @@ class TestRunner:
             "negative-jobs",
             "negative-retries",
             "zero-hosts",
+            "local-hosts",
             "jobs-and-hosts",
             "numba-backend",
             "sweep-batch-on",
