@@ -40,7 +40,7 @@ from repro.config import (
 from repro.core.evaluation import DtrEvaluator
 from repro.core.phase1 import run_phase1
 from repro.core.phase2 import RobustConstraints, run_phase2
-from repro.routing.failures import single_link_failures
+from repro.scenarios import legacy_failures
 from repro.topology import rand_topology, scale_to_diameter
 from repro.traffic import dtr_traffic, scale_to_utilization
 
@@ -98,7 +98,7 @@ def sweep_rate(evaluator, setting, failures, rounds: int):
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
-        evaluator.evaluate_failures(setting, failures, reuse=normal)
+        evaluator.evaluate_scenarios(setting, failures, reuse=normal)
         best = min(best, time.perf_counter() - start)
     return len(failures) / best
 
@@ -135,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     network, traffic = build_instance(args.nodes, args.degree, args.seed)
-    failures = single_link_failures(network)
+    failures = legacy_failures(network)
     print(
         f"instance: {network.num_nodes} nodes, {network.num_arcs} arcs, "
         f"{len(failures)} failure scenarios"
@@ -182,8 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     sweep_off = sweep_rate(
         eval_off, result_on.best_setting, failures, args.rounds
     )
-    full_on = eval_on.evaluate_failures(result_on.best_setting, failures)
-    full_off = eval_off.evaluate_failures(result_on.best_setting, failures)
+    full_on = eval_on.evaluate_scenarios(result_on.best_setting, failures)
+    full_off = eval_off.evaluate_scenarios(result_on.best_setting, failures)
     sweep_parity = all(
         a.cost.lam == b.cost.lam
         and a.cost.phi == b.cost.phi

@@ -51,7 +51,7 @@ from repro.routing.backend import (
     VECTOR_PROPAGATION_CROSSOVER_WORK,
     resolve_backend,
 )
-from repro.routing.failures import single_link_failures
+from repro.scenarios import legacy_failures
 from repro.topology import isp_topology, powerlaw_topology, scale_to_diameter
 from repro.traffic import dtr_traffic, scale_to_utilization
 
@@ -110,7 +110,7 @@ def sweep_rate(network, traffic, setting, failures, backend: str,
         evaluator = DtrEvaluator(network, traffic, config_for(backend))
         normal = evaluator.evaluate_normal(setting)
         start = time.perf_counter()
-        sweep = evaluator.evaluate_failures(setting, failures, reuse=normal)
+        sweep = evaluator.evaluate_scenarios(setting, failures, reuse=normal)
         best = min(best, time.perf_counter() - start)
     return len(failures) / best, sweep
 
@@ -133,7 +133,7 @@ def sweeps_identical(a, b) -> bool:
 def bench_size(family: str, num_nodes: int, seed: int, rounds: int,
                cap: int | None) -> dict:
     network, traffic = build_instance(family, num_nodes, seed)
-    failures = list(single_link_failures(network))
+    failures = [s.failure for s in legacy_failures(network)]
     budget = min(len(failures), scenario_budget(network.num_nodes, cap))
     failures = failures[:budget]
     rng = np.random.default_rng(seed + 1)

@@ -96,9 +96,9 @@ def main() -> None:
     )
 
     # 3. compare selectors by realized robustness
-    from repro.routing.failures import FailureModel, single_failures
+    from repro.scenarios import legacy_failures
 
-    all_failures = single_failures(network, FailureModel.LINK)
+    all_failures = legacy_failures(network)
     selectors = {
         "paper (Algorithm 1)": selection.critical_arcs,
         "random [24]": random_critical_arcs(
@@ -115,7 +115,7 @@ def main() -> None:
         phase2 = optimize_with_critical_arcs(
             evaluator, phase1, arcs, np.random.default_rng(2)
         )
-        evaluation = evaluator.evaluate_failures(
+        evaluation = evaluator.evaluate_scenarios(
             phase2.best_setting, all_failures
         )
         rows.append(

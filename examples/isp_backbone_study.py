@@ -65,10 +65,10 @@ def main() -> None:
         print(f"  {cities[link[0]]} <-> {cities[link[1]]}")
 
     evaluator = optimizer.evaluator
-    rob = evaluator.evaluate_failures(
+    rob = evaluator.evaluate_scenarios(
         result.robust_setting, result.all_failures
     )
-    reg = evaluator.evaluate_failures(
+    reg = evaluator.evaluate_scenarios(
         result.regular_setting, result.all_failures
     )
 

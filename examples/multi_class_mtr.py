@@ -28,7 +28,7 @@ from repro.mtr import (
     MtrInstance,
     MtrOptimizer,
 )
-from repro.routing import single_link_failures
+from repro.scenarios import legacy_failures
 from repro.topology import rand_topology, scale_to_diameter
 from repro.traffic import gravity_matrix
 
@@ -99,7 +99,7 @@ def main() -> None:
         f"(per-class heads kept: {result.selection.kept})"
     )
 
-    failures = single_link_failures(network)
+    failures = legacy_failures(network)
     rows = []
     for name, setting in (
         ("regular", result.regular_setting),

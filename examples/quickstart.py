@@ -74,7 +74,7 @@ def main() -> None:
         ("regular (no robust)", result.regular_setting),
         ("robust", result.robust_setting),
     ):
-        evaluation = evaluator.evaluate_failures(
+        evaluation = evaluator.evaluate_scenarios(
             setting, result.all_failures
         )
         normal = evaluator.evaluate_normal(setting)

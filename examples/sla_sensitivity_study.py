@@ -71,10 +71,10 @@ def main() -> None:
         result = optimizer.run()
         evaluator = optimizer.evaluator
 
-        reg = evaluator.evaluate_failures(
+        reg = evaluator.evaluate_scenarios(
             result.regular_setting, result.all_failures
         )
-        rob = evaluator.evaluate_failures(
+        rob = evaluator.evaluate_scenarios(
             result.robust_setting, result.all_failures
         )
         delays = sorted_pair_delays_ms(

@@ -75,10 +75,10 @@ def main() -> None:
         instances = 1 if model_name == "base TM" else NUM_TEST_INSTANCES
         for _ in range(instances):
             tested = evaluator.with_traffic(perturb(test_rng))
-            rob = tested.evaluate_failures(
+            rob = tested.evaluate_scenarios(
                 result.robust_setting, result.all_failures
             )
-            reg = tested.evaluate_failures(
+            reg = tested.evaluate_scenarios(
                 result.regular_setting, result.all_failures
             )
             rob_means.append(rob.top_fraction_mean_violations())

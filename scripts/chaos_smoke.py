@@ -37,7 +37,7 @@ from repro.core.faults import FaultPlan, TaskDelay, WorkerKill
 from repro.core.parallel import ParallelDtrEvaluator
 from repro.core.resilience import global_stats
 from repro.core.weights import WeightSetting
-from repro.routing.failures import single_link_failures
+from repro.scenarios import legacy_failures
 from repro.topology.isp import isp_topology
 from repro.traffic import dtr_traffic, scale_to_utilization
 
@@ -67,7 +67,7 @@ def run_sweep(network, traffic, setting, failures, execution):
         traffic,
         OptimizerConfig().replace(execution=execution),
     ) as evaluator:
-        result = evaluator.evaluate_failures(setting, failures)
+        result = evaluator.evaluate_scenarios(setting, failures)
         stats = evaluator.resilience_stats
         pool = evaluator._executor.pool
     leaks = [
@@ -100,7 +100,7 @@ def main(argv: "list[str] | None" = None) -> int:
     traffic = scale_to_utilization(
         network, dtr_traffic(network.num_nodes, rng, 1.0), 0.43, "mean"
     )
-    failures = single_link_failures(network)
+    failures = legacy_failures(network)
     setting = WeightSetting.random(
         network.num_arcs,
         OptimizerConfig().weights,
@@ -112,7 +112,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
 
     serial = DtrEvaluator(network, traffic, OptimizerConfig())
-    reference = serial.evaluate_failures(setting, failures)
+    reference = serial.evaluate_scenarios(setting, failures)
 
     scenarios = [
         (

@@ -4,7 +4,6 @@ from repro.core.criticality import CriticalityEstimate, estimate_criticality
 from repro.core.delay import arc_delays, queueing_delay_at
 from repro.core.evaluation import (
     DtrEvaluator,
-    FailureEvaluation,
     ScenarioCosts,
     ScenarioEvaluation,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "CriticalSelection",
     "CriticalityEstimate",
     "DtrEvaluator",
-    "FailureEvaluation",
     "FaultInjected",
     "FaultPlan",
     "ParallelDtrEvaluator",

@@ -18,7 +18,8 @@ from repro.core.phase2 import (
     RobustConstraints,
     run_phase2,
 )
-from repro.routing.failures import FailureModel, single_failures
+from repro.routing.failures import FailureModel
+from repro.scenarios.generators import legacy_failures
 
 
 def optimize_with_critical_arcs(
@@ -40,7 +41,7 @@ def optimize_with_critical_arcs(
     Returns:
         The Phase 2 result for this selector.
     """
-    failures = single_failures(
+    failures = legacy_failures(
         evaluator.network, failure_model
     ).restricted_to_arcs(critical_arcs)
     if len(failures) == 0:

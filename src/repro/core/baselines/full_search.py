@@ -16,7 +16,8 @@ from repro.core.phase2 import (
     RobustConstraints,
     run_phase2,
 )
-from repro.routing.failures import FailureModel, single_failures
+from repro.routing.failures import FailureModel
+from repro.scenarios.generators import legacy_failures
 
 
 def full_search_optimize(
@@ -26,7 +27,7 @@ def full_search_optimize(
     failure_model: FailureModel = FailureModel.LINK,
 ) -> Phase2Result:
     """Run Phase 2 over the complete single-failure set."""
-    failures = single_failures(evaluator.network, failure_model)
+    failures = legacy_failures(evaluator.network, failure_model)
     constraints = RobustConstraints(
         lam_star=phase1.best_cost.lam,
         phi_star=phase1.best_cost.phi,

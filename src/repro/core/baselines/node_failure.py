@@ -20,7 +20,7 @@ from repro.core.phase2 import (
     RobustConstraints,
     run_phase2,
 )
-from repro.routing.failures import single_node_failures
+from repro.scenarios.generators import node_failures
 
 
 def node_failure_optimize(
@@ -30,7 +30,7 @@ def node_failure_optimize(
     nodes: Sequence[int] | None = None,
 ) -> Phase2Result:
     """Run Phase 2 against all (or the given) single node failures."""
-    failures = single_node_failures(evaluator.network, nodes)
+    failures = node_failures(evaluator.network, nodes)
     constraints = RobustConstraints(
         lam_star=phase1.best_cost.lam,
         phi_star=phase1.best_cost.phi,

@@ -151,7 +151,9 @@ def _recv_msg(sock: socket.socket) -> "tuple[object, int]":
     """Read one message; returns ``(message, frame_bytes)``.
 
     Raises ``ConnectionError`` on a length prefix above
-    :data:`MAX_FRAME_BYTES`, before reading any of the body.
+    :data:`MAX_FRAME_BYTES`, before reading any of the body, and on a
+    body that does not decode (whatever ``pickle.loads`` raised), so
+    either end drops the connection instead of its loop dying.
     """
     header = _recv_exact(sock, _LEN.size)
     (length,) = _LEN.unpack(header)
@@ -160,7 +162,13 @@ def _recv_msg(sock: socket.socket) -> "tuple[object, int]":
             f"refused a {length}-byte frame (limit {MAX_FRAME_BYTES})"
         )
     body = _recv_exact(sock, length)
-    return pickle.loads(body), _LEN.size + length
+    try:
+        message = pickle.loads(body)
+    except Exception as exc:  # noqa: BLE001 - any decode failure
+        raise ConnectionError(
+            f"undecodable {length}-byte frame: {type(exc).__name__}: {exc}"
+        ) from exc
+    return message, _LEN.size + length
 
 
 # ----------------------------------------------------------------------
@@ -188,10 +196,10 @@ def serve_connection(conn: socket.socket) -> None:
                 message, _ = _recv_msg(conn)
             except (ConnectionError, OSError):
                 return
-            kind = message[0]
-            if kind == "shutdown":
-                return
             try:
+                kind = message[0]
+                if kind == "shutdown":
+                    return
                 if kind == "init":
                     _, ikey, blob = message
                     evaluators[ikey] = _build_host_evaluator(blob)
@@ -378,11 +386,10 @@ class HostClient:
     a ``(host, port)`` TCP endpoint.  Owns the socket (and a local
     host's process), a receiver thread resolving task futures, the
     per-connection publish-once bookkeeping (which epoch digests this
-    host already holds) and per-host transfer/timing counters.  Sends
-    run on the caller's thread, in order; stream ordering then
-    guarantees epoch payloads precede the tickets that reference them.
-    The state the receiver thread shares (liveness, pending futures,
-    counters) is guarded by ``_state_lock``.
+    host already holds).  Sends run on the caller's thread, in order;
+    stream ordering then guarantees epoch payloads precede the tickets
+    that reference them.  The state the receiver thread shares
+    (liveness, pending futures) is guarded by ``_state_lock``.
     """
 
     def __init__(
@@ -396,10 +403,6 @@ class HostClient:
         self._transport = transport
         self.alive = False
         self.process = None
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.busy_seconds = 0.0
-        self.tasks_done = 0
         self._sock: "socket.socket | None" = None
         self._state_lock = threading.Lock()
         self._pending: "dict[int, Future]" = {}
@@ -460,8 +463,6 @@ class HostClient:
         try:
             while True:
                 message, nbytes = _recv_msg(sock)
-                with self._state_lock:
-                    self.bytes_received += nbytes
                 if self._transport is not None:
                     self._transport.record(result_bytes=nbytes)
                 kind = message[0]
@@ -469,8 +470,6 @@ class HostClient:
                     _, task_id, outcomes, counters, elapsed = message
                     with self._state_lock:
                         future = self._pending.pop(task_id, None)
-                        self.busy_seconds += elapsed
-                        self.tasks_done += 1
                     if future is not None:
                         future.set_result(
                             (outcomes, self.index, counters, elapsed)
@@ -489,7 +488,7 @@ class HostClient:
                     raise ConnectionError(
                         f"host reported fatal error: {message[1]}"
                     )
-        except (ConnectionError, OSError, EOFError, pickle.PickleError) as exc:
+        except Exception as exc:  # noqa: BLE001 - a bad reply retires the host
             self.mark_dead(exc)
 
     def mark_dead(self, cause: "BaseException | None" = None) -> None:
@@ -568,8 +567,6 @@ class HostClient:
         except (OSError, ConnectionError) as exc:
             self.mark_dead(exc)
             return future, epoch_bytes, 0
-        with self._state_lock:
-            self.bytes_sent += epoch_bytes + len(task_frame)
         return future, epoch_bytes, len(task_frame)
 
     # ------------------------------------------------------------------

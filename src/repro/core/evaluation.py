@@ -29,10 +29,10 @@ of re-propagated.  All of it is bit-identical to from-scratch
 evaluation; tests pin the parity.
 
 Scenario composition (:mod:`repro.scenarios`): every evaluation entry
-point also accepts composed :class:`~repro.scenarios.Scenario` objects
-and :class:`~repro.scenarios.ScenarioSet` collections.  The topology
-part is unwrapped onto the exact legacy path (so a legacy-equivalent
-ScenarioSet is bit-identical to its FailureSet), and a traffic variant
+point accepts composed :class:`~repro.scenarios.Scenario` objects and
+:class:`~repro.scenarios.ScenarioSet` collections as well as bare
+:class:`~repro.routing.failures.FailureScenario` items.  The topology
+part is unwrapped onto the failure path, and a traffic variant
 routes the evaluation through a cached *sibling* evaluator bound to the
 perturbed traffic — the sibling owns its own incremental routers and
 propagation memos, making every reuse key traffic-variant-aware by
@@ -57,7 +57,7 @@ from repro.core.sla import SlaOutcome, sla_outcome
 from repro.core.weights import WeightSetting
 from repro.routing.backend import SWEEP_BATCH_MIN_SCENARIOS
 from repro.routing.engine import ClassRouting, PathDelayReuse, RoutingEngine
-from repro.routing.failures import NORMAL, FailureScenario, FailureSet
+from repro.routing.failures import NORMAL, FailureScenario
 from repro.routing.incremental import IncrementalRouter
 from repro.routing.network import Network
 from repro.routing.sweep import (
@@ -70,9 +70,8 @@ from repro.scenarios.variants import TrafficVariant
 from repro.traffic.gravity import DtrTraffic
 
 #: Everything the sweep entry points accept as a scenario collection: a
-#: ScenarioSet, a legacy FailureSet, or any sequence of Scenario /
-#: FailureScenario items.
-Scenarios = Union[ScenarioSet, FailureSet, Sequence]
+#: ScenarioSet, or any sequence of Scenario / FailureScenario items.
+Scenarios = Union[ScenarioSet, Sequence]
 
 #: LRU capacity of each variant's NORMAL-evaluation cache (the robust
 #: search alternates between an incumbent and one candidate setting, so
@@ -201,10 +200,6 @@ class ScenarioCosts:
             )
             for kind in self.kinds()
         }
-
-
-FailureEvaluation = ScenarioCosts
-"""Legacy name of :class:`ScenarioCosts` (pre-scenario-subsystem API)."""
 
 
 def compact_evaluation(
@@ -381,7 +376,7 @@ class DtrEvaluator:
             setting: the DTR weight setting.
             scenario: failure scenario, or a composed
                 :class:`~repro.scenarios.Scenario` (its topology part is
-                unwrapped onto the exact legacy path; a traffic variant
+                unwrapped onto the failure path; a traffic variant
                 delegates to the variant's sibling oracle).
             reuse: a NORMAL-scenario evaluation *of the same setting*
                 under base traffic (with routings attached); classes
@@ -724,8 +719,7 @@ class DtrEvaluator:
 
         The one sweep contract shared by every evaluator (serial,
         caching, parallel — all bit-identical): ``scenarios`` may be a
-        :class:`~repro.scenarios.ScenarioSet`, a legacy
-        :class:`~repro.routing.failures.FailureSet`, or any sequence of
+        :class:`~repro.scenarios.ScenarioSet` or any sequence of
         :class:`~repro.scenarios.Scenario` / :class:`FailureScenario`
         items.  Scenarios are evaluated in enumeration order and costs
         fold in that order, so equal sets produce bit-identical sums.
@@ -1156,12 +1150,3 @@ class DtrEvaluator:
                 delays[k],
                 out[k],
             )
-
-    def evaluate_failures(
-        self,
-        setting: WeightSetting,
-        failures: Scenarios,
-        reuse: ScenarioEvaluation | None = None,
-    ) -> ScenarioCosts:
-        """Legacy name for :meth:`evaluate_scenarios` (same contract)."""
-        return self.evaluate_scenarios(setting, failures, reuse=reuse)

@@ -51,8 +51,9 @@ class RobustRoutingResult:
         phase2: robust optimization outcome.
         critical_failures: the scenarios Phase 2 optimized over.
         all_failures: the full scenario set of the run: the network's
-            single-failure set (as a legacy-equivalent ScenarioSet) by
-            default, or the explicit ScenarioSet the optimizer was given.
+            single-failure set (:func:`~repro.scenarios.legacy_failures`)
+            by default, or the explicit ScenarioSet the optimizer was
+            given.
         phase1_seconds: wall time of Phase 1.
         phase2_seconds: wall time of Phase 2.
     """

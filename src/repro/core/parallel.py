@@ -23,8 +23,7 @@ without changing a single computed bit:
   cache on every class routing.
 
 * :class:`ParallelDtrEvaluator` — additionally fans scenario sweeps
-  (legacy failure sets and composed :class:`~repro.scenarios.ScenarioSet`
-  collections alike, through the one
+  (:class:`~repro.scenarios.ScenarioSet` collections, through the one
   :meth:`~repro.core.evaluation.DtrEvaluator.evaluate_scenarios`
   contract) and normal-evaluation batches out to sweep hosts:
   ``n_jobs=N`` forked local hosts on socketpairs, or ``repro-exp
@@ -490,23 +489,6 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         """Per-host (index-keyed) cumulative ticket compute seconds."""
         return dict(self._host_busy)
 
-    def host_report(self) -> "list[dict[str, object]]":
-        """Per-host transfer/timing rows for benchmarks and summaries."""
-        pool = self._executor.pool
-        if pool is None:
-            return []
-        return [
-            {
-                "host": client.describe(),
-                "alive": client.alive,
-                "tasks_done": client.tasks_done,
-                "bytes_sent": client.bytes_sent,
-                "bytes_received": client.bytes_received,
-                "busy_seconds": round(client.busy_seconds, 6),
-            }
-            for client in pool.clients
-        ]
-
     def close(self) -> None:
         """Shut down every host and sibling oracle (idempotent).
 
@@ -584,10 +566,9 @@ class ParallelDtrEvaluator(CachingDtrEvaluator):
         """Fan-out counterpart of :meth:`DtrEvaluator.evaluate_scenarios`.
 
         Same contract as the serial sweep — a
-        :class:`~repro.scenarios.ScenarioSet`, a legacy ``FailureSet``
-        or any scenario sequence.  Chunk boundaries key off nothing but
-        list position and the host count, so the split is
-        deterministic.
+        :class:`~repro.scenarios.ScenarioSet` or any scenario sequence.
+        Chunk boundaries key off nothing but list position and the host
+        count, so the split is deterministic.
         """
         items = list(scenarios)
         if len(items) < 2:

@@ -9,9 +9,7 @@ the throughput cost within ``(1 + chi) Phi*``.
 
 The search is scenario-agnostic: it accepts any
 :class:`~repro.scenarios.ScenarioSet` — the paper's single-link set, an
-SRLG or regional family, traffic surges, failure×surge cross products —
-as well as a legacy :class:`~repro.routing.failures.FailureSet` (the two
-are bit-identical through the evaluator's unwrapping path).
+SRLG or regional family, traffic surges, failure×surge cross products.
 
 Candidate evaluation is the hot path: the normal-scenario constraint
 check runs first (one evaluation, through the evaluator's incremental
@@ -49,7 +47,6 @@ from repro.core.local_search import (
 )
 from repro.core.perturbation import random_phase2_move, scramble_some_arcs
 from repro.core.weights import WeightSetting
-from repro.routing.failures import FailureSet
 from repro.scenarios.scenario import ScenarioSet
 
 
@@ -78,7 +75,7 @@ class RobustConstraints:
 def bounded_failure_cost(
     evaluator: DtrEvaluator,
     setting: WeightSetting,
-    failures: "ScenarioSet | FailureSet | list",
+    failures: "ScenarioSet | list",
     bound: CostPair | None,
     stats: SearchStats | None = None,
     reuse: "ScenarioEvaluation | None" = None,
@@ -110,7 +107,7 @@ def bounded_failure_cost(
 def _ordered_sweep(
     evaluator: DtrEvaluator,
     setting: WeightSetting,
-    failures: "ScenarioSet | FailureSet",
+    failures: ScenarioSet,
     stats: SearchStats,
     reuse: "ScenarioEvaluation | None" = None,
 ) -> tuple[list, CostPair]:
@@ -169,7 +166,7 @@ class Phase2Result:
 
 def run_phase2(
     evaluator: DtrEvaluator,
-    failures: "ScenarioSet | FailureSet",
+    failures: ScenarioSet,
     starts: tuple[RecordedSetting, ...],
     constraints: RobustConstraints,
     rng: np.random.Generator,
@@ -346,7 +343,7 @@ def run_phase2(
 
 def _diversified_start(
     evaluator: DtrEvaluator,
-    failures: "ScenarioSet | FailureSet",
+    failures: ScenarioSet,
     starts: tuple[RecordedSetting, ...],
     constraints: RobustConstraints,
     rng: np.random.Generator,

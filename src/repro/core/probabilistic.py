@@ -34,8 +34,8 @@ from repro.core.perturbation import random_phase2_move, scramble_some_arcs
 from repro.core.phase2 import RobustConstraints
 from repro.core.selection import CriticalSelection, select_critical_links
 from repro.core.weights import WeightSetting
-from repro.routing.failures import FailureScenario, FailureSet
 from repro.routing.network import Network
+from repro.scenarios.scenario import Scenario, ScenarioSet
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,11 @@ class WeightedFailureSet:
     """Failure scenarios with per-scenario probabilities.
 
     Attributes:
-        scenarios: the failure scenarios.
+        scenarios: the scenarios, in enumeration order.
         probabilities: matching probabilities (normalized to sum to 1).
     """
 
-    scenarios: tuple[FailureScenario, ...]
+    scenarios: tuple[Scenario, ...]
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -72,9 +72,9 @@ class WeightedFailureSet:
 
     @classmethod
     def from_failure_set(
-        cls, failures: FailureSet, probabilities: np.ndarray
+        cls, failures: ScenarioSet, probabilities: np.ndarray
     ) -> "WeightedFailureSet":
-        """Attach probabilities to an existing failure set."""
+        """Attach probabilities to the scenarios of a set, in order."""
         return cls(
             scenarios=tuple(failures.scenarios),
             probabilities=tuple(float(p) for p in probabilities),
@@ -97,7 +97,7 @@ class WeightedFailureSet:
 
 
 def length_proportional_probabilities(
-    network: Network, failures: FailureSet
+    network: Network, failures: ScenarioSet
 ) -> np.ndarray:
     """Failure probabilities proportional to fiber length.
 
@@ -119,7 +119,7 @@ def length_proportional_probabilities(
     return lengths / total
 
 
-def uniform_probabilities(failures: FailureSet) -> np.ndarray:
+def uniform_probabilities(failures: ScenarioSet) -> np.ndarray:
     """The uniform failure distribution (the deterministic model)."""
     return np.full(len(failures), 1.0 / len(failures))
 
@@ -143,7 +143,7 @@ def expected_failure_cost(
 def weighted_criticality(
     estimate: CriticalityEstimate,
     network: Network,
-    failures: FailureSet,
+    failures: ScenarioSet,
     probabilities: np.ndarray,
 ) -> CriticalityEstimate:
     """Scale per-arc criticality by the arc's failure probability.
@@ -168,7 +168,7 @@ def weighted_criticality(
 def select_probabilistic_critical_links(
     estimate: CriticalityEstimate,
     network: Network,
-    failures: FailureSet,
+    failures: ScenarioSet,
     probabilities: np.ndarray,
     target_size: int,
 ) -> CriticalSelection:

@@ -26,7 +26,8 @@ from repro.exp.common import (
     make_instance,
 )
 from repro.exp.presets import Preset, get_preset
-from repro.routing.failures import FailureModel, single_failures
+from repro.routing.failures import FailureModel
+from repro.scenarios.generators import legacy_failures
 
 #: (knob, values) ablated one at a time.
 ABLATIONS: tuple[tuple[str, tuple[float, ...]], ...] = (
@@ -68,7 +69,7 @@ def run(
         preset=preset.name,
         context={"topology": instance.label},
     )
-    all_failures = single_failures(instance.network, FailureModel.LINK)
+    all_failures = legacy_failures(instance.network, FailureModel.LINK)
     for knob, values in ABLATIONS:
         for value in values:
             config = _config_with(preset, knob, value)
@@ -88,7 +89,7 @@ def run(
                 selection.critical_arcs,
                 instance_rng(instance.seed, 71),
             )
-            evaluation = evaluator.evaluate_failures(
+            evaluation = evaluator.evaluate_scenarios(
                 phase2.best_setting, all_failures
             )
             result.rows.append(

@@ -28,10 +28,10 @@ def run(
     outcome = run_arms(instance, preset.config, seed=seed)
     evaluator = evaluator_for(instance, preset.config)
 
-    rob = evaluator.evaluate_failures(
+    rob = evaluator.evaluate_scenarios(
         outcome.robust_setting, outcome.all_failures
     )
-    reg = evaluator.evaluate_failures(
+    reg = evaluator.evaluate_scenarios(
         outcome.regular_setting, outcome.all_failures
     )
 

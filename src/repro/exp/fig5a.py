@@ -53,10 +53,10 @@ def run(
             instance, preset.config, seed=seed, critical_fraction=fraction
         )
         evaluator = evaluator_for(instance, preset.config)
-        rob = evaluator.evaluate_failures(
+        rob = evaluator.evaluate_scenarios(
             outcome.robust_setting, outcome.all_failures
         )
-        reg = evaluator.evaluate_failures(
+        reg = evaluator.evaluate_scenarios(
             outcome.regular_setting, outcome.all_failures
         )
         rob_sorted = np.sort(rob.violations.astype(float))[::-1]

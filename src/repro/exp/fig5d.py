@@ -24,7 +24,8 @@ from repro.exp.common import (
     make_instance,
 )
 from repro.exp.presets import Preset, get_preset
-from repro.routing.failures import FailureModel, single_failures
+from repro.routing.failures import FailureModel
+from repro.scenarios.generators import legacy_failures
 
 #: SLA bounds compared (seconds).
 FIG5D_BOUNDS: tuple[float, ...] = (0.030, 0.100)
@@ -39,7 +40,7 @@ def run(
     instance = make_instance(
         "rand", nodes, 6.0, seed=seed, theta=DEFAULT_THETA
     )
-    failures = single_failures(instance.network, FailureModel.LINK)
+    failures = legacy_failures(instance.network, FailureModel.LINK)
     result = ExperimentResult(
         experiment_id="fig5d",
         title="Max utilization of links carrying delay traffic (regular opt.)",
@@ -56,7 +57,7 @@ def run(
         values = np.asarray(
             [
                 max_delay_carrying_utilization(
-                    evaluator, phase1.best_setting, scenario
+                    evaluator, phase1.best_setting, scenario.failure
                 )
                 for scenario in failures
             ]

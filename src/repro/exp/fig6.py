@@ -44,7 +44,7 @@ def _top_failures(
     evaluator, setting: WeightSetting, failures: ScenarioSet, fraction=0.1
 ) -> list:
     """The worst ``fraction`` of failure scenarios for a setting."""
-    evaluation = evaluator.evaluate_failures(setting, failures)
+    evaluation = evaluator.evaluate_scenarios(setting, failures)
     order = np.argsort(-evaluation.violations, kind="stable")
     k = max(1, round(fraction * len(failures)))
     return [failures[int(i)] for i in order[:k]]

@@ -25,7 +25,7 @@ from repro.exp.common import (
     run_arms,
 )
 from repro.exp.presets import Preset, get_preset
-from repro.routing.failures import single_node_failures
+from repro.scenarios.generators import node_failures
 
 
 def run(
@@ -47,7 +47,7 @@ def run(
     rng = instance_rng(instance.seed, 42)
     node_robust = node_failure_optimize(evaluator, outcome.phase1, rng)
 
-    node_failures = single_node_failures(instance.network)
+    node_set = node_failures(instance.network)
     settings = {
         "Robust (node failure)": node_robust.best_setting,
         "Robust (link failure)": outcome.robust_setting,
@@ -60,7 +60,7 @@ def run(
         preset=preset.name,
         context={
             "topology": instance.label,
-            "node scenarios": len(node_failures),
+            "node scenarios": len(node_set),
             "link scenarios": len(outcome.all_failures),
         },
     )
@@ -71,7 +71,7 @@ def run(
     phi_peak = 1e-12
     evaluations = {}
     for name, setting in settings.items():
-        evaluation = evaluator.evaluate_failures(setting, node_failures)
+        evaluation = evaluator.evaluate_scenarios(setting, node_set)
         evaluations[name] = evaluation
         phi_peak = max(phi_peak, evaluation.phi_values.max())
     for name, evaluation in evaluations.items():
@@ -108,10 +108,10 @@ def run(
     )
 
     # Panels (c) and (d): top-10% link failures, node-robust vs link-robust.
-    link_eval_link = evaluator.evaluate_failures(
+    link_eval_link = evaluator.evaluate_scenarios(
         outcome.robust_setting, outcome.all_failures
     )
-    link_eval_node = evaluator.evaluate_failures(
+    link_eval_node = evaluator.evaluate_scenarios(
         node_robust.best_setting, outcome.all_failures
     )
     k = max(1, round(0.1 * len(outcome.all_failures)))

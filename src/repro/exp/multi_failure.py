@@ -7,10 +7,9 @@ fragility elsewhere.  This experiment evaluates (no re-optimization) the
 robust and regular routings across a sample of dual-link failures.
 
 The dual-link sample is the ``k = 2`` case of the scenario subsystem's
-:func:`repro.scenarios.k_link_failures` generator, which reproduces the
-old ``dual_link_failures`` enumeration (combination order and sampling
-draws included) bit-identically; ``repro-exp scenarios --scenarios
-multi3`` extends the same sweep to higher simultaneity.
+:func:`repro.scenarios.k_link_failures` generator (its enumeration and
+sampling digests are pinned by tests); ``repro-exp scenarios
+--scenarios multi3`` extends the same sweep to higher simultaneity.
 """
 
 from __future__ import annotations

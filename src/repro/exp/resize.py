@@ -71,12 +71,12 @@ def run(
 
         oracle = DtrEvaluator(network, instance.traffic, preset.config)
         rob = SlaViolationStats.from_failures(
-            oracle.evaluate_failures(
+            oracle.evaluate_scenarios(
                 outcome.robust_setting, outcome.all_failures
             )
         )
         reg = SlaViolationStats.from_failures(
-            oracle.evaluate_failures(
+            oracle.evaluate_scenarios(
                 outcome.regular_setting, outcome.all_failures
             )
         )

@@ -9,51 +9,76 @@ across any :class:`~repro.scenarios.ScenarioSet` built from the
 products), reporting a per-family breakdown of SLA violations.
 
 The run doubles as the scenario subsystem's CI parity gate: the robust
-arm's single-link sweep is recomputed through the legacy-equivalent
-ScenarioSet and must match the plain ``FailureSet`` sweep bit for bit
-(``RuntimeError`` otherwise), so any drift in the compatibility path
-fails the smoke job loudly.
+arm's sweep — computed by whatever evaluator the run was configured
+with, sweep hosts included — is re-swept on a fresh serial evaluator
+with incremental routing off (no deltas, no batch engine, no cache),
+and every scenario's ``(Lambda, Phi, violations)`` must match bit for
+bit (``RuntimeError`` otherwise), so a fast path that drifts fails the
+smoke jobs loudly.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.tables import scenario_kind_columns
+from repro.config import OptimizerConfig
 from repro.core.evaluation import DtrEvaluator, ScenarioCosts
+from repro.core.weights import WeightSetting
 from repro.exp.common import (
     ExperimentResult,
+    Instance,
     evaluator_for,
     make_instance,
     run_arms,
 )
 from repro.exp.presets import Preset, get_preset
-from repro.routing.failures import single_link_failures
 from repro.scenarios import ScenarioSet, build_scenarios
 
 #: Families swept when the CLI does not specify ``--scenarios``.
 DEFAULT_SPEC = "srlg,surge"
 
 
-def _assert_legacy_parity(instance, config, setting) -> None:
-    """Bit-exact gate: legacy FailureSet sweep == wrapped ScenarioSet sweep.
+def assert_from_scratch_parity(
+    instance: Instance,
+    config: OptimizerConfig,
+    setting: WeightSetting,
+    scenarios: ScenarioSet,
+    swept: ScenarioCosts,
+) -> None:
+    """Bit-exact gate: ``swept`` == a from-scratch sweep of ``scenarios``.
 
-    Runs on a fresh, *uncached* serial evaluator so the wrapped sweep
-    genuinely re-executes the Scenario-unwrapping routing path instead
-    of replaying routing-cache entries written by the direct sweep.
+    ``swept`` is what the run produced for ``setting`` (through
+    :func:`~repro.exp.common.evaluator_for`, so under ``--jobs`` or
+    ``--hosts`` it holds the hosts' results).  The reference runs on a
+    fresh serial :class:`DtrEvaluator` with incremental routing off.
+
+    Raises:
+        RuntimeError: naming the first scenario whose Lambda, Phi or
+            violation count differs.
     """
-    evaluator = DtrEvaluator(instance.network, instance.traffic, config)
-    legacy = single_link_failures(instance.network)
-    wrapped = ScenarioSet.from_failures(legacy)
-    direct = evaluator.evaluate_failures(setting, legacy)
-    via_set = evaluator.evaluate_scenarios(setting, wrapped)
-    for old, new in zip(direct.evaluations, via_set.evaluations):
+    scratch = config.replace(
+        execution=replace(config.execution, incremental_routing=False)
+    )
+    reference = DtrEvaluator(
+        instance.network, instance.traffic, scratch
+    ).evaluate_scenarios(setting, scenarios)
+    if len(swept) != len(reference):
+        raise RuntimeError(
+            f"from-scratch parity violated: {len(swept)} swept outcomes "
+            f"for {len(reference)} scenarios"
+        )
+    for scenario, got, want in zip(
+        scenarios, swept.evaluations, reference.evaluations
+    ):
         if (
-            old.cost.lam != new.cost.lam
-            or old.cost.phi != new.cost.phi
-            or old.sla.violations != new.sla.violations
+            got.cost.lam != want.cost.lam
+            or got.cost.phi != want.cost.phi
+            or got.sla.violations != want.sla.violations
         ):
             raise RuntimeError(
-                "legacy parity violated: ScenarioSet sweep diverged from "
-                f"FailureSet sweep at {old.scenario.label!r}"
+                "from-scratch parity violated: the sweep diverged from "
+                f"the from-scratch sweep at {scenario.label!r}"
             )
 
 
@@ -95,7 +120,9 @@ def run(
     reg = evaluator.evaluate_scenarios(
         outcome.regular_setting, scenario_set
     )
-    _assert_legacy_parity(instance, preset.config, outcome.robust_setting)
+    assert_from_scratch_parity(
+        instance, preset.config, outcome.robust_setting, scenario_set, rob
+    )
 
     result = ExperimentResult(
         experiment_id="scenarios",
@@ -107,7 +134,7 @@ def run(
             "scenarios": len(scenario_set),
             "kinds": ", ".join(scenario_set.kinds()),
             "set digest": scenario_set.digest,
-            "legacy parity": "exact",
+            "from-scratch parity": "exact",
         },
     )
     result.rows.append(_arm_row("Robust (single-link)", rob))

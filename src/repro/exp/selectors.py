@@ -25,7 +25,8 @@ from repro.exp.common import (
     make_instance,
 )
 from repro.exp.presets import Preset, get_preset
-from repro.routing.failures import FailureModel, single_failures
+from repro.routing.failures import FailureModel
+from repro.scenarios.generators import legacy_failures
 
 
 def run(
@@ -58,7 +59,7 @@ def run(
                 * instance.network.num_arcs
             ),
         )
-        all_failures = single_failures(instance.network, FailureModel.LINK)
+        all_failures = legacy_failures(instance.network, FailureModel.LINK)
         selectors = {
             "paper (Algorithm 1)": select_critical_links(
                 phase1.estimate, target
@@ -77,7 +78,7 @@ def run(
             phase2 = optimize_with_critical_arcs(
                 evaluator, phase1, arcs, instance_rng(instance.seed, 63)
             )
-            evaluation = evaluator.evaluate_failures(
+            evaluation = evaluator.evaluate_scenarios(
                 phase2.best_setting, all_failures
             )
             metrics.setdefault(name, []).append(beta_metric(evaluation))

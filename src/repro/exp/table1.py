@@ -23,7 +23,8 @@ from repro.exp.common import (
     make_instance,
 )
 from repro.exp.presets import Preset, get_preset
-from repro.routing.failures import FailureModel, single_failures
+from repro.routing.failures import FailureModel
+from repro.scenarios.generators import legacy_failures
 
 #: (kind, paper nodes, mean degree) for Table I's four topology columns.
 TABLE1_TOPOLOGIES: tuple[tuple[str, int, float], ...] = (
@@ -84,11 +85,11 @@ def run(
             mean_utils.append(
                 float(phase1.best_evaluation.utilization.mean())
             )
-            all_failures = single_failures(
+            all_failures = legacy_failures(
                 instance.network, FailureModel.LINK
             )
             full = full_search_optimize(evaluator, phase1, rng)
-            full_eval = evaluator.evaluate_failures(
+            full_eval = evaluator.evaluate_scenarios(
                 full.best_setting, all_failures
             )
             beta_full.append(beta_metric(full_eval))
@@ -100,7 +101,7 @@ def run(
                 crt = optimize_with_critical_arcs(
                     evaluator, phase1, selection.critical_arcs, rng
                 )
-                crt_eval = evaluator.evaluate_failures(
+                crt_eval = evaluator.evaluate_scenarios(
                     crt.best_setting, all_failures
                 )
                 beta_crt[fraction].append(beta_metric(crt_eval))

@@ -23,7 +23,8 @@ from repro.exp.common import (
     make_instance,
 )
 from repro.exp.presets import Preset, get_preset
-from repro.routing.failures import FailureModel, single_failures
+from repro.routing.failures import FailureModel
+from repro.scenarios.generators import legacy_failures
 
 #: The critical-set fractions swept at high load.
 HIGH_LOAD_FRACTIONS: tuple[float, ...] = (0.10, 0.20, 0.25)
@@ -64,9 +65,9 @@ def run(
         evaluator = evaluator_for(instance, preset.config)
         rng = instance_rng(instance.seed, 31)
         phase1 = run_phase1(evaluator, rng)
-        all_failures = single_failures(instance.network, FailureModel.LINK)
+        all_failures = legacy_failures(instance.network, FailureModel.LINK)
         full = full_search_optimize(evaluator, phase1, rng)
-        full_eval = evaluator.evaluate_failures(
+        full_eval = evaluator.evaluate_scenarios(
             full.best_setting, all_failures
         )
         beta_full.append(beta_metric(full_eval))
@@ -76,7 +77,7 @@ def run(
             crt = optimize_with_critical_arcs(
                 evaluator, phase1, selection.critical_arcs, rng
             )
-            crt_eval = evaluator.evaluate_failures(
+            crt_eval = evaluator.evaluate_scenarios(
                 crt.best_setting, all_failures
             )
             beta_crt[fraction].append(beta_metric(crt_eval))

@@ -54,12 +54,12 @@ def run(
             outcome = run_arms(instance, preset.config, seed=seed + repeat)
             evaluator = evaluator_for(instance, preset.config)
             rob = SlaViolationStats.from_failures(
-                evaluator.evaluate_failures(
+                evaluator.evaluate_scenarios(
                     outcome.robust_setting, outcome.all_failures
                 )
             )
             reg = SlaViolationStats.from_failures(
-                evaluator.evaluate_failures(
+                evaluator.evaluate_scenarios(
                     outcome.regular_setting, outcome.all_failures
                 )
             )

@@ -66,10 +66,10 @@ def run(
             )
             outcome = run_arms(instance, config, seed=seed + repeat)
             evaluator = evaluator_for(instance, config)
-            reg_fail = evaluator.evaluate_failures(
+            reg_fail = evaluator.evaluate_scenarios(
                 outcome.regular_setting, outcome.all_failures
             )
-            rob_fail = evaluator.evaluate_failures(
+            rob_fail = evaluator.evaluate_scenarios(
                 outcome.robust_setting, outcome.all_failures
             )
             reg_viol.append(SlaViolationStats.from_failures(reg_fail).mean)

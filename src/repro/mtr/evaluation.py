@@ -17,8 +17,9 @@ from repro.mtr.classes import CostModel, MtrInstance
 from repro.mtr.cost_vector import CostVector
 from repro.mtr.weights import MtrWeightSetting
 from repro.routing.engine import RoutingEngine
-from repro.routing.failures import NORMAL, FailureScenario, FailureSet
+from repro.routing.failures import NORMAL, FailureScenario
 from repro.routing.network import Network
+from repro.scenarios.scenario import ScenarioSet
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,19 @@ class MtrEvaluator:
         return self.evaluate(setting, NORMAL)
 
     def evaluate_failures(
-        self, setting: MtrWeightSetting, failures: FailureSet
+        self, setting: MtrWeightSetting, failures: ScenarioSet
     ) -> MtrFailureEvaluation:
-        """Costs across a failure set."""
+        """Costs across the topology failures of a scenario set.
+
+        MTR classes carry their own fixed demand matrices, so a set with
+        traffic variants is refused rather than silently evaluated on
+        base traffic.
+        """
+        if any(s.variant is not None for s in failures):
+            raise ValueError(
+                "MTR evaluation covers topology failures only; the "
+                "scenario set carries traffic variants"
+            )
         return MtrFailureEvaluation(
-            tuple(self.evaluate(setting, s) for s in failures)
+            tuple(self.evaluate(setting, s.failure) for s in failures)
         )

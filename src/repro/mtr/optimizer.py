@@ -27,11 +27,9 @@ from repro.mtr.criticality import (
 )
 from repro.mtr.evaluation import MtrEvaluator
 from repro.mtr.weights import MtrWeightSetting
-from repro.routing.failures import (
-    FailureModel,
-    FailureSet,
-    single_failures,
-)
+from repro.routing.failures import FailureModel
+from repro.scenarios.generators import legacy_failures
+from repro.scenarios.scenario import ScenarioSet
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ class MtrResult:
     robust_kfail: CostVector
     criticality: MtrCriticality
     selection: MtrSelection
-    critical_failures: FailureSet
+    critical_failures: ScenarioSet
     stats: SearchStats
 
 
@@ -125,7 +123,7 @@ class MtrOptimizer:
             ),
         )
         selection = select_mtr_critical_links(criticality, target)
-        failures = single_failures(
+        failures = legacy_failures(
             self._evaluator.network, self._failure_model
         ).restricted_to_arcs(selection.critical_arcs)
         constraints = MtrConstraints(
@@ -290,7 +288,7 @@ class MtrOptimizer:
     def _phase2(
         self,
         starts: list[tuple[MtrWeightSetting, CostVector]],
-        failures: FailureSet,
+        failures: ScenarioSet,
         constraints: MtrConstraints,
         stats: SearchStats,
     ) -> tuple[MtrWeightSetting, CostVector]:

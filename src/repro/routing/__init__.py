@@ -13,17 +13,7 @@ from repro.routing.engine import (
     RoutingEngine,
 )
 from repro.routing.incremental import IncrementalRouter, ScenarioRouting
-from repro.routing.failures import (
-    NORMAL,
-    FailureModel,
-    FailureScenario,
-    FailureSet,
-    dual_link_failures,
-    single_arc_failures,
-    single_failures,
-    single_link_failures,
-    single_node_failures,
-)
+from repro.routing.failures import NORMAL, FailureModel, FailureScenario
 from repro.routing.network import Network
 from repro.routing.state import NetworkState
 
@@ -32,7 +22,6 @@ __all__ = [
     "ClassRouting",
     "FailureModel",
     "FailureScenario",
-    "FailureSet",
     "IncrementalRouter",
     "NORMAL",
     "Network",
@@ -42,11 +31,6 @@ __all__ = [
     "ScenarioRouting",
     "VALID_BACKENDS",
     "backend_availability",
-    "dual_link_failures",
     "resolve_backend",
     "validate_backend",
-    "single_arc_failures",
-    "single_failures",
-    "single_link_failures",
-    "single_node_failures",
 ]

@@ -7,24 +7,21 @@ all the traffic it originates".  We also remove traffic destined to the
 failed node, since it is undeliverable (policy documented in
 docs/DESIGN.md).
 
-This module is the *primitive* layer — and the compatibility shim — of
-the unified scenario subsystem (:mod:`repro.scenarios`): a
-:class:`FailureScenario` is the topology half of a composed
-:class:`~repro.scenarios.Scenario`, and every enumeration here is
-reproduced bit-identically through
-:meth:`repro.scenarios.ScenarioSet.from_failures` (pinned by tests).
-New scenario families — SRLGs, k-link, regional, node, traffic surges,
-cross products — live in :mod:`repro.scenarios.generators`; prefer
-building :class:`~repro.scenarios.ScenarioSet` collections there for
-anything beyond the paper's single-failure presets.
+This module holds only the topology primitive of the scenario subsystem
+(:mod:`repro.scenarios`): a :class:`FailureScenario` is the topology
+half of a composed :class:`~repro.scenarios.Scenario`, and it is what
+the routing layer (:class:`~repro.routing.engine.RoutingEngine`,
+:class:`~repro.routing.incremental.IncrementalRouter`) takes.  Every
+enumeration — the paper's single link, arc and node failures, SRLGs,
+k-link, regional and traffic families — lives in
+:mod:`repro.scenarios.generators` and returns a
+:class:`~repro.scenarios.ScenarioSet`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,135 +72,6 @@ class FailureScenario:
 
 NORMAL = FailureScenario(failed_arcs=(), label="normal")
 """The failure-free scenario."""
-
-
-@dataclass(frozen=True)
-class FailureSet:
-    """An ordered collection of failure scenarios to optimize against.
-
-    Attributes:
-        scenarios: the failure scenarios, in enumeration order.
-        model: the granularity the scenarios were generated with (for
-            reporting only; mixed sets use ``None``).
-    """
-
-    scenarios: tuple[FailureScenario, ...]
-    model: FailureModel | None = None
-
-    def __len__(self) -> int:
-        return len(self.scenarios)
-
-    def __iter__(self) -> Iterator[FailureScenario]:
-        return iter(self.scenarios)
-
-    def __getitem__(self, index: int) -> FailureScenario:
-        return self.scenarios[index]
-
-    def restricted_to_arcs(self, arc_ids: Sequence[int]) -> "FailureSet":
-        """Scenarios whose failed arcs intersect ``arc_ids``.
-
-        This is how a critical-link set ``Ec`` restricts the robust
-        objective (Eq. 7): only failures touching a critical arc are
-        evaluated.
-        """
-        wanted = set(int(a) for a in arc_ids)
-        kept = tuple(
-            s for s in self.scenarios if wanted.intersection(s.failed_arcs)
-        )
-        return FailureSet(kept, model=self.model)
-
-
-def single_arc_failures(network: Network) -> FailureSet:
-    """One scenario per directed arc (``FailureModel.ARC``)."""
-    scenarios = tuple(
-        FailureScenario(failed_arcs=(a,), label=f"arc:{a}")
-        for a in range(network.num_arcs)
-    )
-    return FailureSet(scenarios, model=FailureModel.ARC)
-
-
-def single_link_failures(network: Network) -> FailureSet:
-    """One scenario per physical link (``FailureModel.LINK``).
-
-    A bidirectional pair fails together; a one-way arc fails alone.
-    """
-    scenarios = tuple(
-        FailureScenario(failed_arcs=group, label=f"link:{group[0]}")
-        for group in network.link_groups
-    )
-    return FailureSet(scenarios, model=FailureModel.LINK)
-
-
-def single_failures(network: Network, model: FailureModel) -> FailureSet:
-    """Dispatch to :func:`single_arc_failures` / :func:`single_link_failures`."""
-    if model is FailureModel.ARC:
-        return single_arc_failures(network)
-    return single_link_failures(network)
-
-
-def single_node_failures(
-    network: Network, nodes: Sequence[int] | None = None
-) -> FailureSet:
-    """One scenario per node: all incident arcs die, its traffic is removed.
-
-    Args:
-        network: the topology.
-        nodes: nodes to fail (default: every node).
-    """
-    if nodes is None:
-        nodes = range(network.num_nodes)
-    scenarios = tuple(
-        FailureScenario(
-            failed_arcs=tuple(int(a) for a in network.arcs_of_node(v)),
-            removed_nodes=(v,),
-            label=f"node:{v}",
-        )
-        for v in nodes
-    )
-    return FailureSet(scenarios, model=None)
-
-
-def dual_link_failures(
-    network: Network,
-    max_scenarios: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> FailureSet:
-    """All (or a sample of) simultaneous two-link failures.
-
-    The paper mentions multiple link failures as an additional stressor in
-    Section V-F footnote 16; this generator supports that evaluation.
-
-    Args:
-        network: the topology.
-        max_scenarios: if given, uniformly sample this many pairs.
-        rng: generator used when sampling (required with ``max_scenarios``).
-    """
-    groups = network.link_groups
-    pairs = list(itertools.combinations(range(len(groups)), 2))
-    if max_scenarios is not None and len(pairs) > max_scenarios:
-        if rng is None:
-            raise ValueError("rng is required when sampling scenarios")
-        chosen = rng.choice(len(pairs), size=max_scenarios, replace=False)
-        pairs = [pairs[int(i)] for i in chosen]
-    scenarios = tuple(
-        FailureScenario(
-            failed_arcs=groups[i] + groups[j],
-            label=f"link2:{groups[i][0]}+{groups[j][0]}",
-        )
-        for i, j in pairs
-    )
-    return FailureSet(scenarios, model=None)
-
-
-def scenarios_touching_arcs(
-    network: Network, arc_ids: Sequence[int], model: FailureModel
-) -> FailureSet:
-    """Single-failure scenarios covering exactly the given arcs.
-
-    Used by Phase 2: given the critical set ``Ec`` this produces the
-    failure scenarios whose cost sum defines ``K̄_fail`` (Eq. 7).
-    """
-    return single_failures(network, model).restricted_to_arcs(arc_ids)
 
 
 def disabled_arc_mask(network: Network, scenario: FailureScenario) -> np.ndarray:

@@ -1,15 +1,15 @@
 """The unified scenario subsystem: failures × traffic variants.
 
 One :class:`Scenario` composes a topology perturbation (failed arcs,
-removed nodes — the legacy
-:class:`~repro.routing.failures.FailureScenario`) with an optional
-:class:`TrafficVariant` (gravity rescale, Gaussian fluctuation, hot-spot
-surge).  A :class:`ScenarioSet` is the ordered collection every
-evaluation layer speaks — see
-:meth:`repro.core.evaluation.DtrEvaluator.evaluate_scenarios` — with
-seeded generators for SRLGs, k-link failures, regional failures, node
-failures, traffic surges and failure×surge cross products in
-:mod:`repro.scenarios.generators`.
+removed nodes: a :class:`~repro.routing.failures.FailureScenario`) with
+an optional :class:`TrafficVariant` (gravity rescale, Gaussian
+fluctuation, hot-spot surge).  A :class:`ScenarioSet` is the one
+scenario collection every evaluation layer speaks — see
+:meth:`repro.core.evaluation.DtrEvaluator.evaluate_scenarios` — and
+:mod:`repro.scenarios.generators` is the one place that enumerates
+them: the paper's single link, arc and node failures, SRLGs, k-link
+failures, regional failures, traffic surges and failure×surge cross
+products.
 """
 
 from repro.scenarios.generators import (
@@ -33,7 +33,6 @@ from repro.scenarios.scenario import (
     Scenario,
     ScenarioSet,
     as_scenario,
-    as_scenario_set,
 )
 from repro.scenarios.variants import (
     GaussianSurge,
@@ -54,7 +53,6 @@ __all__ = [
     "ScenarioSet",
     "TrafficVariant",
     "as_scenario",
-    "as_scenario_set",
     "build_scenarios",
     "cross",
     "gaussian_surges",

@@ -6,15 +6,13 @@ arguments — large spaces are sampled through explicitly seeded
 generators, so two processes (or a test and its subprocess) produce
 identical sets.  Families:
 
-* ``link`` / ``arc`` — the paper's single-failure enumerations (legacy
-  equivalent: wraps :func:`repro.routing.failures.single_failures`).
+* ``link`` / ``arc`` — the paper's single-failure enumerations.
 * ``node`` — single node failures (Section V-F).
 * ``srlg`` — shared-risk link groups: fibers sharing a conduit fail
   together; groups are seeded samples, geographically clustered when the
   topology carries coordinates (cf. correlated/cascaded failures in
   Como et al., *Robust Distributed Routing – Part II*).
-* ``multi<k>`` — k simultaneous link failures (footnote 16; subsumes the
-  old ``dual_link_failures`` at ``k = 2``, bit-identically).
+* ``multi<k>`` — k simultaneous link failures (footnote 16).
 * ``regional`` — geometry-based regional failures: every link with an
   endpoint inside a disk goes down (fiber cut / power event; routers
   stay up, so traffic is *not* removed — see docs/DESIGN.md).
@@ -36,13 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.routing.failures import (
-    NORMAL,
-    FailureModel,
-    FailureScenario,
-    single_failures,
-    single_node_failures,
-)
+from repro.routing.failures import FailureModel, FailureScenario
 from repro.routing.network import Network
 from repro.scenarios.scenario import Scenario, ScenarioSet
 from repro.scenarios.variants import (
@@ -69,23 +61,50 @@ def _family_rng(seed: int, stream: int) -> np.random.Generator:
 def legacy_failures(
     network: Network, model: FailureModel = FailureModel.LINK
 ) -> ScenarioSet:
-    """The paper's single-failure enumeration as a ScenarioSet.
+    """The paper's single-failure enumeration (Section III).
 
-    Bit-identical legacy equivalent of
-    :func:`repro.routing.failures.single_failures`: same scenarios, same
-    order, same labels — sweeping either representation produces the
-    same costs (pinned by tests).
+    ``FailureModel.LINK`` gives one scenario per physical link: a
+    bidirectional pair fails together, a one-way arc fails alone.
+    ``FailureModel.ARC`` gives one scenario per directed arc.  Scenarios
+    are tagged with the model's value as their kind (order, labels and
+    digests pinned by tests).
     """
-    return ScenarioSet.from_failures(single_failures(network, model))
+    if model is FailureModel.ARC:
+        failures = (
+            FailureScenario(failed_arcs=(a,), label=f"arc:{a}")
+            for a in range(network.num_arcs)
+        )
+    else:
+        failures = (
+            FailureScenario(failed_arcs=group, label=f"link:{group[0]}")
+            for group in network.link_groups
+        )
+    return ScenarioSet.from_failures(failures, kind=model.value)
 
 
 def node_failures(
     network: Network, nodes: Sequence[int] | None = None
 ) -> ScenarioSet:
-    """Single node failures (all incident arcs die, traffic removed)."""
-    return ScenarioSet.from_failures(
-        single_node_failures(network, nodes), kind="node", name="node"
+    """Single node failures (Section V-F), one scenario per node.
+
+    Every incident arc dies, and the node's originated and destined
+    traffic is removed.
+
+    Args:
+        network: the topology.
+        nodes: nodes to fail (default: every node).
+    """
+    if nodes is None:
+        nodes = range(network.num_nodes)
+    failures = (
+        FailureScenario(
+            failed_arcs=tuple(int(a) for a in network.arcs_of_node(v)),
+            removed_nodes=(v,),
+            label=f"node:{v}",
+        )
+        for v in nodes
     )
+    return ScenarioSet.from_failures(failures, kind="node")
 
 
 def _link_endpoints(network: Network) -> np.ndarray:
@@ -185,9 +204,10 @@ def k_link_failures(
 ) -> ScenarioSet:
     """All (or a seeded sample of) k simultaneous link failures.
 
-    Generalizes — and at ``k = 2`` exactly reproduces, combination order
-    and sampling draws included — the old ``dual_link_failures``
-    (footnote 16's multi-failure stressor).
+    Footnote 16's multi-failure stressor.  Combinations enumerate in
+    ``itertools.combinations`` order over ``network.link_groups``; a
+    sample keeps the order of the generator's draws (digests pinned by
+    tests).
 
     Args:
         network: the topology.

@@ -15,25 +15,19 @@ bit-identical sweep costs.  Digests are content hashes (never Python
 the seeded generators in :mod:`repro.scenarios.generators` are pinned by
 tests to reproduce identical digests in a fresh subprocess.
 
-Legacy bridge: :meth:`ScenarioSet.from_failures` wraps an existing
-:class:`~repro.routing.failures.FailureSet` without altering order or
-labels, and :meth:`ScenarioSet.to_failure_set` unwraps a variant-free set
-— every pre-scenario experiment preset is reproduced bit-identically
-through this path (pinned by tests).
+:meth:`ScenarioSet.from_failures` wraps plain
+:class:`~repro.routing.failures.FailureScenario` items without altering
+order or labels; the generators use it for the paper's single-failure
+families.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
-from repro.routing.failures import (
-    NORMAL,
-    FailureModel,
-    FailureScenario,
-    FailureSet,
-)
+from repro.routing.failures import NORMAL, FailureScenario
 from repro.scenarios.variants import TrafficVariant
 
 
@@ -104,14 +98,10 @@ class ScenarioSet:
     Attributes:
         scenarios: the scenarios, in enumeration (= evaluation) order.
         name: set label for reports (e.g. the generator family).
-        model: failure-enumeration granularity carried over from a
-            wrapped legacy :class:`~repro.routing.failures.FailureSet`
-            (reporting only; generated sets use None).
     """
 
     scenarios: tuple[Scenario, ...]
     name: str = ""
-    model: FailureModel | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -162,10 +152,9 @@ class ScenarioSet:
     def restricted_to_arcs(self, arc_ids: Sequence[int]) -> "ScenarioSet":
         """Scenarios whose failed arcs intersect ``arc_ids``.
 
-        The ScenarioSet counterpart of
-        :meth:`~repro.routing.failures.FailureSet.restricted_to_arcs`
-        (how a critical set ``Ec`` restricts the robust objective,
-        Eq. 7).  Traffic-only scenarios (a variant with no failed arcs)
+        This is how a critical set ``Ec`` restricts the robust objective
+        (Eq. 7): only failures touching a critical arc are evaluated.
+        Traffic-only scenarios (a variant with no failed arcs)
         are always kept — a surge stresses every link, so no critical
         subset excludes it.
         """
@@ -176,53 +165,24 @@ class ScenarioSet:
             if wanted.intersection(s.failed_arcs)
             or (s.variant is not None and not s.failed_arcs)
         )
-        return ScenarioSet(kept, name=self.name, model=self.model)
+        return ScenarioSet(kept, name=self.name)
 
-    # -- legacy bridge -----------------------------------------------------
     @classmethod
     def from_failures(
         cls,
-        failures: "FailureSet | Iterable[FailureScenario]",
-        kind: str | None = None,
+        failures: Iterable[FailureScenario],
+        kind: str = "failure",
         name: str = "",
     ) -> "ScenarioSet":
         """Wrap plain failure scenarios, preserving order and labels.
 
-        This is the legacy-equivalent path: sweeping the wrapped set
-        produces bit-identical costs to sweeping ``failures`` directly
-        (pinned by tests).
-
         Args:
-            failures: a legacy failure set (or any iterable of
-                :class:`FailureScenario`).
-            kind: family tag; defaults to the set's
-                :class:`~repro.routing.failures.FailureModel` value, or
-                ``"failure"`` for mixed/unknown sets.
-            name: set label for reports.
+            failures: the :class:`FailureScenario` items, in order.
+            kind: family tag of every wrapped scenario.
+            name: set label for reports (defaults to ``kind``).
         """
-        model = failures.model if isinstance(failures, FailureSet) else None
-        if kind is None:
-            kind = model.value if model is not None else "failure"
-        scenarios = tuple(
-            Scenario(failure=f, kind=kind) for f in failures
-        )
-        return cls(scenarios, name=name or kind, model=model)
-
-    def to_failure_set(self) -> FailureSet:
-        """Unwrap to a legacy :class:`FailureSet` (variant-free sets only)."""
-        if any(s.variant is not None for s in self.scenarios):
-            raise ValueError(
-                "set contains traffic variants; a FailureSet cannot "
-                "represent them"
-            )
-        return FailureSet(
-            tuple(s.failure for s in self.scenarios), model=self.model
-        )
-
-    @property
-    def failure_scenarios(self) -> tuple[FailureScenario, ...]:
-        """The topology parts, in enumeration order."""
-        return tuple(s.failure for s in self.scenarios)
+        scenarios = tuple(Scenario(failure=f, kind=kind) for f in failures)
+        return cls(scenarios, name=name or kind)
 
     def with_variant(
         self, variant: TrafficVariant, kind: str | None = None
@@ -232,27 +192,12 @@ class ScenarioSet:
             replace(s, variant=variant, kind=kind or s.kind)
             for s in self.scenarios
         )
-        return ScenarioSet(scenarios, name=self.name, model=self.model)
+        return ScenarioSet(scenarios, name=self.name)
 
 
 def as_scenario(item: "Scenario | FailureScenario") -> Scenario:
-    """Coerce a legacy :class:`FailureScenario` into a :class:`Scenario`."""
+    """Coerce a plain :class:`FailureScenario` into a :class:`Scenario`."""
     if isinstance(item, Scenario):
         return item
     return Scenario(failure=item)
 
-
-def as_scenario_set(
-    scenarios: "ScenarioSet | FailureSet | Iterable",
-) -> ScenarioSet:
-    """Coerce any accepted scenario collection into a :class:`ScenarioSet`.
-
-    Accepts a :class:`ScenarioSet` (returned unchanged), a legacy
-    :class:`FailureSet`, or any iterable of :class:`Scenario` /
-    :class:`FailureScenario` items.
-    """
-    if isinstance(scenarios, ScenarioSet):
-        return scenarios
-    if isinstance(scenarios, FailureSet):
-        return ScenarioSet.from_failures(scenarios)
-    return ScenarioSet(tuple(as_scenario(s) for s in scenarios))

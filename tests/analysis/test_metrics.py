@@ -12,13 +12,13 @@ from repro.analysis.metrics import (
     sorted_pair_delays_ms,
     utilization_increase_after_failure,
 )
-from repro.routing.failures import single_link_failures
+from repro.scenarios import legacy_failures
 
 
 @pytest.fixture
 def failure_eval(small_evaluator, random_setting):
-    failures = single_link_failures(small_evaluator.network)
-    return small_evaluator.evaluate_failures(random_setting, failures)
+    failures = legacy_failures(small_evaluator.network)
+    return small_evaluator.evaluate_scenarios(random_setting, failures)
 
 
 class TestSlaViolationStats:
@@ -50,7 +50,7 @@ class TestUtilizationIncrease:
     def test_counts_surviving_arcs_only(
         self, small_evaluator, random_setting
     ):
-        failures = single_link_failures(small_evaluator.network)
+        failures = legacy_failures(small_evaluator.network)
         normal = small_evaluator.evaluate_normal(random_setting)
         failed = small_evaluator.evaluate(random_setting, failures[0])
         count, mean_increase = utilization_increase_after_failure(

@@ -18,7 +18,7 @@ from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.evaluation import DtrEvaluator
 from repro.core.phase1 import run_phase1
 from repro.core.phase2 import RobustConstraints, run_phase2
-from repro.routing.failures import single_link_failures
+from repro.scenarios import legacy_failures
 
 
 def backend_config(config: OptimizerConfig, backend: str) -> OptimizerConfig:
@@ -88,7 +88,7 @@ class TestEvaluatorParity:
         setting = WeightSetting.random(
             network.num_arcs, tiny_config.weights, rng
         )
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         outcomes = {}
         for backend in ("python", "vector", "auto"):
             config = backend_config(tiny_config, backend).replace(
@@ -99,7 +99,7 @@ class TestEvaluatorParity:
             )
             evaluator = DtrEvaluator(network, traffic, config)
             normal = evaluator.evaluate_normal(setting)
-            sweep = evaluator.evaluate_failures(
+            sweep = evaluator.evaluate_scenarios(
                 setting, failures, reuse=normal
             )
             outcomes[backend] = (normal, sweep)
@@ -145,7 +145,7 @@ class TestSearchInvariance:
                 p1.best_cost.phi,
                 tiny_config.sampling.chi,
             )
-            failures = single_link_failures(evaluator.network)
+            failures = legacy_failures(evaluator.network)
             p2 = run_phase2(
                 evaluator,
                 failures,

@@ -8,6 +8,7 @@ assertions use exact equality throughout.
 """
 
 import multiprocessing
+import pickle
 import socket
 import struct
 import threading
@@ -23,13 +24,13 @@ from repro.core.faults import FaultPlan, StageFault, TaskDelay, WorkerKill
 from repro.core.parallel import ParallelDtrEvaluator, make_evaluator
 from repro.core.weights import WeightSetting
 from repro.routing.backend import parse_hosts
-from repro.routing.failures import single_link_failures
 from repro.scenarios import (
     GaussianSurge,
     GravityRescale,
     cross,
     gaussian_surges,
     k_link_failures,
+    legacy_failures,
     srlg_failures,
 )
 from repro.topology import rand_topology, scale_to_diameter
@@ -313,7 +314,7 @@ class TestLocalHostParity:
         self, dist_instance, dist_setting
     ):
         network, traffic = dist_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         with ParallelDtrEvaluator(
             network, traffic, _config(n_jobs=2)
         ) as dist:
@@ -439,6 +440,111 @@ class TestTcpHosts:
         assert stats.host_failures >= 1
         assert stats.timeouts == 0
         assert stats.quarantined_tasks > 0
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_garbled_frame_drops_connection_not_host(
+        self, dist_instance, dist_setting, mixed_scenarios, serial_reference
+    ):
+        # A body that does not unpickle, and one that unpickles to no
+        # message at all, each cost only their own connection: the
+        # server keeps serving, and the next parent sweeps through it.
+        network, traffic = dist_instance
+        worker = HostWorker("127.0.0.1", 0)
+        server = _serve_in_thread(worker)
+        try:
+            for body in (b"abcde", pickle.dumps(5, protocol=5)):
+                with socket.create_connection(
+                    ("127.0.0.1", worker.port), timeout=10
+                ) as raw:
+                    raw.sendall(struct.pack(">Q", len(body)) + body)
+                    while raw.recv(1 << 16):  # until the host closes
+                        pass
+            assert server.is_alive()
+            with ParallelDtrEvaluator(
+                network,
+                traffic,
+                _config(hosts=f"127.0.0.1:{worker.port}"),
+            ) as dist:
+                candidate = dist.evaluate_scenarios(
+                    dist_setting, mixed_scenarios
+                )
+                stats = dist.resilience_stats
+        finally:
+            worker.close()
+        _assert_bit_identical(serial_reference, candidate)
+        assert stats.host_failures == 0
+        server.join(timeout=10)
+        assert not server.is_alive()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [b"\x80\x05cnosuchmodule\nx\n.", pickle.dumps(5, protocol=5)],
+        ids=["undecodable", "not-a-message"],
+    )
+    def test_bad_reply_marks_host_dead(
+        self,
+        bad,
+        dist_instance,
+        dist_setting,
+        mixed_scenarios,
+        serial_reference,
+    ):
+        # A host whose every reply names a module that does not exist,
+        # or decodes to no message at all: the parent must mark it dead,
+        # not lose its receiver thread and wait forever.  The sweep runs
+        # in a thread joined with a deadline, so a hang fails the test
+        # instead of stalling it.
+        network, traffic = dist_instance
+        listener = socket.create_server(("127.0.0.1", 0))
+        held = []
+
+        def garbler():
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                held.append(conn)
+                try:
+                    conn.recv(1 << 16)
+                    conn.sendall(struct.pack(">Q", len(bad)) + bad)
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=garbler, daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        outcome = {}
+
+        def sweep():
+            with ParallelDtrEvaluator(
+                network,
+                traffic,
+                _config(
+                    hosts=f"127.0.0.1:{port}",
+                    max_retries=1,
+                    retry_backoff=0.0,
+                ),
+            ) as dist:
+                outcome["costs"] = dist.evaluate_scenarios(
+                    dist_setting, mixed_scenarios
+                )
+                outcome["stats"] = dist.resilience_stats
+
+        sweeper = threading.Thread(target=sweep, daemon=True)
+        try:
+            sweeper.start()
+            sweeper.join(timeout=20)
+            assert not sweeper.is_alive(), "the sweep hung on a bad reply"
+        finally:
+            listener.shutdown(socket.SHUT_RDWR)
+            listener.close()
+            for conn in held:
+                conn.close()
+        _assert_bit_identical(serial_reference, outcome["costs"])
+        assert outcome["stats"].host_failures >= 1
+        assert outcome["stats"].quarantined_tasks > 0
         thread.join(timeout=10)
         assert not thread.is_alive()
 

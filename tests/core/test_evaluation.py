@@ -6,10 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.weights import WeightSetting
-from repro.routing.failures import (
-    single_link_failures,
-    single_node_failures,
-)
+from repro.scenarios import legacy_failures, node_failures
 
 
 class TestEvaluateNormal:
@@ -52,16 +49,16 @@ class TestEvaluateFailures:
     def test_failure_costs_not_below_floor(
         self, small_evaluator, random_setting
     ):
-        failures = single_link_failures(small_evaluator.network)
-        evaluation = small_evaluator.evaluate_failures(
+        failures = legacy_failures(small_evaluator.network)
+        evaluation = small_evaluator.evaluate_scenarios(
             random_setting, failures
         )
         assert len(evaluation) == len(failures)
         assert evaluation.total_cost.lam >= 0
 
     def test_violations_vector(self, small_evaluator, random_setting):
-        failures = single_link_failures(small_evaluator.network)
-        evaluation = small_evaluator.evaluate_failures(
+        failures = legacy_failures(small_evaluator.network)
+        evaluation = small_evaluator.evaluate_scenarios(
             random_setting, failures
         )
         assert evaluation.violations.shape == (len(failures),)
@@ -70,8 +67,8 @@ class TestEvaluateFailures:
         )
 
     def test_top_fraction(self, small_evaluator, random_setting):
-        failures = single_link_failures(small_evaluator.network)
-        evaluation = small_evaluator.evaluate_failures(
+        failures = legacy_failures(small_evaluator.network)
+        evaluation = small_evaluator.evaluate_scenarios(
             random_setting, failures
         )
         top = evaluation.top_fraction_mean_violations(0.1)
@@ -80,7 +77,7 @@ class TestEvaluateFailures:
             evaluation.top_fraction_mean_violations(0.0)
 
     def test_node_failure_drops_pairs(self, small_evaluator, random_setting):
-        failures = single_node_failures(small_evaluator.network, nodes=[0])
+        failures = node_failures(small_evaluator.network, nodes=[0])
         outcome = small_evaluator.evaluate(random_setting, failures[0])
         n = small_evaluator.network.num_nodes
         # pairs involving node 0 are out of the SLA population
@@ -104,7 +101,7 @@ class TestReuseShortcut:
             np.random.default_rng(seed),
         )
         normal = small_evaluator.evaluate_normal(setting)
-        for scenario in single_link_failures(small_evaluator.network):
+        for scenario in legacy_failures(small_evaluator.network):
             direct = small_evaluator.evaluate(setting, scenario)
             shortcut = small_evaluator.evaluate(
                 setting, scenario, reuse=normal
@@ -121,7 +118,7 @@ class TestReuseShortcut:
         self, small_evaluator, random_setting
     ):
         normal = small_evaluator.evaluate_normal(random_setting)
-        scenario = single_node_failures(
+        scenario = node_failures(
             small_evaluator.network, nodes=[1]
         )[0]
         direct = small_evaluator.evaluate(random_setting, scenario)

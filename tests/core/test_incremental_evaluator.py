@@ -13,10 +13,7 @@ from repro.config import ExecutionParams
 from repro.core.evaluation import DtrEvaluator
 from repro.core.perturbation import random_phase2_move
 from repro.core.weights import WeightSetting
-from repro.routing.failures import (
-    single_link_failures,
-    single_node_failures,
-)
+from repro.scenarios import legacy_failures, node_failures
 
 
 def _scratch_evaluator(evaluator: DtrEvaluator) -> DtrEvaluator:
@@ -46,8 +43,8 @@ class TestEvaluateMoveParity:
         scratch = _scratch_evaluator(small_evaluator)
         network = small_evaluator.network
         config = small_evaluator.config
-        failures = list(single_link_failures(network))
-        nodes = list(single_node_failures(network))
+        failures = [s.failure for s in legacy_failures(network)]
+        nodes = [s.failure for s in node_failures(network)]
         setting = WeightSetting.random(
             network.num_arcs, config.weights, rng
         )
@@ -123,12 +120,12 @@ class TestFailureSweepParity:
     def test_full_sweep_bit_identical(self, small_evaluator, rng):
         scratch = _scratch_evaluator(small_evaluator)
         network = small_evaluator.network
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         setting = WeightSetting.random(
             network.num_arcs, small_evaluator.config.weights, rng
         )
-        fast = small_evaluator.evaluate_failures(setting, failures)
-        slow = scratch.evaluate_failures(setting, failures)
+        fast = small_evaluator.evaluate_scenarios(setting, failures)
+        slow = scratch.evaluate_scenarios(setting, failures)
         assert fast.total_cost.lam == slow.total_cost.lam
         assert fast.total_cost.phi == slow.total_cost.phi
         for a, b in zip(fast.evaluations, slow.evaluations):
@@ -137,12 +134,12 @@ class TestFailureSweepParity:
     def test_node_failure_sweep_bit_identical(self, small_evaluator, rng):
         scratch = _scratch_evaluator(small_evaluator)
         network = small_evaluator.network
-        failures = single_node_failures(network)
+        failures = node_failures(network)
         setting = WeightSetting.random(
             network.num_arcs, small_evaluator.config.weights, rng
         )
-        fast = small_evaluator.evaluate_failures(setting, failures)
-        slow = scratch.evaluate_failures(setting, failures)
+        fast = small_evaluator.evaluate_scenarios(setting, failures)
+        slow = scratch.evaluate_scenarios(setting, failures)
         for a, b in zip(fast.evaluations, slow.evaluations):
             assert_evaluations_identical(a, b, a.scenario.label)
 
@@ -155,7 +152,7 @@ class TestSeededPhasesUnchanged:
         from repro.core.phase2 import RobustConstraints, run_phase2
 
         network, traffic = small_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         results = {}
         for incremental in (True, False):
             config = tiny_config.replace(
@@ -211,12 +208,12 @@ class TestSeededExperimentUnchanged:
             outcome = run_arms(instance, config, seed=1)
             evaluator = evaluator_for(instance, config)
             rob = SlaViolationStats.from_failures(
-                evaluator.evaluate_failures(
+                evaluator.evaluate_scenarios(
                     outcome.robust_setting, outcome.all_failures
                 )
             )
             reg = SlaViolationStats.from_failures(
-                evaluator.evaluate_failures(
+                evaluator.evaluate_scenarios(
                     outcome.regular_setting, outcome.all_failures
                 )
             )

@@ -20,7 +20,8 @@ from repro.core.parallel import (
     make_evaluator,
 )
 from repro.core.weights import WeightSetting
-from repro.routing.failures import NORMAL, single_link_failures
+from repro.routing.failures import NORMAL
+from repro.scenarios import legacy_failures
 from repro.topology.isp import isp_topology
 from repro.traffic import dtr_traffic, scale_to_utilization
 
@@ -77,22 +78,22 @@ class TestProcessPoolParity:
         self, isp_instance, isp_setting
     ):
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         serial = DtrEvaluator(network, traffic, OptimizerConfig())
-        reference = serial.evaluate_failures(isp_setting, failures)
+        reference = serial.evaluate_scenarios(isp_setting, failures)
         with ParallelDtrEvaluator(
             network, traffic, _config(n_jobs=2)
         ) as parallel:
-            candidate = parallel.evaluate_failures(isp_setting, failures)
+            candidate = parallel.evaluate_scenarios(isp_setting, failures)
         _assert_bit_identical(reference, candidate)
 
     def test_sweep_counts_evaluations(self, isp_instance, isp_setting):
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         with ParallelDtrEvaluator(
             network, traffic, _config(n_jobs=2)
         ) as parallel:
-            parallel.evaluate_failures(isp_setting, failures)
+            parallel.evaluate_scenarios(isp_setting, failures)
             # the sweep plus the on-demand normal (reuse) evaluation
             assert parallel.num_evaluations == len(failures) + 1
 
@@ -118,13 +119,13 @@ class TestProcessPoolParity:
 
     def test_worker_cache_stats_reported(self, isp_instance, isp_setting):
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         with ParallelDtrEvaluator(
             network, traffic, _config(n_jobs=2)
         ) as parallel:
-            parallel.evaluate_failures(isp_setting, failures)
+            parallel.evaluate_scenarios(isp_setting, failures)
             first = parallel.cache_stats
-            parallel.evaluate_failures(isp_setting, failures)
+            parallel.evaluate_scenarios(isp_setting, failures)
             second = parallel.cache_stats
         assert first.lookups > 0
         # the repeat sweep is answered from warm worker caches
@@ -137,14 +138,14 @@ class TestCacheDisabled:
         self, isp_instance, isp_setting
     ):
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         serial = DtrEvaluator(network, traffic, OptimizerConfig())
-        reference = serial.evaluate_failures(isp_setting, failures)
+        reference = serial.evaluate_scenarios(isp_setting, failures)
         with ParallelDtrEvaluator(
             network, traffic, _config(n_jobs=2, routing_cache=False)
         ) as parallel:
             assert parallel.cache is None
-            candidate = parallel.evaluate_failures(isp_setting, failures)
+            candidate = parallel.evaluate_scenarios(isp_setting, failures)
             stats = parallel.cache_stats
         _assert_bit_identical(reference, candidate)
         # routing_cache=False reaches the workers too: nothing cached
@@ -380,17 +381,17 @@ class TestPoolFailureRecovery:
         import signal
 
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         serial = DtrEvaluator(network, traffic, OptimizerConfig())
-        reference = serial.evaluate_failures(isp_setting, failures)
+        reference = serial.evaluate_scenarios(isp_setting, failures)
         with ParallelDtrEvaluator(
             network, traffic, _config(n_jobs=2, retry_backoff=0.0)
         ) as parallel:
-            first = parallel.evaluate_failures(isp_setting, failures)
+            first = parallel.evaluate_scenarios(isp_setting, failures)
             victims = _host_pids(parallel)
             assert len(victims) == 2  # the warm sweep's hosts
             os.kill(victims[0], signal.SIGKILL)
-            candidate = parallel.evaluate_failures(isp_setting, failures)
+            candidate = parallel.evaluate_scenarios(isp_setting, failures)
             stats = parallel.resilience_stats
         _assert_bit_identical(reference, first)
         _assert_bit_identical(reference, candidate)
@@ -404,11 +405,11 @@ class TestPoolFailureRecovery:
         import signal
 
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         parallel = ParallelDtrEvaluator(
             network, traffic, _config(n_jobs=2)
         )
-        parallel.evaluate_failures(isp_setting, failures)
+        parallel.evaluate_scenarios(isp_setting, failures)
         for pid in _host_pids(parallel):
             os.kill(pid, signal.SIGKILL)
         parallel.close()  # must not raise on the broken pool

@@ -5,14 +5,14 @@ import pytest
 from repro.core.lexicographic import CostPair
 from repro.core.local_search import SearchStats
 from repro.core.phase2 import _ordered_sweep, bounded_failure_cost
-from repro.routing.failures import single_link_failures
+from repro.scenarios import legacy_failures
 
 
 class TestOrderedSweep:
     def test_orders_scenarios_worst_first(
         self, small_evaluator, random_setting
     ):
-        failures = single_link_failures(small_evaluator.network)
+        failures = legacy_failures(small_evaluator.network)
         stats = SearchStats()
         ordered, total = _ordered_sweep(
             small_evaluator, random_setting, failures, stats
@@ -32,12 +32,12 @@ class TestOrderedSweep:
     def test_total_invariant_under_ordering(
         self, small_evaluator, random_setting
     ):
-        failures = single_link_failures(small_evaluator.network)
+        failures = legacy_failures(small_evaluator.network)
         stats = SearchStats()
         _, total = _ordered_sweep(
             small_evaluator, random_setting, failures, stats
         )
-        direct = small_evaluator.evaluate_failures(
+        direct = small_evaluator.evaluate_scenarios(
             random_setting, failures
         ).total_cost
         assert total.lam == pytest.approx(direct.lam)
@@ -48,7 +48,7 @@ class TestBoundedCostWithReuse:
     def test_reuse_does_not_change_result(
         self, small_evaluator, random_setting
     ):
-        failures = single_link_failures(small_evaluator.network)
+        failures = legacy_failures(small_evaluator.network)
         normal = small_evaluator.evaluate_normal(random_setting)
         without = bounded_failure_cost(
             small_evaluator, random_setting, failures, None
@@ -63,7 +63,7 @@ class TestBoundedCostWithReuse:
     def test_pruning_counts_in_stats(
         self, small_evaluator, random_setting
     ):
-        failures = single_link_failures(small_evaluator.network)
+        failures = legacy_failures(small_evaluator.network)
         stats = SearchStats()
         result = bounded_failure_cost(
             small_evaluator,
@@ -80,7 +80,7 @@ class TestBoundedCostWithReuse:
     def test_exact_bound_not_pruned_to_none_when_equal(
         self, small_evaluator, random_setting
     ):
-        failures = single_link_failures(small_evaluator.network)
+        failures = legacy_failures(small_evaluator.network)
         exact = bounded_failure_cost(
             small_evaluator, random_setting, failures, None
         )

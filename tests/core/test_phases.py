@@ -19,7 +19,8 @@ from repro.core.phase2 import (
     run_phase2,
 )
 from repro.core.weights import WeightSetting
-from repro.routing.failures import FailureModel, single_link_failures
+from repro.routing.failures import FailureModel
+from repro.scenarios import legacy_failures
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +116,7 @@ class TestPhase1:
 class TestPhase2:
     def test_robust_improves_kfail(self, phase1_result):
         evaluator, phase1 = phase1_result
-        failures = single_link_failures(
+        failures = legacy_failures(
             evaluator.network
         ).restricted_to_arcs(phase1.critical_arcs)
         constraints = RobustConstraints(
@@ -133,14 +134,14 @@ class TestPhase2:
         # the robust setting must satisfy the constraints ...
         assert constraints.satisfied_by(result.normal_cost)
         # ... and do no worse than the regular setting on K_fail
-        regular_kfail = evaluator.evaluate_failures(
+        regular_kfail = evaluator.evaluate_scenarios(
             phase1.best_setting, failures
         ).total_cost
         assert result.best_kfail <= regular_kfail
 
     def test_requires_starts_and_failures(self, phase1_result):
         evaluator, phase1 = phase1_result
-        failures = single_link_failures(evaluator.network)
+        failures = legacy_failures(evaluator.network)
         constraints = RobustConstraints(0.0, 1.0, 0.2)
         with pytest.raises(ValueError, match="starting"):
             run_phase2(
@@ -151,8 +152,8 @@ class TestPhase2:
 class TestBoundedFailureCost:
     def test_unbounded_matches_full(self, phase1_result):
         evaluator, phase1 = phase1_result
-        failures = single_link_failures(evaluator.network)
-        full = evaluator.evaluate_failures(
+        failures = legacy_failures(evaluator.network)
+        full = evaluator.evaluate_scenarios(
             phase1.best_setting, failures
         ).total_cost
         bounded = bounded_failure_cost(
@@ -164,7 +165,7 @@ class TestBoundedFailureCost:
 
     def test_prunes_against_tight_bound(self, phase1_result):
         evaluator, phase1 = phase1_result
-        failures = single_link_failures(evaluator.network)
+        failures = legacy_failures(evaluator.network)
         pruned = bounded_failure_cost(
             evaluator,
             phase1.best_setting,
@@ -175,7 +176,7 @@ class TestBoundedFailureCost:
 
     def test_never_prunes_with_loose_bound(self, phase1_result):
         evaluator, phase1 = phase1_result
-        failures = single_link_failures(evaluator.network)
+        failures = legacy_failures(evaluator.network)
         loose = CostPair(1e18, 1e18)
         result = bounded_failure_cost(
             evaluator, phase1.best_setting, failures, loose

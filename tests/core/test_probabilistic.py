@@ -13,12 +13,12 @@ from repro.core.probabilistic import (
     weighted_criticality,
 )
 from repro.core.criticality import CriticalityEstimate
-from repro.routing.failures import single_link_failures
+from repro.scenarios import legacy_failures
 
 
 class TestWeightedFailureSet:
     def test_normalization(self, square_network):
-        failures = single_link_failures(square_network)
+        failures = legacy_failures(square_network)
         wfs = WeightedFailureSet.from_failure_set(
             failures, np.asarray([1.0, 2.0, 3.0, 4.0, 10.0])
         )
@@ -26,19 +26,19 @@ class TestWeightedFailureSet:
         assert wfs.probabilities[-1] == pytest.approx(0.5)
 
     def test_length_mismatch(self, square_network):
-        failures = single_link_failures(square_network)
+        failures = legacy_failures(square_network)
         with pytest.raises(ValueError, match="one probability"):
             WeightedFailureSet.from_failure_set(failures, np.ones(2))
 
     def test_negative_probability_rejected(self, square_network):
-        failures = single_link_failures(square_network)
+        failures = legacy_failures(square_network)
         probs = np.ones(len(failures))
         probs[0] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
             WeightedFailureSet.from_failure_set(failures, probs)
 
     def test_restriction_renormalizes(self, square_network):
-        failures = single_link_failures(square_network)
+        failures = legacy_failures(square_network)
         wfs = WeightedFailureSet.from_failure_set(
             failures, uniform_probabilities(failures)
         )
@@ -48,7 +48,7 @@ class TestWeightedFailureSet:
         assert restricted.probabilities[0] == pytest.approx(1.0)
 
     def test_restriction_to_nothing_rejected(self, square_network):
-        failures = single_link_failures(square_network)
+        failures = legacy_failures(square_network)
         wfs = WeightedFailureSet.from_failure_set(
             failures, uniform_probabilities(failures)
         )
@@ -58,12 +58,12 @@ class TestWeightedFailureSet:
 
 class TestProbabilityModels:
     def test_uniform(self, square_network):
-        failures = single_link_failures(square_network)
+        failures = legacy_failures(square_network)
         probs = uniform_probabilities(failures)
         assert np.allclose(probs, 1.0 / len(failures))
 
     def test_length_proportional_favors_long_links(self, square_network):
-        failures = single_link_failures(square_network)
+        failures = legacy_failures(square_network)
         probs = length_proportional_probabilities(square_network, failures)
         assert probs.sum() == pytest.approx(1.0)
         # the diagonal (0-2) is the longest link in the fixture
@@ -78,14 +78,14 @@ class TestProbabilityModels:
 
 class TestExpectedCost:
     def test_uniform_matches_mean(self, small_evaluator, random_setting):
-        failures = single_link_failures(small_evaluator.network)
+        failures = legacy_failures(small_evaluator.network)
         wfs = WeightedFailureSet.from_failure_set(
             failures, uniform_probabilities(failures)
         )
         expected = expected_failure_cost(
             small_evaluator, random_setting, wfs
         )
-        total = small_evaluator.evaluate_failures(
+        total = small_evaluator.evaluate_scenarios(
             random_setting, failures
         ).total_cost
         assert expected.lam == pytest.approx(total.lam / len(failures))
@@ -94,7 +94,7 @@ class TestExpectedCost:
     def test_point_mass_matches_single_scenario(
         self, small_evaluator, random_setting
     ):
-        failures = single_link_failures(small_evaluator.network)
+        failures = legacy_failures(small_evaluator.network)
         probs = np.zeros(len(failures))
         probs[3] = 1.0
         wfs = WeightedFailureSet.from_failure_set(failures, probs)
@@ -116,7 +116,7 @@ class TestWeightedCriticality:
         )
 
     def test_uniform_weights_are_identity(self, square_network):
-        failures = single_link_failures(square_network)
+        failures = legacy_failures(square_network)
         estimate = self._estimate(square_network.num_arcs)
         weighted = weighted_criticality(
             estimate,
@@ -127,7 +127,7 @@ class TestWeightedCriticality:
         np.testing.assert_allclose(weighted.rho_lam, estimate.rho_lam)
 
     def test_selection_prefers_likely_failures(self, square_network):
-        failures = single_link_failures(square_network)
+        failures = legacy_failures(square_network)
         estimate = self._estimate(square_network.num_arcs)
         probs = uniform_probabilities(failures)
         # make one link 10x as likely to fail

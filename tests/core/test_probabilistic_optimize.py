@@ -12,7 +12,7 @@ from repro.core.probabilistic import (
     probabilistic_robust_optimize,
     select_probabilistic_critical_links,
 )
-from repro.routing.failures import single_link_failures
+from repro.scenarios import legacy_failures
 
 pytestmark = pytest.mark.slow  # full probabilistic search + failure sweep
 
@@ -51,7 +51,7 @@ def probabilistic_run():
     )
     evaluator = DtrEvaluator(network, traffic, config)
     phase1 = run_phase1(evaluator, np.random.default_rng(1))
-    failures = single_link_failures(network)
+    failures = legacy_failures(network)
     probs = length_proportional_probabilities(network, failures)
     weighted = WeightedFailureSet.from_failure_set(failures, probs)
     selection = select_probabilistic_critical_links(

@@ -30,7 +30,7 @@ from repro.core.resilience import (
     global_stats,
 )
 from repro.core.weights import WeightSetting
-from repro.routing.failures import single_link_failures
+from repro.scenarios import legacy_failures
 from repro.topology.isp import isp_topology
 from repro.traffic import dtr_traffic, scale_to_utilization
 
@@ -64,8 +64,8 @@ def reference_sweep(isp_instance, isp_setting):
     """The fault-free serial sweep every chaos run must reproduce."""
     network, traffic = isp_instance
     serial = DtrEvaluator(network, traffic, OptimizerConfig())
-    return serial.evaluate_failures(
-        isp_setting, single_link_failures(network)
+    return serial.evaluate_scenarios(
+        isp_setting, legacy_failures(network)
     )
 
 
@@ -166,17 +166,17 @@ class TestChaosParity:
         self, isp_instance, isp_setting, reference_sweep
     ):
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         plan = FaultPlan(faults=(WorkerKill(task=0),))
         with ParallelDtrEvaluator(
             network, traffic, _config(n_jobs=2, fault_plan=plan)
         ) as parallel:
-            candidate = parallel.evaluate_failures(isp_setting, failures)
+            candidate = parallel.evaluate_scenarios(isp_setting, failures)
             stats = parallel.resilience_stats
             pool = parallel._executor.pool
             assert parallel.num_evaluations == len(failures) + 1
             # the next sweep on the rebuilt pool is healthy too
-            again = parallel.evaluate_failures(isp_setting, failures)
+            again = parallel.evaluate_scenarios(isp_setting, failures)
         _assert_bit_identical(reference_sweep, candidate)
         _assert_bit_identical(reference_sweep, again)
         _assert_hosts_released(pool)
@@ -191,7 +191,7 @@ class TestChaosParity:
         self, isp_instance, isp_setting, reference_sweep
     ):
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         # attempts=None: the fault fires on *every* retry of task 0
         plan = FaultPlan(
             faults=(StageFault(stage="task", task=0, attempts=None),)
@@ -203,7 +203,7 @@ class TestChaosParity:
                 n_jobs=2, fault_plan=plan, max_retries=1, retry_backoff=0.0
             ),
         ) as parallel:
-            candidate = parallel.evaluate_failures(isp_setting, failures)
+            candidate = parallel.evaluate_scenarios(isp_setting, failures)
             stats = parallel.resilience_stats
             pool = parallel._executor.pool
             assert parallel.num_evaluations == len(failures) + 1
@@ -218,7 +218,7 @@ class TestChaosParity:
         self, isp_instance, isp_setting, reference_sweep
     ):
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         plan = FaultPlan(
             faults=(StageFault(stage="route_batch", task=1),)
         )
@@ -227,7 +227,7 @@ class TestChaosParity:
             traffic,
             _config(n_jobs=2, fault_plan=plan, retry_backoff=0.0),
         ) as parallel:
-            candidate = parallel.evaluate_failures(isp_setting, failures)
+            candidate = parallel.evaluate_scenarios(isp_setting, failures)
             stats = parallel.resilience_stats
             pool = parallel._executor.pool
         _assert_bit_identical(reference_sweep, candidate)
@@ -242,7 +242,7 @@ class TestChaosParity:
         """Chaos parity holds for hosts sweeping per scenario
         (sweep_batching='off')."""
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         plan = FaultPlan(
             faults=(StageFault(stage="task", task=0, attempts=None),)
         )
@@ -257,7 +257,7 @@ class TestChaosParity:
                 retry_backoff=0.0,
             ),
         ) as parallel:
-            candidate = parallel.evaluate_failures(isp_setting, failures)
+            candidate = parallel.evaluate_scenarios(isp_setting, failures)
             stats = parallel.resilience_stats
             assert parallel.num_evaluations == len(failures) + 1
         _assert_bit_identical(reference_sweep, candidate)
@@ -268,7 +268,7 @@ class TestChaosParity:
         self, isp_instance, isp_setting, reference_sweep
     ):
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         plan = FaultPlan(faults=(TaskDelay(task=0, seconds=3.0),))
         with ParallelDtrEvaluator(
             network,
@@ -280,7 +280,7 @@ class TestChaosParity:
                 retry_backoff=0.0,
             ),
         ) as parallel:
-            candidate = parallel.evaluate_failures(isp_setting, failures)
+            candidate = parallel.evaluate_scenarios(isp_setting, failures)
             stats = parallel.resilience_stats
             pool = parallel._executor.pool
         _assert_bit_identical(reference_sweep, candidate)
@@ -297,11 +297,11 @@ class TestChaosParity:
         self, isp_instance, isp_setting, reference_sweep
     ):
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         with ParallelDtrEvaluator(
             network, traffic, _config(n_jobs=2, sweep_deadline=1e-9)
         ) as parallel:
-            candidate = parallel.evaluate_failures(isp_setting, failures)
+            candidate = parallel.evaluate_scenarios(isp_setting, failures)
             stats = parallel.resilience_stats
             pool = parallel._executor.pool
             assert parallel.num_evaluations == len(failures) + 1
@@ -316,7 +316,7 @@ class TestChaosParity:
         self, isp_instance, isp_setting
     ):
         network, traffic = isp_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         plan = FaultPlan(
             faults=(StageFault(stage="task", task=0, attempts=(1,)),)
         )
@@ -326,7 +326,7 @@ class TestChaosParity:
             traffic,
             _config(n_jobs=2, fault_plan=plan, retry_backoff=0.0),
         ) as parallel:
-            parallel.evaluate_failures(isp_setting, failures)
+            parallel.evaluate_scenarios(isp_setting, failures)
             local = parallel.resilience_stats
         after = global_stats()
         assert local.task_failures == 1

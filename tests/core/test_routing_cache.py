@@ -14,11 +14,11 @@ from repro.core import parallel
 from repro.core.evaluation import _VARIANT_NORMAL_CACHE
 from repro.core.parallel import CachingDtrEvaluator, RoutingCache
 from repro.core.weights import WeightSetting
-from repro.routing.failures import NORMAL, single_link_failures
+from repro.routing.failures import NORMAL
 from repro.scenarios import (
     GaussianSurge,
-    ScenarioSet,
     cross,
+    legacy_failures,
     srlg_failures,
 )
 
@@ -150,7 +150,7 @@ class TestVariantSiblingBounds:
             tiny_config.weights,
             np.random.default_rng(21),
         )
-        failures = ScenarioSet.from_failures(single_link_failures(network))
+        failures = legacy_failures(network)
         variants = [GaussianSurge(seed=1), GaussianSurge(seed=2)]
         sweeps = {
             v.digest: evaluator.evaluate_scenarios(

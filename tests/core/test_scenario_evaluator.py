@@ -2,9 +2,10 @@
 
 Pins the acceptance criteria of the refactor:
 
-* legacy parity — every sweep routed through the legacy-equivalent
-  ScenarioSet is bit-identical to the pre-refactor FailureSet sweep,
-  including on an optimized table2-style arm;
+* legacy parity — sweeping the paper's single-link ScenarioSet is
+  bit-identical to sweeping its bare FailureScenario items (the form
+  Phase 2's ordered lists take), including on an optimized table2-style
+  arm;
 * exact multi-arc scenario evaluation — incremental routing matches
   from-scratch routing on SRLG / regional / k-link / node scenarios,
   randomized over weight settings;
@@ -26,7 +27,6 @@ from repro.core.optimizer import RobustDtrOptimizer
 from repro.core.parallel import CachingDtrEvaluator, ParallelDtrEvaluator
 from repro.core.weights import WeightSetting
 from repro.exp.common import run_arms
-from repro.routing.failures import single_link_failures
 from repro.scenarios import (
     GaussianSurge,
     GravityRescale,
@@ -75,19 +75,20 @@ class TestLegacyParity:
             small_evaluator.config.weights,
             rng,
         )
-        legacy = single_link_failures(small_evaluator.network)
-        wrapped = ScenarioSet.from_failures(legacy)
-        direct = small_evaluator.evaluate_failures(setting, legacy)
+        wrapped = legacy_failures(small_evaluator.network)
+        bare = [s.failure for s in wrapped]
+        direct = small_evaluator.evaluate_scenarios(setting, bare)
         via_set = small_evaluator.evaluate_scenarios(setting, wrapped)
         assert len(direct) == len(via_set)
         for old, new in zip(direct.evaluations, via_set.evaluations):
             assert_evaluations_identical(old, new, old.scenario.label)
+            assert old.kind is None
             assert new.kind == "link"
 
     @pytest.mark.slow
     def test_table2_arm_bitwise_equal(self, small_instance, tiny_config):
         """The table2 arm (optimize, sweep all single-link failures) is
-        reproduced bit-identically through the ScenarioSet path."""
+        reproduced bit-identically from its bare failure scenarios."""
         network, traffic = small_instance
         from repro.exp.common import Instance
 
@@ -96,14 +97,12 @@ class TestLegacyParity:
         )
         outcome = run_arms(instance, tiny_config, seed=0)
         evaluator = DtrEvaluator(network, traffic, tiny_config)
-        legacy = single_link_failures(network)
-        assert outcome.all_failures.to_failure_set().scenarios == (
-            legacy.scenarios
-        )
+        assert outcome.all_failures == legacy_failures(network)
+        bare = [s.failure for s in outcome.all_failures]
         for setting in (
             outcome.robust_setting, outcome.regular_setting
         ):
-            direct = evaluator.evaluate_failures(setting, legacy)
+            direct = evaluator.evaluate_scenarios(setting, bare)
             via_set = evaluator.evaluate_scenarios(
                 setting, outcome.all_failures
             )
@@ -168,7 +167,7 @@ class TestTrafficVariants:
         self, small_evaluator, random_setting
     ):
         network = small_evaluator.network
-        failure = single_link_failures(network)[0]
+        failure = legacy_failures(network)[0].failure
         variant = GravityRescale(1.4)
         composed = Scenario(
             failure=failure, variant=variant, kind="linkxrescale"
@@ -211,9 +210,6 @@ class TestUnifiedSweepContract:
             ParallelDtrEvaluator.evaluate_scenarios
         )
         assert list(serial.parameters) == list(parallel.parameters)
-        serial_legacy = inspect.signature(DtrEvaluator.evaluate_failures)
-        assert len(serial_legacy.parameters) == len(serial.parameters)
-        assert "evaluate_failures" not in ParallelDtrEvaluator.__dict__
 
     def test_parallel_matches_serial_on_mixed_set(
         self, small_instance, tiny_config, rng
@@ -248,7 +244,7 @@ class TestUnifiedSweepContract:
         serial = DtrEvaluator(network, traffic, tiny_config)
         caching = CachingDtrEvaluator(network, traffic, tiny_config)
         expected = serial.evaluate_scenarios(setting, scenarios)
-        got = caching.evaluate_failures(setting, scenarios)
+        got = caching.evaluate_scenarios(setting, scenarios)
         for old, new in zip(expected.evaluations, got.evaluations):
             assert_evaluations_identical(old, new, old.scenario.label)
 

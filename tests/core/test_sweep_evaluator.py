@@ -24,13 +24,13 @@ from repro.routing.backend import (
     SWEEP_BATCH_MIN_SCENARIOS,
     validate_sweep_batching,
 )
-from repro.routing.failures import single_link_failures
 from repro.scenarios import (
     GaussianSurge,
     GravityRescale,
     cross,
     gaussian_surges,
     k_link_failures,
+    legacy_failures,
     node_failures,
     regional_failures,
     srlg_failures,
@@ -158,19 +158,19 @@ class TestSerialParity:
         self, small_instance, tiny_config
     ):
         network, traffic = small_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         setting = WeightSetting.random(
             network.num_arcs,
             tiny_config.weights,
             np.random.default_rng(77),
         )
         serial = DtrEvaluator(network, traffic, tiny_config)
-        reference = serial.evaluate_failures(setting, failures)
+        reference = serial.evaluate_scenarios(setting, failures)
         caching = CachingDtrEvaluator(network, traffic, tiny_config)
-        first = caching.evaluate_failures(setting, failures)
+        first = caching.evaluate_scenarios(setting, failures)
         assert_sweeps_identical(reference, first)
         before = caching.cache_stats
-        second = caching.evaluate_failures(setting, failures)
+        second = caching.evaluate_scenarios(setting, failures)
         assert_sweeps_identical(reference, second)
         # the repeat sweep answers routed scenarios from the cache
         assert caching.cache_stats.hits_exact > before.hits_exact
@@ -252,7 +252,7 @@ class TestParallelParity:
         """Unbatched sweeps fan out on the same tickets as batched ones:
         one publish per host, about a hundred bytes per task."""
         network, traffic = small_instance
-        failures = single_link_failures(network)
+        failures = legacy_failures(network)
         setting = WeightSetting.random(
             network.num_arcs,
             tiny_config.weights,
@@ -263,12 +263,12 @@ class TestParallelParity:
             tiny_config.replace(execution=ExecutionParams(**knob)),
         )
         assert not serial._use_sweep_batching(len(failures))
-        reference = serial.evaluate_failures(setting, failures)
+        reference = serial.evaluate_scenarios(setting, failures)
         config = tiny_config.replace(
             execution=ExecutionParams(n_jobs=2, **knob)
         )
         with ParallelDtrEvaluator(network, traffic, config) as parallel:
-            candidate = parallel.evaluate_failures(setting, failures)
+            candidate = parallel.evaluate_scenarios(setting, failures)
             transport = parallel.transport_stats
             assert parallel.num_evaluations == serial.num_evaluations
             assert parallel.num_evaluations == len(failures) + 1

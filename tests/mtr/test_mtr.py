@@ -24,7 +24,7 @@ from repro.mtr import (
     estimate_mtr_criticality,
     select_mtr_critical_links,
 )
-from repro.routing.failures import single_link_failures
+from repro.scenarios import gaussian_surges, legacy_failures
 from repro.traffic import gravity_matrix
 
 
@@ -150,8 +150,9 @@ class TestMtrEvaluatorMatchesDtr:
             network.num_arcs, config.weights, np.random.default_rng(7)
         )
         mws = MtrWeightSetting(np.stack([ws.delay, ws.tput]))
-        for scenario in single_link_failures(network):
-            mtr_cost = mtr_eval.evaluate(mws, scenario).cost
+        failures = legacy_failures(network)
+        for scenario in failures:
+            mtr_cost = mtr_eval.evaluate(mws, scenario.failure).cost
             dtr_cost = dtr_eval.evaluate(ws, scenario).cost
             assert mtr_cost.values[0] == pytest.approx(
                 dtr_cost.lam, abs=1e-9
@@ -159,6 +160,17 @@ class TestMtrEvaluatorMatchesDtr:
             assert mtr_cost.values[1] == pytest.approx(
                 dtr_cost.phi, rel=1e-12
             )
+        swept = mtr_eval.evaluate_failures(mws, failures)
+        assert [e.scenario for e in swept.evaluations] == [
+            s.failure for s in failures
+        ]
+
+    def test_failure_sweep_refuses_traffic_variants(self, mtr_setup):
+        network, _, instance, config = mtr_setup
+        mtr_eval = MtrEvaluator(network, instance, config.delay)
+        mws = MtrWeightSetting.uniform(2, network.num_arcs)
+        with pytest.raises(ValueError, match="traffic variants"):
+            mtr_eval.evaluate_failures(mws, gaussian_surges(count=1))
 
 
 class TestMtrCriticality:

@@ -13,12 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing.engine import RoutingEngine
-from repro.routing.failures import (
-    FailureScenario,
-    single_link_failures,
-    single_node_failures,
-)
+from repro.routing.failures import FailureScenario
 from repro.routing.incremental import IncrementalRouter
+from repro.scenarios import legacy_failures, node_failures
 from repro.topology import rand_topology
 
 
@@ -82,18 +79,19 @@ def test_failure_scenarios_bit_identical(case):
     gen = np.random.default_rng(seed + 2)
     engine = RoutingEngine(network)
     router = IncrementalRouter(network, demands, weights)
-    scenarios = list(single_link_failures(network))
+    scenarios = [s.failure for s in legacy_failures(network)]
     scenarios += [
         FailureScenario(failed_arcs=(int(a),), label=f"arc:{a}")
         for a in gen.choice(
             network.num_arcs, size=min(6, network.num_arcs), replace=False
         )
     ]
-    scenarios += list(
-        single_node_failures(
+    scenarios += [
+        s.failure
+        for s in node_failures(
             network, nodes=gen.choice(network.num_nodes, 4, replace=False)
         )
-    )
+    ]
     for scenario in scenarios:
         got = router.route_scenario(scenario).routing
         expected = engine.route_class(weights, demands, scenario)
@@ -113,7 +111,7 @@ def test_interleaved_moves_and_failures(case):
     engine = RoutingEngine(network)
     router = IncrementalRouter(network, demands, weights)
     current = weights.copy()
-    failures = list(single_link_failures(network))
+    failures = [s.failure for s in legacy_failures(network)]
     for step in range(8):
         arc = int(gen.integers(0, network.num_arcs))
         new = float(gen.integers(1, 18))

@@ -36,14 +36,11 @@ from repro.scenarios import (
     Scenario,
     cross,
     k_link_failures,
+    legacy_failures,
     node_failures,
     srlg_failures,
 )
-from repro.routing.failures import (
-    NORMAL,
-    FailureScenario,
-    single_link_failures,
-)
+from repro.routing.failures import NORMAL, FailureScenario
 from repro.topology import rand_topology, scale_to_diameter
 from repro.traffic import dtr_traffic, scale_to_utilization
 
@@ -126,7 +123,7 @@ class TestPlanner:
 
     def test_group_budget_bounds_group_size(self, instance):
         network, _ = instance
-        failures = list(single_link_failures(network))
+        failures = [s.failure for s in legacy_failures(network)]
         budget = group_scenario_budget(network.num_nodes, network.num_arcs)
         plan = plan_sweep(failures, network.num_nodes, network.num_arcs)
         assert all(len(g) <= budget for g in plan.batch_groups)

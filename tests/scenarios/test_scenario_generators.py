@@ -1,4 +1,4 @@
-"""Determinism and legacy parity of the seeded scenario generators."""
+"""Determinism and pinned enumerations of the seeded scenario generators."""
 
 import os
 import subprocess
@@ -7,13 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from repro.routing.failures import dual_link_failures
+from repro.exp.common import make_instance
+from repro.routing.failures import FailureModel
 from repro.scenarios import (
     GaussianSurge,
     HotspotSurge,
     build_scenarios,
     gaussian_surges,
     k_link_failures,
+    legacy_failures,
+    node_failures,
     regional_failures,
     scenario_family,
     srlg_failures,
@@ -105,27 +108,49 @@ class TestSeededDeterminism:
         assert set(local) == {"srlg", "multi2", "regional", "surge", "spec"}
 
 
-class TestLegacyParity:
-    def test_k2_reproduces_dual_link_failures(self, network):
-        """k_link_failures(k=2) == the old dual_link_failures generator:
-        same combination order, same sampling draws, same labels."""
-        legacy = dual_link_failures(
-            network, max_scenarios=10, rng=np.random.default_rng(5)
-        )
-        new = k_link_failures(
+#: ``(link, arc, node)`` digests and link-set sizes of the paper's
+#: single-failure enumerations on two ``make_instance`` instances (seed 0).
+_PINNED_SINGLE_FAILURES = {
+    ("isp", 16, 0.0): (
+        "f2dc6de0c41d7ae4", "eba9f6174f08058b", "82a4b59a6c0a95f7", 35,
+    ),
+    ("rand", 30, 6.0): (
+        "f5622e0c145b6772", "842be8200615de51", "9395715678df9de3", 90,
+    ),
+}
+
+
+class TestPinnedEnumerations:
+    """Digests of the paper's enumerations and of the k=2 family: a
+    change to their order, labels, kinds or arcs changes every sweep's
+    fold order and output."""
+
+    @pytest.mark.parametrize(
+        "instance_args",
+        sorted(_PINNED_SINGLE_FAILURES),
+        ids=lambda args: f"{args[0]}{args[1]}",
+    )
+    def test_single_failure_digests(self, instance_args):
+        link, arc, node, links = _PINNED_SINGLE_FAILURES[instance_args]
+        network = make_instance(*instance_args, seed=0).network
+        link_set = legacy_failures(network)
+        assert len(link_set) == links
+        assert link_set.digest == link
+        assert legacy_failures(network, FailureModel.ARC).digest == arc
+        assert node_failures(network).digest == node
+
+    def test_k2_sampled_digest(self, network):
+        """Combination order and sampling draws of the k=2 family."""
+        sampled = k_link_failures(
             network, k=2, max_scenarios=10, rng=np.random.default_rng(5)
         )
-        assert [s.label for s in new] == [s.label for s in legacy]
-        assert [s.failed_arcs for s in new] == [
-            s.failed_arcs for s in legacy
-        ]
+        assert len(sampled) == 10
+        assert sampled.digest == "1bb7bea164b3d687"
 
-    def test_k2_unsampled_matches_too(self, network):
-        legacy = dual_link_failures(network)
-        new = k_link_failures(network, k=2)
-        assert [s.failed_arcs for s in new] == [
-            s.failed_arcs for s in legacy
-        ]
+    def test_k2_unsampled_digest(self, network):
+        every = k_link_failures(network, k=2)
+        assert len(every) == 378
+        assert every.digest == "f9a3998134f34715"
 
 
 class TestGeneratorShapes:

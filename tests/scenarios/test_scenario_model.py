@@ -1,15 +1,9 @@
-"""Semantics of the Scenario / ScenarioSet model and the legacy bridge."""
+"""Semantics of the Scenario / ScenarioSet model and its failure wrapper."""
 
 import numpy as np
 import pytest
 
-from repro.routing.failures import (
-    NORMAL,
-    FailureModel,
-    FailureScenario,
-    single_link_failures,
-    single_node_failures,
-)
+from repro.routing.failures import NORMAL, FailureScenario
 from repro.scenarios import (
     GaussianSurge,
     GravityRescale,
@@ -17,10 +11,10 @@ from repro.scenarios import (
     Scenario,
     ScenarioSet,
     as_scenario,
-    as_scenario_set,
     cross,
     gaussian_surges,
     legacy_failures,
+    node_failures,
 )
 from repro.topology import rand_topology
 
@@ -73,34 +67,30 @@ class TestScenario:
 
 class TestScenarioSet:
     def test_wraps_legacy_preserving_order_and_labels(self, network):
-        legacy = single_link_failures(network)
-        wrapped = ScenarioSet.from_failures(legacy)
-        assert len(wrapped) == len(legacy)
-        assert wrapped.model is FailureModel.LINK
-        for old, new in zip(legacy, wrapped):
+        """from_failures wraps bare FailureScenario items in order."""
+        bare = [s.failure for s in legacy_failures(network)]
+        wrapped = ScenarioSet.from_failures(bare, kind="link")
+        assert len(wrapped) == len(bare)
+        assert wrapped.name == "link"
+        for old, new in zip(bare, wrapped):
             assert new.failure is old
             assert new.label == old.label
             assert new.kind == "link"
-
-    def test_round_trips_to_failure_set(self, network):
-        legacy = single_link_failures(network)
-        wrapped = ScenarioSet.from_failures(legacy)
-        back = wrapped.to_failure_set()
-        assert back.scenarios == legacy.scenarios
-        assert back.model is legacy.model
-
-    def test_to_failure_set_rejects_variants(self):
-        surge = gaussian_surges(count=1)
-        with pytest.raises(ValueError, match="traffic variants"):
-            surge.to_failure_set()
+        assert wrapped == legacy_failures(network)
+        assert ScenarioSet.from_failures(bare).kinds() == ("failure",)
 
     def test_restriction_matches_legacy(self, network):
-        legacy = single_link_failures(network)
-        wrapped = ScenarioSet.from_failures(legacy)
+        """Restricting the paper's link set keeps, in order, exactly the
+        failures touching a given arc (Eq. 7)."""
+        failures = legacy_failures(network)
         arcs = [0, 5, 9]
-        old = legacy.restricted_to_arcs(arcs)
-        new = wrapped.restricted_to_arcs(arcs)
-        assert [s.failure for s in new] == list(old.scenarios)
+        expected = [
+            s.failure for s in failures if set(arcs) & set(s.failed_arcs)
+        ]
+        restricted = failures.restricted_to_arcs(arcs)
+        assert expected
+        assert [s.failure for s in restricted] == expected
+        assert restricted.name == failures.name
 
     def test_restriction_keeps_traffic_only_scenarios(self, network):
         combined = legacy_failures(network) + gaussian_surges(count=2)
@@ -109,9 +99,8 @@ class TestScenarioSet:
         assert kinds.count("surge") == 2
 
     def test_node_failures_wrap(self, network):
-        wrapped = ScenarioSet.from_failures(
-            single_node_failures(network), kind="node"
-        )
+        wrapped = node_failures(network)
+        assert len(wrapped) == network.num_nodes
         assert all(s.removed_nodes for s in wrapped)
 
     def test_concatenation_preserves_order(self, network):
@@ -147,16 +136,6 @@ class TestCoercions:
         assert as_scenario(NORMAL).failure is NORMAL
         composed = Scenario(variant=GravityRescale(2.0))
         assert as_scenario(composed) is composed
-
-    def test_as_scenario_set(self, network):
-        legacy = single_link_failures(network)
-        assert as_scenario_set(legacy).labels == tuple(
-            s.label for s in legacy
-        )
-        existing = legacy_failures(network)
-        assert as_scenario_set(existing) is existing
-        mixed = as_scenario_set([NORMAL, Scenario(kind="surge")])
-        assert len(mixed) == 2
 
 
 class TestCross:
