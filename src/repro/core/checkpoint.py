@@ -243,13 +243,25 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: "str | Path") -> OptimizerCheckpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises :class:`CheckpointError` naming ``path`` on a file that
+    cannot be read and on one that does not decode (whatever
+    ``pickle.load`` raised: a truncated write, foreign bytes), so a bad
+    file stops a resume with a checkpoint error instead of a raw
+    unpickling exception.
+    """
     path = Path(path)
     try:
         with open(path, "rb") as handle:
             checkpoint = pickle.load(handle)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
+    except Exception as exc:  # noqa: BLE001 - any decode failure
+        raise CheckpointError(
+            f"cannot decode checkpoint {path}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     if not isinstance(checkpoint, OptimizerCheckpoint):
         raise CheckpointError(f"{path} is not an optimizer checkpoint")
     if checkpoint.meta.version != CHECKPOINT_VERSION:

@@ -8,6 +8,7 @@ bit-identical to a run that was never interrupted.
 from __future__ import annotations
 
 import dataclasses
+import re
 import signal
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 
 from repro.config import ExecutionParams
 from repro.core.checkpoint import (
+    CheckpointError,
     CheckpointManager,
     CheckpointMismatchError,
     OptimizerCheckpoint,
@@ -331,6 +333,28 @@ def test_version_gate(tmp_path, small_instance, tiny_config):
     save_checkpoint(path, OptimizerCheckpoint(bad, {"stage": "phase1a"}))
     with pytest.raises(CheckpointMismatchError, match="version"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_undecodable_checkpoint_fails_closed(
+    tmp_path, small_instance, tiny_config, damage
+):
+    """A torn or foreign file raises CheckpointError naming the path,
+    not whatever the unpickler raised, also through resolve_resume."""
+    optimizer = make_optimizer(small_instance, tiny_config)
+    meta = meta_for(optimizer)
+    path = tmp_path / "ck.pkl"
+    CheckpointManager(path, meta, every=1).write(
+        "phase1a", {"stage": "phase1a", "tick": 0}
+    )
+    data = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(data[: len(data) // 2])
+    else:
+        path.write_bytes(b"\x80\x05 not a checkpoint \xff" * 8)
+    for load in (load_checkpoint, lambda p: resolve_resume(p, meta)):
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load(path)
 
 
 # ----------------------------------------------------------------------
