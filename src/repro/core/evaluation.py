@@ -23,10 +23,12 @@ evaluator uses for every routing when
 ``config.execution.incremental_routing`` is on (the default): single-arc
 weight moves (:meth:`DtrEvaluator.evaluate_move` /
 :meth:`DtrEvaluator.revert_move`) and failure scenarios re-route only
-the destinations the delta can affect, and path-delay columns of
-untouched destinations are copied from the ``reuse`` evaluation instead
-of re-propagated.  All of it is bit-identical to from-scratch
-evaluation; tests pin the parity.
+the destinations the delta can affect, and every path-delay column
+whose mask row and masked arc delays equal the ``reuse`` evaluation's
+is copied from it instead of re-propagated
+(:meth:`~repro.routing.engine.PathDelayReuse.fill`, the one reuse rule
+of the per-scenario, move and batch paths).  All of it is bit-identical
+to from-scratch evaluation; tests pin the parity.
 
 Scenario composition (:mod:`repro.scenarios`): every evaluation entry
 point accepts composed :class:`~repro.scenarios.Scenario` objects and
@@ -56,7 +58,12 @@ from repro.core.perturbation import Move
 from repro.core.sla import SlaOutcome, sla_outcome
 from repro.core.weights import WeightSetting
 from repro.routing.backend import SWEEP_BATCH_MIN_SCENARIOS
-from repro.routing.engine import ClassRouting, PathDelayReuse, RoutingEngine
+from repro.routing.engine import (
+    BatchHandoff,
+    ClassRouting,
+    PathDelayReuse,
+    RoutingEngine,
+)
 from repro.routing.failures import NORMAL, FailureScenario
 from repro.routing.incremental import IncrementalRouter
 from repro.routing.network import Network
@@ -228,17 +235,20 @@ def compact_evaluation(
     )
 
 
-def _normal_delay_routing(
-    reuse: ScenarioEvaluation | None,
-) -> ClassRouting | None:
-    """The delay routing of a NORMAL ``reuse`` (None for anything else).
-
-    Re-routed scenarios diff their destinations against it to find the
-    path-delay columns they may copy.
-    """
-    if reuse is not None and reuse.scenario.is_normal:
-        return reuse.routing_delay
-    return None
+def _delay_reuse(reuse: ScenarioEvaluation | None) -> PathDelayReuse | None:
+    """The delay columns of a NORMAL ``reuse`` (None for anything else)."""
+    if (
+        reuse is None
+        or not reuse.scenario.is_normal
+        or reuse.routing_delay is None
+    ):
+        return None
+    return PathDelayReuse(
+        pair_delays=reuse.pair_delays,
+        arc_delays=reuse.arc_delay,
+        destinations=reuse.routing_delay.destinations,
+        masks=reuse.routing_delay.masks,
+    )
 
 
 @dataclass(frozen=True)
@@ -383,9 +393,10 @@ class DtrEvaluator:
                 whose shortest-path DAGs avoid every failed arc are not
                 re-routed, and with incremental routing the unaffected
                 destinations of partially-affected classes reuse their
-                distance, mask and path-delay columns too.  Ignored by
-                traffic-variant scenarios, which maintain their own
-                per-variant reuse.
+                distance and mask columns too, and every delay column
+                whose mask row and masked arc delays are unchanged is
+                copied.  Ignored by traffic-variant scenarios, which
+                maintain their own per-variant reuse.
         """
         kind: str | None = None
         if isinstance(scenario, Scenario):
@@ -400,36 +411,36 @@ class DtrEvaluator:
         reuse = self._base_reuse(setting, reuse)
         self._num_evaluations += 1
 
-        hit, routing_d, routing_t, reusable_d = self._shortcut(
-            scenario, kind, reuse
-        )
+        hit, routing_d, routing_t = self._shortcut(scenario, kind, reuse)
         if hit is not None:
             return hit
+        # The from-scratch path keeps its delay DPs independent: it
+        # copies NORMAL columns only into a routing it did not re-route.
+        delay_reuse = (
+            _delay_reuse(reuse)
+            if self._incremental or routing_d is not None
+            else None
+        )
+        handoffs = ()
         if routing_d is None:
-            routing_d, reusable_d = self._route_with_reuse(
-                "delay",
-                setting.delay,
-                self._traffic.delay.values,
-                scenario,
-                _normal_delay_routing(reuse),
+            routing_d, handoffs = self._route(
+                "delay", setting.delay, self._traffic.delay.values, scenario
             )
         if routing_t is None:
-            routing_t, _ = self._route_with_reuse(
+            routing_t, _ = self._route(
                 "tput",
                 setting.tput,
                 self._traffic.throughput.values,
                 scenario,
-                None,
             )
-        total, delays, delay_reuse = self._arc_delays(
-            routing_d, routing_t, reusable_d, reuse
-        )
+        total, delays = self._arc_delays(routing_d, routing_t)
         pair_delays = self._engine.path_delays(
             routing_d,
             delays,
             mode=self._delay_mode,
             reuse=delay_reuse,
             memo=self._incremental,
+            handoffs=handoffs,
         )
         return self._assemble(
             scenario, kind, routing_d, routing_t, total, delays, pair_delays
@@ -460,12 +471,11 @@ class DtrEvaluator:
     ) -> tuple:
         """The failed-arc shortcut: reuse the routings the failure misses.
 
-        Returns ``(evaluation, routing_d, routing_t, reusable_d)``.  When
-        neither class's DAGs use a failed arc the costs equal
-        ``reuse``'s and ``evaluation`` is that copy; otherwise it is None
-        and each untouched class's reused routing (None = must be
-        routed) comes back, with all delay-class destinations reusable
-        when the delay class is untouched.
+        Returns ``(evaluation, routing_d, routing_t)``.  When neither
+        class's DAGs use a failed arc the costs equal ``reuse``'s and
+        ``evaluation`` is that copy; otherwise it is None and each
+        untouched class's reused routing (None = must be routed) comes
+        back.
         """
         if (
             reuse is None
@@ -474,12 +484,11 @@ class DtrEvaluator:
             or reuse.routing_delay is None
             or reuse.routing_tput is None
         ):
-            return None, None, None, None
+            return None, None, None
         failed = list(scenario.failed_arcs)
-        routing_d = routing_t = reusable_d = None
+        routing_d = routing_t = None
         if not reuse.routing_delay.used_arcs()[failed].any():
             routing_d = reuse.routing_delay
-            reusable_d = frozenset(int(t) for t in routing_d.destinations)
         if not reuse.routing_tput.used_arcs()[failed].any():
             routing_t = reuse.routing_tput
         if routing_d is not None and routing_t is not None:
@@ -491,21 +500,13 @@ class DtrEvaluator:
                 routing_tput=None,
                 kind=kind,
             )
-            return hit, None, None, None
-        return None, routing_d, routing_t, reusable_d
+            return hit, None, None
+        return None, routing_d, routing_t
 
     def _arc_delays(
-        self,
-        routing_d: ClassRouting,
-        routing_t: ClassRouting,
-        reusable_d: frozenset[int] | None,
-        reuse: ScenarioEvaluation | None,
-    ) -> "tuple[np.ndarray, np.ndarray, PathDelayReuse | None]":
-        """Total loads, per-arc delays (Eq. 1) and path-delay reuse.
-
-        The reuse names the NORMAL evaluation's delay columns that the
-        delay DP may copy for the ``reusable_d`` destinations.
-        """
+        self, routing_d: ClassRouting, routing_t: ClassRouting
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Total loads and per-arc delays (Eq. 1)."""
         total = routing_d.loads + routing_t.loads
         delays = arc_delays(
             total,
@@ -513,14 +514,7 @@ class DtrEvaluator:
             self._network.prop_delay,
             self._config.delay,
         )
-        delay_reuse = None
-        if reusable_d and reuse is not None and reuse.scenario.is_normal:
-            delay_reuse = PathDelayReuse(
-                pair_delays=reuse.pair_delays,
-                arc_delays=reuse.arc_delay,
-                reusable=reusable_d,
-            )
-        return total, delays, delay_reuse
+        return total, delays
 
     def _assemble(
         self,
@@ -613,42 +607,35 @@ class DtrEvaluator:
             self._routers[class_id] = router
         return router
 
-    def _route_with_reuse(
+    def _route(
         self,
         class_id: str,
         weights: np.ndarray,
         demands: np.ndarray,
         scenario: FailureScenario,
-        base_routing: ClassRouting | None,
-    ) -> tuple[ClassRouting, frozenset[int] | None]:
-        """Route one class, reporting which destinations match the base.
+    ) -> "tuple[ClassRouting, tuple[BatchHandoff, ...]]":
+        """Route one class on the per-scenario path.
 
-        The second element names the destinations whose distance column
-        and DAG-mask row are bit-identical to ``base_routing``'s (for
-        path-delay column reuse); None when nothing can be claimed.
-        Weights and demands are *not* re-validated here: weights come
-        from a :class:`WeightSetting` (``>= 1`` enforced on
-        construction, arc count checked in :meth:`evaluate`) and demands
-        from the traffic instance validated in ``__init__``.
+        Returns the routing and the load-schedule handoffs its delay DP
+        may replay (empty from scratch).  Weights and demands are *not*
+        re-validated here: weights come from a :class:`WeightSetting`
+        (``>= 1`` enforced on construction, arc count checked in
+        :meth:`evaluate`) and demands from the traffic instance
+        validated in ``__init__``.
         """
         if not self._incremental:
             return (
                 self._engine.route_class(
                     weights, demands, scenario, validate=False
                 ),
-                None,
+                (),
             )
         router = self._router_for(class_id, weights, demands)
         router.sync(weights)
         if scenario.is_normal:
-            reusable = router.matching_destinations(base_routing)
-            return router.routing, reusable
-        scenario_routing = router.route_scenario(
-            scenario, want_reusable=base_routing is not None
-        )
-        return scenario_routing.routing, (
-            scenario_routing.reusable if base_routing is not None else None
-        )
+            return router.routing, ()
+        scenario_routing = router.route_scenario(scenario)
+        return scenario_routing.routing, scenario_routing.handoffs
 
     def evaluate_normal(self, setting: WeightSetting) -> ScenarioEvaluation:
         """Cost under the failure-free scenario."""
@@ -669,11 +656,11 @@ class DtrEvaluator:
         often zero, e.g. a weight increase on an off-DAG arc), and
         ``reuse`` — the *base* setting's normal evaluation, as returned
         by the previous ``evaluate_move`` / ``evaluate_normal`` call on
-        this evaluator — lets untouched destinations reuse their
-        path-delay columns as well.  Both hints are safe against protocol
-        drift: the router diffs the requested weights itself and falls
-        back to a rebuild, and a base that does not match the router
-        state is ignored.
+        this evaluator — lets every destination whose mask row and
+        masked arc delays are unchanged reuse its path-delay column.
+        Both hints are safe against protocol drift: the router diffs the
+        requested weights itself and falls back to a rebuild, and the
+        reuse rule compares mask rows and delays cell by cell.
         """
         if self._incremental and move is not None:
             for class_id, arc, old, new in move.deltas:
@@ -934,50 +921,6 @@ class DtrEvaluator:
                 routing_tput=None,
             )
 
-    def _batch_route_lookup(
-        self,
-        class_id: str,
-        scenario: FailureScenario,
-        weights: np.ndarray,
-    ) -> ClassRouting | None:
-        """Routing-cache probe hook of the batch sweep path (none here)."""
-        del class_id, scenario, weights
-        return None
-
-    def _batch_route_store(
-        self,
-        class_id: str,
-        scenario: FailureScenario,
-        weights: np.ndarray,
-        routing: ClassRouting,
-    ) -> None:
-        """Routing-cache store hook of the batch sweep path (no-op here)."""
-        del class_id, scenario, weights, routing
-
-    def _route_batch(
-        self,
-        class_id: str,
-        weights: np.ndarray,
-        demands: np.ndarray,
-        failures: "list[FailureScenario]",
-    ) -> tuple:
-        """Route one class under a group's failures in one batch.
-
-        The batch counterpart of :meth:`_route_with_reuse`: the
-        incremental router routes every failure through
-        :func:`~repro.routing.sweep.route_scenario_batch`, and each
-        routing is stored through the routing-cache hook.  Returns the
-        per-failure scenario routings and the load-batch handoffs.
-        """
-        router = self._router_for(class_id, weights, demands)
-        router.sync(weights)
-        routings, handoffs = route_scenario_batch(router, failures)
-        for failure, scenario_routing in zip(failures, routings):
-            self._batch_route_store(
-                class_id, failure, weights, scenario_routing.routing
-            )
-        return routings, handoffs
-
     def _evaluate_failure_group(
         self,
         setting: WeightSetting,
@@ -988,15 +931,18 @@ class DtrEvaluator:
     ) -> None:
         """Evaluate one batch group of plain arc-failure scenarios.
 
-        Shares :meth:`evaluate`'s failed-arc shortcut and cost assembly,
-        and runs every other stage once per group on arrays: one
-        :meth:`_route_batch` per class, one ``arc_delays`` call on the
-        ``(K, A)`` stack of total loads, one scatter of the reusable
-        NORMAL path-delay columns and one
+        Shares :meth:`evaluate`'s failed-arc shortcut, NORMAL-column
+        reuse rule and cost assembly, and runs every other stage once
+        per group on arrays: one
+        :func:`~repro.routing.sweep.route_scenario_batch` per class, one
+        ``arc_delays`` call on the ``(K, A)`` stack of total loads, one
+        :meth:`~repro.routing.engine.PathDelayReuse.fill` and one
         :func:`~repro.routing.sweep.flush_delay_batch` for the rest.
         Every stage replays the identical floats, so each scenario's
-        evaluation is bit-identical to the per-scenario path.  Exact
-        duplicates (same failure, same kind) share one evaluation.
+        evaluation is bit-identical to the per-scenario path.  No memo
+        or routing cache is probed or filled: a batch sweep prices each
+        setting once.  Exact duplicates (same failure, same kind) share
+        one evaluation.
         """
         self._num_evaluations += len(idxs)
         slots: "dict[tuple, list[int]]" = {}
@@ -1008,61 +954,38 @@ class DtrEvaluator:
                 key = (item, None)
             slots.setdefault(key, []).append(idx)
 
-        # Stage 1: the failed-arc shortcut and the routing-cache probe,
-        # per unique failure; what neither answers goes to the routers.
+        # Stage 1: the failed-arc shortcut, per unique failure; what it
+        # does not answer goes to the routers.
         done: "dict[tuple, ScenarioEvaluation]" = {}
         resolved: "dict[tuple, list]" = {}
-        route_d: "list[tuple]" = []
-        route_t: "list[tuple]" = []
         for key in slots:
-            hit, routing_d, routing_t, _ = self._shortcut(
-                key[0], key[1], reuse
-            )
+            hit, routing_d, routing_t = self._shortcut(key[0], key[1], reuse)
             if hit is not None:
                 done[key] = hit
-                continue
-            entry = resolved[key] = [routing_d, routing_t]
-            for pos, class_id, weights, queue in (
-                (0, "delay", setting.delay, route_d),
-                (1, "tput", setting.tput, route_t),
-            ):
-                if entry[pos] is not None:
-                    continue
-                entry[pos] = self._batch_route_lookup(
-                    class_id, key[0], weights
-                )
-                if entry[pos] is None:
-                    queue.append(key)
-                else:
-                    # A hit is re-stored — an incremental
-                    # (dominated-weights) hit installs the exact key —
-                    # like the caching path's get-put.
-                    self._batch_route_store(
-                        class_id, key[0], weights, entry[pos]
-                    )
+            else:
+                resolved[key] = [routing_d, routing_t]
 
         # Stage 2: batch-route the rest per class.  The delay class's
         # load-batch schedules are kept: the delay DPs of the same
         # columns replay them below.
-        handoffs: "list" = []
-        if route_d:
-            routings, handoffs = self._route_batch(
-                "delay",
-                setting.delay,
-                self._traffic.delay.values,
-                [key[0] for key in route_d],
+        route_d: "list[tuple]" = []
+        handoffs: "list[BatchHandoff]" = []
+        for pos, class_id, weights, demands in (
+            (0, "delay", setting.delay, self._traffic.delay.values),
+            (1, "tput", setting.tput, self._traffic.throughput.values),
+        ):
+            queue = [k for k, pair in resolved.items() if pair[pos] is None]
+            if not queue:
+                continue
+            router = self._router_for(class_id, weights, demands)
+            router.sync(weights)
+            routings, batch_handoffs = route_scenario_batch(
+                router, [key[0] for key in queue]
             )
-            for key, scenario_routing in zip(route_d, routings):
-                resolved[key][0] = scenario_routing.routing
-        if route_t:
-            routings, _ = self._route_batch(
-                "tput",
-                setting.tput,
-                self._traffic.throughput.values,
-                [key[0] for key in route_t],
-            )
-            for key, scenario_routing in zip(route_t, routings):
-                resolved[key][1] = scenario_routing.routing
+            for key, scenario_routing in zip(queue, routings):
+                resolved[key][pos] = scenario_routing.routing
+            if pos == 0:
+                route_d, handoffs = queue, batch_handoffs
 
         if resolved:
             self._group_delays_and_costs(
@@ -1083,12 +1006,10 @@ class DtrEvaluator:
         """Stages 3-4 of a failure group: delays, then cost assembly.
 
         The ``K`` routed scenarios' arc delays come from one
-        ``arc_delays`` call on the ``(K, A)`` total-load stack.  A path
-        delay column is a pure function of its destination, mask row
-        and the delays of the masked arcs (the distance column only
-        orders the DP), so every cell whose mask row equals the NORMAL
-        routing's and whose masked arcs kept their NORMAL delays takes
-        the NORMAL column, in one scatter; the rest run through
+        ``arc_delays`` call on the ``(K, A)`` total-load stack.  Every
+        cell the NORMAL-column reuse rule admits takes the NORMAL column
+        (:meth:`~repro.routing.engine.PathDelayReuse.fill`, the rule
+        ``path_delays`` applies per scenario); the rest run through
         :func:`~repro.routing.sweep.flush_delay_batch`.
         """
         keys = list(resolved)
@@ -1107,16 +1028,11 @@ class DtrEvaluator:
         dests = routings_d[0].destinations
         n = self._network.num_nodes
         out = np.full((len(keys), n, n), np.nan)
-        base = _normal_delay_routing(reuse)
-        if base is None:
+        delay_reuse = _delay_reuse(reuse)
+        if delay_reuse is None:
             pending = np.ones(masks.shape[:2], dtype=bool)
         else:
-            stale = masks != base.masks
-            stale |= base.masks & (delays != reuse.arc_delay)[:, None, :]
-            pending = stale.any(axis=2)
-            rows, pos = np.nonzero(~pending)
-            ts = dests[pos]
-            out[rows, :, ts] = reuse.pair_delays[:, ts].T
+            pending = delay_reuse.fill(dests, masks, delays, out)
         # Load-batch handoffs name (route_d index, destination) cells;
         # resolve them to task rows.
         task_of = {key: k for k, key in enumerate(keys)}

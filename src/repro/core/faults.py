@@ -29,14 +29,10 @@ Fault kinds:
 Plans are installed **worker-side only** (the pool initializer calls
 :func:`install_fault_plan`): the parent process never injects, so the
 supervisor's serial in-process fallback always computes clean results.
-Plans serialize to JSON (:meth:`FaultPlan.to_json`) and can be drawn
-from a seed (:meth:`FaultPlan.sample`) for randomized-but-reproducible
-chaos sweeps.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -169,8 +165,8 @@ class FaultPlan:
 
     Attributes:
         faults: the fault specs, in declaration order.
-        seed: the seed the plan was drawn from (0 for hand-built
-            plans; recorded so a sampled plan's identity is complete).
+        seed: the seed of the run the plan belongs to (recorded so two
+            chaos runs' plans differ in identity when their seeds do).
     """
 
     faults: "tuple[WorkerKill | TaskDelay | StageFault, ...]" = ()
@@ -184,73 +180,6 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.faults)
-
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        """Serialize the plan (stable field order, reversible)."""
-        kinds = {cls: name for name, cls in _FAULT_KINDS.items()}
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "faults": [
-                    {"kind": kinds[type(f)], **f.__dict__}
-                    for f in self.faults
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Rebuild a plan serialized by :meth:`to_json`."""
-        data = json.loads(text)
-        faults = []
-        for spec in data["faults"]:
-            spec = dict(spec)
-            kind = _FAULT_KINDS[spec.pop("kind")]
-            if spec.get("attempts") is not None:
-                spec["attempts"] = tuple(spec["attempts"])
-            faults.append(kind(**spec))
-        return cls(faults=tuple(faults), seed=int(data.get("seed", 0)))
-
-    @classmethod
-    def sample(
-        cls,
-        seed: int,
-        num_tasks: int,
-        kills: int = 1,
-        delays: int = 0,
-        stage_faults: int = 0,
-        delay_seconds: float = 0.2,
-    ) -> "FaultPlan":
-        """Draw a reproducible random plan over ``num_tasks`` tickets.
-
-        Sampling uses its own ``numpy`` generator seeded with ``seed``
-        only, so the same arguments always produce the same plan —
-        chaos sweeps stay bit-for-bit reproducible end to end.
-        """
-        import numpy as np
-
-        if num_tasks < 1:
-            raise ValueError("num_tasks must be >= 1")
-        rng = np.random.default_rng(seed)
-        faults: "list[WorkerKill | TaskDelay | StageFault]" = []
-        for _ in range(kills):
-            faults.append(
-                WorkerKill(task=int(rng.integers(num_tasks)))
-            )
-        for _ in range(delays):
-            faults.append(
-                TaskDelay(
-                    task=int(rng.integers(num_tasks)),
-                    seconds=delay_seconds,
-                )
-            )
-        for _ in range(stage_faults):
-            stage = KNOWN_STAGES[1 + int(rng.integers(2))]
-            faults.append(
-                StageFault(stage=stage, task=int(rng.integers(num_tasks)))
-            )
-        return cls(faults=tuple(faults), seed=seed)
 
 
 # ----------------------------------------------------------------------

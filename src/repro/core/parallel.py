@@ -20,7 +20,11 @@ without changing a single computed bit:
   cached like any other.
 
 * :class:`CachingDtrEvaluator` — a drop-in evaluator that interposes the
-  cache on every class routing.
+  cache on every class routing of the per-scenario and move paths
+  (``evaluate`` / ``evaluate_move``).  Batch sweeps never touch it: they
+  price each setting once, so — like the propagation and delay memos —
+  the cache would only be probed and filled, never answered from
+  (:mod:`repro.routing.sweep`).
 
 * :class:`ParallelDtrEvaluator` — additionally fans scenario sweeps
   (:class:`~repro.scenarios.ScenarioSet` collections, through the one
@@ -33,9 +37,9 @@ without changing a single computed bit:
   evaluator; ``tests/core/test_parallel.py`` pins this.
 
 Hosts are long-lived: each builds its own :class:`CachingDtrEvaluator`
-once per connection, so routing caches stay warm across sweeps, and
-every ticket reports its host's cumulative cache counters back so
-:attr:`ParallelDtrEvaluator.cache_stats` aggregates the whole fleet.
+once per connection, and every ticket reports its host's cumulative
+cache counters back so :attr:`ParallelDtrEvaluator.cache_stats`
+aggregates the whole fleet.
 
 Sweep state never ships per ticket: the instance, the scenario set and
 each weight setting are published once per host as content-keyed
@@ -241,9 +245,10 @@ class CachingDtrEvaluator(DtrEvaluator):
 
     Produces bit-identical results to the serial evaluator — the cache
     only short-circuits recomputation of provably unchanged routings.
-    ``config.execution.routing_cache = False`` disables caching (for
-    memory-bound runs or A/B checks) while keeping the class usable as
-    the worker-side evaluator of the parallel pool.
+    It serves the per-scenario and move paths; batch sweeps neither
+    probe nor fill it.  ``config.execution.routing_cache = False``
+    disables caching (for memory-bound runs or A/B checks) while keeping
+    the class usable as the host-side evaluator.
     """
 
     def __init__(
@@ -272,15 +277,14 @@ class CachingDtrEvaluator(DtrEvaluator):
             return CacheStats()
         return self._cache.stats
 
-    def _route_with_reuse(
+    def _route(
         self,
         class_id: str,
         weights: np.ndarray,
         demands: np.ndarray,
         scenario: FailureScenario,
-        base_routing: ClassRouting | None,
-    ) -> tuple[ClassRouting, "frozenset[int] | None"]:
-        """Cache layer over the (incremental) routing path.
+    ) -> "tuple[ClassRouting, tuple]":
+        """Cache layer over the per-scenario routing path.
 
         An exact cache hit skips routing entirely; misses go through the
         incremental router (when enabled), and the incremental result is
@@ -288,40 +292,15 @@ class CachingDtrEvaluator(DtrEvaluator):
         from-scratch one — so it is stored like any other.
         """
         if self._cache is None:
-            return super()._route_with_reuse(
-                class_id, weights, demands, scenario, base_routing
-            )
+            return super()._route(class_id, weights, demands, scenario)
         routing = self._cache.get(class_id, scenario, weights)
-        reusable: frozenset[int] | None = None
+        handoffs: tuple = ()
         if routing is None:
-            routing, reusable = super()._route_with_reuse(
-                class_id, weights, demands, scenario, base_routing
+            routing, handoffs = super()._route(
+                class_id, weights, demands, scenario
             )
         self._cache.put(class_id, scenario, weights, routing)
-        return routing, reusable
-
-    def _batch_route_lookup(
-        self,
-        class_id: str,
-        scenario: FailureScenario,
-        weights: np.ndarray,
-    ) -> ClassRouting | None:
-        """Cache probe of the batch sweep path (same keys as the serial
-        caching path, so warm caches answer batched sweeps too)."""
-        if self._cache is None:
-            return None
-        return self._cache.get(class_id, scenario, weights)
-
-    def _batch_route_store(
-        self,
-        class_id: str,
-        scenario: FailureScenario,
-        weights: np.ndarray,
-        routing: ClassRouting,
-    ) -> None:
-        """Cache store of the batch sweep path."""
-        if self._cache is not None:
-            self._cache.put(class_id, scenario, weights, routing)
+        return routing, handoffs
 
 
 # ----------------------------------------------------------------------

@@ -127,12 +127,6 @@ class SampleCollector:
                 estimate_criticality(self._store, self._config.sampling)
             )
 
-    def force_update(self) -> None:
-        """Refresh the tracker immediately (used at phase boundaries)."""
-        self._tracker.update(
-            estimate_criticality(self._store, self._config.sampling)
-        )
-
     @property
     def needs_more_samples(self) -> bool:
         """Whether Phase 1b should (continue to) run."""

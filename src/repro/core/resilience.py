@@ -371,28 +371,17 @@ class SweepSupervisor:
                 serial_remainder(pending, "deadline_degraded_tasks")
                 break
 
-            # Dispatch one round of every pending ticket.  A submit
-            # failing with BrokenExecutor means the pool died between
-            # rounds; the round proceeds with whatever got in flight.
-            try:
-                pool = self._ensure_pool()
-            except BrokenExecutor:
-                self._reset_pool()
-                self._counters.record(pool_rebuilds=1)
-                continue
+            # Dispatch one round of every pending ticket.  Neither the
+            # pool nor a submit raises: a lost host comes back as a
+            # future failing with HostLost, classified below.
+            pool = self._ensure_pool()
             in_flight: "list[tuple[int, concurrent.futures.Future]]" = []
             pool_dead = False
             for i in pending:
-                next_attempt = attempts[i] + 1
-                try:
-                    future = tasks[i].submit(pool, next_attempt)
-                except BrokenExecutor:
-                    pool_dead = True
-                    break
-                attempts[i] = next_attempt
-                if next_attempt > 1:
+                attempts[i] += 1
+                if attempts[i] > 1:
                     self._counters.record(retries=1)
-                in_flight.append((i, future))
+                in_flight.append((i, tasks[i].submit(pool, attempts[i])))
 
             retry: "list[int]" = []
             for i, future in in_flight:

@@ -1,32 +1,7 @@
 """Experiment harness: one module per paper table/figure plus presets.
 
 See :data:`repro.exp.runner.EXPERIMENTS` for the full index and
-DESIGN.md for the experiment-to-module mapping.
+DESIGN.md for the experiment-to-module mapping.  The package itself
+re-exports nothing: ``python -m repro.exp.runner`` must find the runner
+unimported, or ``runpy`` executes it twice.
 """
-
-from repro.exp.common import (
-    ExperimentResult,
-    Instance,
-    evaluator_for,
-    make_instance,
-    make_topology,
-    run_arms,
-)
-from repro.exp.presets import DEFAULT, PAPER, QUICK, Preset, get_preset
-from repro.exp.runner import EXPERIMENTS, run_experiment
-
-__all__ = [
-    "DEFAULT",
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "Instance",
-    "PAPER",
-    "Preset",
-    "QUICK",
-    "evaluator_for",
-    "get_preset",
-    "make_instance",
-    "make_topology",
-    "run_arms",
-    "run_experiment",
-]

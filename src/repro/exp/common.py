@@ -39,7 +39,6 @@ from repro.core.sampling import CostSampleStore
 from repro.core.selection import CriticalSelection
 from repro.core.sla import SlaOutcome
 from repro.core.weights import WeightSetting
-from repro.exp.presets import Preset, get_preset
 from repro.routing.failures import NORMAL, FailureModel
 from repro.routing.network import Network
 from repro.scenarios.scenario import ScenarioSet
@@ -253,11 +252,6 @@ def set_arm_control(control: ArmControl | None) -> ArmControl | None:
     previous = _ARM_CONTROL
     _ARM_CONTROL = control
     return previous
-
-
-def get_arm_control() -> ArmControl | None:
-    """The active arm control (None outside sharded/stored runs)."""
-    return _ARM_CONTROL
 
 
 def _arm_key(
@@ -519,7 +513,3 @@ class ExperimentResult:
             parts.append(render_series(figure))
         return "\n\n".join(parts)
 
-
-def resolve(preset: "str | Preset") -> Preset:
-    """Shorthand re-export of :func:`repro.exp.presets.get_preset`."""
-    return get_preset(preset)

@@ -40,12 +40,13 @@ VALID_BACKENDS = ("auto", "python", "vector")
 #: sits between those bracketing measurements.
 VECTOR_CROSSOVER_WORK = 5_500
 
-#: Crossover for *propagation-only* batches (the incremental router's
-#: scenario deltas and the path-delay DP), where no Dijkstra rides
-#: along to amortize: the batch kernels win much earlier.  Calibrated
-#: head-to-head against the python loop on powerlaw instances — the
-#: break-even sits between work ~ 2.8k (python ahead) and ~ 5.5k
-#: (vector ahead) across 100-400 nodes.
+#: Crossover for *propagation-only* batches — every batch of columns
+#: the load and path-delay drivers run, on the per-scenario and batch
+#: sweep paths alike (``repro.routing.engine._vector_columns``) — where
+#: no Dijkstra rides along to amortize: the batch kernels win much
+#: earlier.  Calibrated head-to-head against the python loop on
+#: powerlaw instances — the break-even sits between work ~ 2.8k
+#: (python ahead) and ~ 5.5k (vector ahead) across 100-400 nodes.
 VECTOR_PROPAGATION_CROSSOVER_WORK = 4_500
 
 

@@ -10,6 +10,15 @@ all shortest-path DAG masks in one vectorized operation, and runs the
 per-destination propagations through the pure-Python kernels of
 :mod:`repro.routing.fastpath` (the numpy reference implementations live in
 :mod:`repro.routing.loader` and are pinned equal by tests).
+
+Path delays over existing routings have one driver for every caller:
+:func:`_delay_columns` runs a stack of pending ``(task, destination)``
+cells, replaying load-propagation schedules handed over as
+:class:`BatchHandoff` objects and choosing the python or vector kernel
+for the rest by :func:`_vector_columns`.  :meth:`RoutingEngine.
+path_delays` wraps it in the NORMAL-column reuse rule
+(:meth:`PathDelayReuse.fill`) and the delay memo; the batch sweep's
+:func:`repro.routing.sweep.flush_delay_batch` calls it bare.
 """
 
 from __future__ import annotations
@@ -33,26 +42,42 @@ from repro.routing.network import Network
 from repro.routing.spf import _validate_weights, distance_columns
 from repro.routing.vectorized import (
     BatchPlan,
+    BatchSchedule,
     batch_propagate_mean_delay,
     batch_propagate_worst_delay,
     batch_total_loads,
-    build_schedule,
 )
 
+#: Upper bound on ``cells x num_arcs`` of one batch-kernel call (the
+#: ``(cells, A)`` contribution matrix a load call materializes).  ~48 MB
+#: at float64.
+SWEEP_KERNEL_BUDGET = 6_000_000
 
-def _batch_delay_kernel(mode: str):
-    """The batch path-delay kernel for ``mode`` (shared with the sweep
-    engine, so both delay call sites pick the kernel one way)."""
+
+def kernel_cell_budget(num_arcs: int) -> int:
+    """Columns per batch-kernel call, bounded by the contribution matrix."""
+    return max(64, SWEEP_KERNEL_BUDGET // max(1, num_arcs))
+
+
+def _vector_columns(backend: str, network: Network, columns: int) -> bool:
+    """Whether ``columns`` propagation-only kernel columns run vectorized.
+
+    The one python-vs-vector rule for work over existing masks and
+    distances — load contributions (:func:`repro.routing.incremental.
+    _load_columns`) and path-delay DPs (:func:`_delay_columns`) alike:
+    the configured backend resolved at the propagation crossover.  The
+    kernels are bit-identical, so the rule only decides speed.
+    """
     return (
-        batch_propagate_mean_delay
-        if mode == "mean"
-        else batch_propagate_worst_delay
+        resolve_backend(
+            backend,
+            network.num_nodes,
+            network.num_arcs,
+            columns,
+            kind="propagate",
+        )
+        == "vector"
     )
-
-
-#: Below this many leftover delay columns the per-destination python
-#: kernel beats building a batch schedule.
-_PY_DELAY_BATCH_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -92,9 +117,6 @@ class ClassRouting:
     def __getstate__(self) -> dict[str, object]:
         state = dict(self.__dict__)
         state["network"] = None
-        # Batch schedules are cheap to rebuild and heavy to ship.
-        state.pop("_batch_schedule", None)
-        state.pop("_subset_schedule", None)
         return state
 
     def bind(self, network: Network) -> "ClassRouting":
@@ -125,21 +147,99 @@ class ClassRouting:
 
 
 @dataclass(frozen=True)
-class PathDelayReuse:
-    """Base-evaluation delay columns reusable by :meth:`RoutingEngine.
-    path_delays` under a localized load change.
+class BatchHandoff:
+    """One load-propagation batch's schedule, handed to the delay DP.
+
+    A schedule depends only on the ``(mask row, distance column)`` pairs
+    of its columns, and those are identical between a scenario's load
+    propagation and its path-delay DP, so the delay driver replays the
+    loads schedule instead of rebuilding one.  The only schedule
+    hand-off there is: the per-scenario path passes it from
+    :meth:`~repro.routing.incremental.IncrementalRouter.route_scenario`
+    to :meth:`RoutingEngine.path_delays`, the batch sweep from
+    :func:`~repro.routing.sweep.route_scenario_batch` to
+    :func:`~repro.routing.sweep.flush_delay_batch`.
 
     Attributes:
-        pair_delays: the base ``(N, N)`` path-delay matrix.
-        arc_delays: the per-arc delays the base matrix was computed from.
-        reusable: destinations whose distance column and mask row in the
-            *current* routing are identical to the base routing's (the
-            incremental router reports these).
+        cells: ``(scenario index, destination)`` per schedule column,
+            aligned with the schedule's column order (the index is 0 on
+            the per-scenario path).
+        schedule: the prebuilt schedule.
+    """
+
+    cells: tuple[tuple[int, int], ...]
+    schedule: BatchSchedule
+
+
+@dataclass(frozen=True)
+class PathDelayReuse:
+    """A NORMAL evaluation's delay-class columns, reusable cell by cell.
+
+    A path-delay column is a pure function of its destination, mask row
+    and the delays of the masked arcs: the distance column only orders
+    the DP, and any topological order yields the same bits (max is
+    order-invariant, the mean accumulates in fixed arc order).  So every
+    cell whose mask row equals the NORMAL routing's and whose masked arcs
+    kept their NORMAL delays takes the NORMAL column verbatim — the one
+    reuse rule of the per-scenario, move and batch paths (:meth:`fill`).
+
+    Attributes:
+        pair_delays: the NORMAL ``(N, N)`` path-delay matrix.
+        arc_delays: the per-arc delays it was computed from.
+        destinations: the NORMAL delay routing's destinations, ascending.
+        masks: its DAG mask rows, aligned with ``destinations``.
     """
 
     pair_delays: np.ndarray
     arc_delays: np.ndarray
-    reusable: frozenset[int]
+    destinations: np.ndarray
+    masks: np.ndarray
+
+    def fill(
+        self,
+        destinations: np.ndarray,
+        masks: np.ndarray,
+        arc_delays: np.ndarray,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """Copy the reusable NORMAL columns of ``K`` tasks into ``out``.
+
+        Args:
+            destinations: the ``D`` destinations of every task, ascending
+                (a subset of the NORMAL ones after node removals: rows
+                are aligned by destination).
+            masks: ``(K, D, A)`` delay-class mask rows per task.
+            arc_delays: ``(K, A)`` arc delays per task.
+            out: ``(K, N, N)`` path-delay matrices, written in place.
+
+        Returns:
+            The ``(K, D)`` cells that still need their DP.
+        """
+        if len(destinations) == len(self.destinations) and bool(
+            (destinations == self.destinations).all()
+        ):
+            base, unknown = self.masks, None
+        elif len(self.destinations):
+            pos = np.minimum(
+                np.searchsorted(self.destinations, destinations),
+                len(self.destinations) - 1,
+            )
+            base = self.masks[pos]
+            unknown = self.destinations[pos] != destinations
+        else:
+            return np.ones(masks.shape[:2], dtype=bool)
+        # A cell is pending when its mask row differs from the NORMAL
+        # one or, being equal, masks an arc whose delay changed.
+        changed = arc_delays != self.arc_delays
+        stale = masks != base
+        stale |= masks & changed[:, None, :]
+        pending = stale.any(axis=2)
+        if unknown is not None:
+            pending |= unknown
+        rows, cols = np.nonzero(~pending)
+        ts = destinations[cols]
+        out[rows, :, ts] = self.pair_delays[:, ts].T
+        return pending
 
 
 class RoutingEngine:
@@ -248,14 +348,12 @@ class RoutingEngine:
 
         resolved = self._resolve(destinations.size)
         if resolved != "python":
-            schedule = build_schedule(self._batch_plan, masks, cols)
             loads_arr, und = batch_total_loads(
                 self._batch_plan,
                 masks,
                 cols,
                 demands[:, destinations],
                 destinations,
-                schedule=schedule,
             )
             # Fold undeliverable volumes in ascending destination order —
             # the exact float summation order of the python loop below.
@@ -275,8 +373,7 @@ class RoutingEngine:
                     loads,
                 )
             loads_arr = np.asarray(loads, dtype=np.float64)
-            schedule = None
-        routing = ClassRouting(
+        return ClassRouting(
             network=net,
             scenario=scenario,
             dist=dist,
@@ -286,11 +383,6 @@ class RoutingEngine:
             demands=demands,
             undelivered=undelivered,
         )
-        if schedule is not None:
-            # Reused by path_delays on the same routing (pure function of
-            # masks + dist, both frozen on the routing).
-            object.__setattr__(routing, "_batch_schedule", schedule)
-        return routing
 
     # ------------------------------------------------------------------
     # path metrics over an existing routing
@@ -302,202 +394,94 @@ class RoutingEngine:
         mode: str = "worst",
         reuse: "PathDelayReuse | None" = None,
         memo: bool = False,
+        handoffs: "tuple[BatchHandoff, ...]" = (),
     ) -> np.ndarray:
         """End-to-end path delay for every SD pair of a routed class.
 
+        The per-scenario face of :func:`_delay_columns`: one task, with
+        the NORMAL-column reuse rule and the delay memo wrapped around
+        the driver.
+
         Args:
-            routing: output of :meth:`route_class`.
+            routing: output of :meth:`route_class` (or of an incremental
+                router).
             arc_delays: per-arc delay ``D_l`` in seconds (Eq. 1), computed
                 from the *total* load across both classes.
             mode: ``"worst"`` (max over used ECMP paths, the default SLA
                 evaluation) or ``"mean"`` (flow-weighted average).
-            reuse: optional base-evaluation columns to copy instead of
-                re-propagating.  A destination's delay column depends
-                only on its DAG mask, its distance ordering, and the arc
-                delays of *masked* arcs, so a destination in
-                ``reuse.reusable`` (identical dist column and mask row in
-                the base routing) whose mask avoids every arc with a
-                changed delay gets its base column verbatim — bit-identical
-                to re-propagation.
+            reuse: optional NORMAL-evaluation columns; every destination
+                whose mask row and masked arc delays equal the NORMAL
+                ones gets its NORMAL column verbatim
+                (:meth:`PathDelayReuse.fill`), bit-identical to
+                re-propagation.
             memo: additionally memoize delay columns on ``(mode,
-                destination, mask, dist, masked arc delays)`` — the exact
+                destination, mask, masked arc delays)`` — the exact
                 inputs the propagation is a pure function of, so hits
                 replay identical floats.  Off by default; the evaluator
                 opts in alongside incremental routing (sweep states
                 recur across local-search candidates).
+            handoffs: load-propagation schedules of this routing's
+                re-propagated destinations (from
+                :meth:`~repro.routing.incremental.IncrementalRouter.
+                route_scenario`), replayed instead of rebuilt.
 
         Returns:
             ``(N, N)`` matrix; entry ``(s, t)`` is the path delay for the
             pair, ``inf`` if disconnected, ``nan`` for destinations that
             carry no demand and for the diagonal.
         """
-        if mode == "worst":
-            propagate = fast_propagate_worst_delay
-        elif mode == "mean":
-            propagate = fast_propagate_mean_delay
-        else:
+        if mode not in ("worst", "mean"):
             raise ValueError(f"unknown delay mode {mode!r}")
         net = self._network
         arc_delays = np.asarray(arc_delays, dtype=np.float64)
-        delays_list: list[float] | None = None
+        dests = routing.destinations
         out = np.full((net.num_nodes, net.num_nodes), np.nan)
-        #: Destinations that need propagation: (row, t, memo key).  The
-        #: backend is resolved *after* the pre-pass, once the reuse/memo
-        #: hits are known — warm sweeps leave few pending columns, and
-        #: the propagation-only crossover decides for the rest.
-        pending = self._delay_pending(
-            routing, arc_delays, mode, reuse, memo, out
-        )
-        resolved = (
-            resolve_backend(
-                self._backend,
-                net.num_nodes,
-                net.num_arcs,
-                len(pending),
-                kind="propagate",
-            )
-            if pending
-            else "python"
-        )
-        if pending and resolved == "python":
-            delays_list = arc_delays.tolist()
-            for row, t, key in pending:
-                column = propagate(
-                    self._plan,
-                    routing.masks[row],
-                    routing.dist[:, t],
-                    delays_list,
-                    t,
-                )
-                out[:, t] = column
-                out[t, t] = np.nan
-                if key is not None:
-                    self._memo_put(key, out[:, t].copy())
-            pending = []
-        if pending:
-            batch_propagate = _batch_delay_kernel(mode)
-            schedule = None
-            if len(pending) == len(routing.destinations):
-                # Whole-batch propagation: reuse the schedule route_class
-                # cached on the routing.
-                schedule = routing.__dict__.get("_batch_schedule")
-            else:
-                # The incremental router hands over the schedule of the
-                # destinations it re-propagated.  When most of them are
-                # pending anyway, propagate that whole batch through the
-                # prebuilt schedule — recomputing a column that was
-                # individually reusable replays the identical bits — and
-                # only the leftovers need fresh work.
-                handed = routing.__dict__.get("_subset_schedule")
-                if handed is not None:
-                    bd = np.frombuffer(handed[0], dtype=np.intp)
-                    bd_set = set(int(t) for t in bd)
-                    covered = [p for p in pending if p[1] in bd_set]
-                    if 2 * len(covered) >= len(bd):
-                        rows_bd = np.searchsorted(routing.destinations, bd)
-                        columns = batch_propagate(
-                            self._batch_plan,
-                            routing.masks[rows_bd],
-                            None,
-                            arc_delays,
-                            bd,
-                            schedule=handed[1],
-                        )
-                        pos_of = {int(t): i for i, t in enumerate(bd)}
-                        for _, t, key in covered:
-                            out[:, t] = columns[:, pos_of[t]]
-                            out[t, t] = np.nan
-                            if key is not None:
-                                self._memo_put(key, out[:, t].copy())
-                        pending = [
-                            p for p in pending if p[1] not in bd_set
-                        ]
-        if pending:
-            if len(pending) <= _PY_DELAY_BATCH_MAX and delays_list is None:
-                delays_list = arc_delays.tolist()
-            if delays_list is not None:
-                # Leftover destinations too few to amortize a schedule
-                # build: the per-destination python kernel is cheaper.
-                for row, t, key in pending:
-                    column = propagate(
-                        self._plan,
-                        routing.masks[row],
-                        routing.dist[:, t],
-                        delays_list,
-                        t,
-                    )
-                    out[:, t] = column
-                    out[t, t] = np.nan
-                    if key is not None:
-                        self._memo_put(key, out[:, t].copy())
-            else:
-                rows = np.asarray([row for row, _, _ in pending])
-                ts = np.asarray([t for _, t, _ in pending])
-                columns = batch_propagate(
-                    self._batch_plan,
-                    routing.masks[rows],
-                    # The DP only needs distances to build a schedule.
-                    routing.dist[:, ts] if schedule is None else None,
-                    arc_delays,
-                    ts,
-                    schedule=schedule,
-                )
-                for i, (_, t, key) in enumerate(pending):
-                    out[:, t] = columns[:, i]
-                    out[t, t] = np.nan
-                    if key is not None:
-                        self._memo_put(key, out[:, t].copy())
-        return out
-
-    def _delay_pending(
-        self,
-        routing: ClassRouting,
-        arc_delays: np.ndarray,
-        mode: str,
-        reuse: "PathDelayReuse | None",
-        memo: bool,
-        out: np.ndarray,
-    ) -> "list[tuple[int, int, tuple | None]]":
-        """The reuse/memo pre-pass of :meth:`path_delays`.
-
-        Copies reusable and memoized delay columns into ``out`` and
-        returns the ``(row, t, memo key)`` triples that still need
-        propagation.
-        """
-        changed = (
-            arc_delays != reuse.arc_delays if reuse is not None else None
-        )
-        pending: list[tuple[int, int, tuple | None]] = []
-        for row, t in enumerate(routing.destinations):
-            t = int(t)
-            mask_row = routing.masks[row]
-            if (
-                reuse is not None
-                and t in reuse.reusable
-                and not bool(mask_row[changed].any())
-            ):
-                out[:, t] = reuse.pair_delays[:, t]
-                continue
-            key = None
-            if memo:
-                # The DP result is a pure function of (mode, t, mask,
-                # masked delays): the distance column only supplies a
-                # topological order of the DAG, and any topological
-                # order yields the same bits (max is order-invariant,
-                # mean accumulates in fixed arc order).
+        if reuse is not None:
+            pending = reuse.fill(
+                dests, routing.masks[None], arc_delays[None], out[None]
+            )[0]
+        else:
+            pending = np.ones(dests.size, dtype=bool)
+        keys: "dict[int, tuple]" = {}
+        if memo:
+            ts = dests.tolist()
+            for d in np.flatnonzero(pending).tolist():
+                mask_row = routing.masks[d]
                 key = (
                     mode,
-                    t,
+                    ts[d],
                     mask_row.tobytes(),
                     arc_delays[mask_row].tobytes(),
                 )
                 cached = self._delay_memo.get(key)
                 if cached is not None:
                     self._delay_memo.move_to_end(key)
-                    out[:, t] = cached
-                    continue
-            pending.append((row, t, key))
-        return pending
+                    out[:, ts[d]] = cached
+                    pending[d] = False
+                else:
+                    keys[ts[d]] = key
+        if pending.any():
+            _delay_columns(
+                self,
+                mode,
+                dests,
+                routing.masks[None],
+                routing.dist[None],
+                arc_delays[None],
+                pending[None],
+                out[None],
+                [
+                    (
+                        np.zeros(len(h.cells), dtype=np.intp),
+                        np.asarray([t for _, t in h.cells], dtype=np.intp),
+                        h.schedule,
+                    )
+                    for h in handoffs
+                ],
+            )
+        for t, key in keys.items():
+            self._memo_put(key, out[:, t].copy())
+        return out
 
     def _memo_put(self, key: tuple, column: np.ndarray) -> None:
         self._delay_memo[key] = column
@@ -525,3 +509,102 @@ class RoutingEngine:
             out[:, t] = worst
             out[t, t] = np.nan
         return out
+
+
+def _delay_columns(
+    engine: RoutingEngine,
+    mode: str,
+    destinations: np.ndarray,
+    masks: np.ndarray,
+    dist: np.ndarray,
+    arc_delays: np.ndarray,
+    pending: np.ndarray,
+    out: np.ndarray,
+    shared: "list[tuple[np.ndarray, np.ndarray, BatchSchedule]]" = (),
+) -> None:
+    """The one path-delay driver: run the pending DPs of ``K`` tasks.
+
+    Args:
+        engine: the routing engine (plans and backend).
+        mode: ``"worst"`` or ``"mean"``.
+        destinations: the ``D`` destinations of every task, ascending.
+        masks: ``(K, D, A)`` delay-class mask rows per task.
+        dist: ``(K, N, N)`` delay-class distances per task.
+        arc_delays: ``(K, A)`` arc delays per task.
+        pending: ``(K, D)`` cells still needing their DP (reused and
+            memoized ones already copied); cleared as cells are served.
+        out: ``(K, N, N)`` path-delay matrices, written in place.
+        shared: ``(task rows, destinations, schedule)`` triples of the
+            load-propagation batches (:class:`BatchHandoff` resolved to
+            task rows).  A schedule is replayed, writing all its columns,
+            when at least half of them are pending: a column that was
+            not pending gets the identical bits again.
+
+    The cells left over run through the python kernel or chunked vector
+    DPs as :func:`_vector_columns` decides.  Every column reads its own
+    task's arc-delay row (the vector kernels' ``delay_rows`` hook), so
+    it is bit-identical to a one-task call whatever shares its batch.
+    """
+    batch_propagate = (
+        batch_propagate_mean_delay
+        if mode == "mean"
+        else batch_propagate_worst_delay
+    )
+    for rows, ts, schedule in shared:
+        cols = np.searchsorted(destinations, ts)
+        if 2 * np.count_nonzero(pending[rows, cols]) < len(ts):
+            continue
+        columns = batch_propagate(
+            engine._batch_plan,
+            None,
+            None,
+            arc_delays,
+            ts,
+            schedule=schedule,
+            delay_rows=rows,
+        )
+        _write_columns(out, rows, ts, columns)
+        pending[rows, cols] = False
+
+    rows, pos = np.nonzero(pending)
+    if not rows.size:
+        return
+    pending[rows, pos] = False
+    ts = destinations[pos]
+    net = engine.network
+    if not _vector_columns(engine.backend, net, rows.size):
+        propagate = (
+            fast_propagate_mean_delay
+            if mode == "mean"
+            else fast_propagate_worst_delay
+        )
+        task = -1
+        for k, d, t in zip(rows.tolist(), pos.tolist(), ts.tolist()):
+            if k != task:  # cells come grouped by task
+                task, delays = k, arc_delays[k].tolist()
+                task_masks, task_dist, task_out = masks[k], dist[k], out[k]
+            task_out[:, t] = propagate(
+                engine.plan, task_masks[d], task_dist[:, t], delays, t
+            )
+            task_out[t, t] = np.nan
+        return
+    budget = kernel_cell_budget(net.num_arcs)
+    for lo in range(0, rows.size, budget):
+        chunk = slice(lo, lo + budget)
+        columns = batch_propagate(
+            engine._batch_plan,
+            masks[rows[chunk], pos[chunk]],
+            dist[rows[chunk], :, ts[chunk]].T,
+            arc_delays,
+            ts[chunk],
+            delay_rows=rows[chunk],
+        )
+        _write_columns(out, rows[chunk], ts[chunk], columns)
+
+
+def _write_columns(
+    out: np.ndarray, rows: np.ndarray, ts: np.ndarray, columns: np.ndarray
+) -> None:
+    """Scatter ``(N, C)`` delay columns into ``out[rows, :, ts]``."""
+    out[rows, :, ts] = columns.T
+    out[rows, ts, ts] = np.nan

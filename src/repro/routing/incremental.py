@@ -41,18 +41,25 @@ float summation order ``route_class`` uses — rather than patched with a
 subtract-and-add (float addition is not associative, so in-place
 patching would drift by ulps).  ``tests/routing/test_incremental.py``
 pins the parity property-style.
+
+Every load propagation — a delta's rows, a scenario's hit cells, a batch
+sweep group's chunk (:func:`repro.routing.sweep.route_scenario_batch`) —
+runs through one driver, :func:`_load_columns`, which picks the python
+or vector kernel by the engine's one rule.  The propagation memo is a
+probe/fill wrapper around it (:meth:`IncrementalRouter._propagate_cells`)
+that only the move and per-scenario paths apply.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.routing.backend import resolve_backend, validate_backend
-from repro.routing.engine import ClassRouting
+from repro.routing.backend import validate_backend
+from repro.routing.engine import BatchHandoff, ClassRouting, _vector_columns
 from repro.routing.failures import (
     NORMAL,
     FailureScenario,
@@ -73,6 +80,7 @@ from repro.routing.spf import (
 )
 from repro.routing.vectorized import (
     BatchPlan,
+    BatchSchedule,
     batch_propagate_loads,
     build_schedule,
 )
@@ -175,11 +183,11 @@ class _ScenarioStructure:
         demands: the demand matrix actually routed.
         dist: full ``(N, N)`` distance matrix (repaired columns patched).
         masks: per-destination DAG mask rows under the scenario.
-        arc_hit: per-position "a failed arc sat on this DAG" flags.
-        hit_list: ``arc_hit`` as a plain list (fold-loop form).
-        dem_list: per-position "a removed node fed this destination"
-            flags (None when no nodes were removed).
-        need: positions whose contribution must be recomputed.
+        need: positions whose contribution must be recomputed (a failed
+            arc sat on the DAG, or a removed node fed the destination).
+        memoize: per ``need`` entry, whether the demand column is the
+            base one (and the propagation memo may serve it); None when
+            no nodes were removed.
         base_contribs: base-state contribution rows, position-aligned.
         base_und: base-state undelivered volumes, position-aligned.
     """
@@ -189,10 +197,8 @@ class _ScenarioStructure:
     demands: np.ndarray
     dist: np.ndarray
     masks: np.ndarray
-    arc_hit: np.ndarray
-    hit_list: list
-    dem_list: "list | None"
     need: list
+    memoize: "list[bool] | None"
     base_contribs: np.ndarray
     base_und: np.ndarray
 
@@ -230,18 +236,73 @@ class _GroupStructure:
 
 @dataclass(frozen=True)
 class ScenarioRouting:
-    """A scenario routing plus what the delta test managed to reuse.
+    """A scenario routing plus the load schedule it hands to the delay DP.
 
     Attributes:
         routing: the :class:`ClassRouting` under the scenario,
             bit-identical to a from-scratch ``route_class`` call.
-        reusable: destinations whose distance column and mask row are
-            identical to the base (normal) routing's — the evaluator can
-            reuse their path-delay columns too when arc delays allow.
+        handoffs: the schedule of the vector load batch that
+            re-propagated some of its destinations (empty when none
+            ran), for :meth:`~repro.routing.engine.RoutingEngine.
+            path_delays` to replay.
     """
 
     routing: ClassRouting
-    reusable: frozenset[int] = field(default_factory=frozenset)
+    handoffs: "tuple[BatchHandoff, ...]" = ()
+
+
+def _load_columns(
+    router: "IncrementalRouter",
+    ts: np.ndarray,
+    masks: np.ndarray,
+    dist_cols: np.ndarray,
+    demands: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray, BatchSchedule | None]":
+    """The one load-contribution driver: propagate ``C`` cells.
+
+    Args:
+        router: the router whose plans and backend to use.
+        ts: the ``C`` destinations.
+        masks: ``(C, A)`` DAG mask rows.
+        dist_cols: ``(N, C)`` distance columns.
+        demands: the ``(N, N)`` demand matrix routed (column ``t`` feeds
+            destination ``t``).
+
+    Returns:
+        ``(contribs, undelivered, schedule)``: the ``(C, A)`` load
+        contributions, the ``(C,)`` undeliverable volumes, and the
+        vector batch's schedule (None when the python kernel ran, as
+        :func:`~repro.routing.engine._vector_columns` decides).  Every
+        row is bit-identical to one ``fast_propagate_loads`` call
+        whichever kernel produced it.
+    """
+    if not _vector_columns(router._backend, router._net, len(ts)):
+        num_arcs = router._net.num_arcs
+        rows, und = [], []
+        for i, t in enumerate(ts.tolist()):
+            row = [0.0] * num_arcs
+            und.append(
+                fast_propagate_loads(
+                    router._plan, masks[i], dist_cols[:, i], demands[:, t],
+                    t, row,
+                )
+            )
+            rows.append(row)
+        return (
+            np.array(rows, dtype=np.float64).reshape(len(ts), num_arcs),
+            np.array(und, dtype=np.float64),
+            None,
+        )
+    schedule = build_schedule(router._batch_plan, masks, dist_cols)
+    contribs, und = batch_propagate_loads(
+        router._batch_plan,
+        masks,
+        dist_cols,
+        demands[:, ts],
+        ts,
+        schedule=schedule,
+    )
+    return contribs, und, schedule
 
 
 class IncrementalRouter:
@@ -258,12 +319,10 @@ class IncrementalRouter:
             here, never again).
         weights: initial per-arc weights, integer-valued >= 1.
         plan: optional prebuilt propagation plan (shared with the engine).
-        backend: propagation-kernel backend for *batch* recomputations
-            (full rebuilds and many-destination scenario deltas); see
-            :mod:`repro.routing.backend`.  Single-destination deltas
-            always use the python kernels — the batch machinery cannot
-            pay for itself there — which is safe because the kernels
-            are bit-identical.
+        backend: kernel backend; see :mod:`repro.routing.backend`.
+            Every load propagation goes through :func:`_load_columns`,
+            which picks the python or vector kernel per batch — safe
+            because the kernels are bit-identical.
     """
 
     def __init__(
@@ -479,95 +538,67 @@ class IncrementalRouter:
         if self._weights_integral and not float(new_weight).is_integer():
             self._weights_integral = False
 
-    def _propagate_for(
+    def _propagate_cells(
         self,
-        t: int,
-        mask_row: np.ndarray,
-        dist_col: np.ndarray,
-        demand_col: np.ndarray,
-        use_memo: bool,
-    ) -> tuple[np.ndarray, float]:
-        """Load contribution + undelivered volume of one destination.
+        ts: np.ndarray,
+        masks: np.ndarray,
+        dist_cols: np.ndarray,
+        demands: np.ndarray,
+        memoize: "list[bool] | None" = None,
+    ) -> "tuple[list[tuple[np.ndarray, float]], BatchHandoff | None]":
+        """:func:`_load_columns` wrapped in the propagation memo.
 
-        Memoized on ``(t, mask bytes, dist bytes)`` when the demand
-        column is the base one (``use_memo``) — the result is a pure
-        function of those inputs, so a hit replays identical floats.
+        The move and per-scenario paths' probe/fill: a cell's
+        contribution and undelivered volume are a pure function of
+        ``(t, mask row, distance column)`` for the router's demand
+        matrix, so cells whose demand column is the router's own
+        (``memoize``, default all) are probed first and the misses are
+        stored after the driver ran.  Returns one ``(contribution,
+        undelivered)`` entry per cell and the handoff of the driver's
+        vector batch, if one ran.
         """
-        if use_memo:
-            entry = self._memo.get(t, mask_row, dist_col)
-            if entry is not None:
-                return entry
-        contrib_list = [0.0] * self._net.num_arcs
-        undelivered = fast_propagate_loads(
-            self._plan, mask_row, dist_col, demand_col, t, contrib_list
+        memo = self._memo
+        entries: "list[tuple[np.ndarray, float] | None]" = []
+        misses: list[int] = []
+        for i, t in enumerate(ts.tolist()):
+            entry = None
+            if memoize is None or memoize[i]:
+                entry = memo.get(t, masks[i], dist_cols[:, i])
+            if entry is None:
+                misses.append(i)
+            entries.append(entry)
+        if not misses:
+            return entries, None
+        if len(misses) < len(entries):
+            ts, masks = ts[misses], masks[misses]
+            dist_cols = dist_cols[:, misses]
+        contribs, und, schedule = _load_columns(
+            self, ts, masks, dist_cols, demands
         )
-        contrib = np.asarray(contrib_list)
-        if use_memo:
-            self._memo.put(t, mask_row, dist_col, contrib, undelivered)
-        return contrib, undelivered
-
-    def _propagate_row(self, row: int, t: int) -> None:
-        contrib, undelivered = self._propagate_for(
-            t,
-            self._masks[row],
-            self._dist_cols[:, row],
-            self._demands[:, t],
-            True,
+        for j, i in enumerate(misses):
+            # Rows are copied so a memo entry never pins the batch.
+            entry = (
+                contribs[j].copy() if len(misses) > 1 else contribs[j],
+                float(und[j]),
+            )
+            entries[i] = entry
+            if memoize is None or memoize[i]:
+                memo.put(int(ts[j]), masks[j], dist_cols[:, j], *entry)
+        if schedule is None:
+            return entries, None
+        return entries, BatchHandoff(
+            cells=tuple((0, t) for t in ts.tolist()), schedule=schedule
         )
-        self._contribs[row] = contrib
-        self._und[row] = undelivered
 
     def _propagate_rows(self, rows: np.ndarray) -> None:
-        """Base-state load propagation for many rows, batched when it pays.
-
-        Memo semantics match the per-row path exactly: hits replay their
-        stored floats, misses are computed (through the vector batch
-        kernel when the backend resolves that way — bit-identical to
-        the python kernel) and stored.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        net = self._net
-        resolved = resolve_backend(
-            self._backend,
-            net.num_nodes,
-            net.num_arcs,
-            rows.size,
-            kind="propagate",
+        """Base-state load propagation of ``rows`` (memo-wrapped)."""
+        entries, _ = self._propagate_cells(
+            self._dest[rows],
+            self._masks[rows],
+            self._dist_cols[:, rows],
+            self._demands,
         )
-        if resolved == "python":
-            for row in rows:
-                self._propagate_row(int(row), int(self._dest[row]))
-            return
-        missing: list[int] = []
-        for row in rows:
-            row = int(row)
-            t = int(self._dest[row])
-            entry = self._memo.get(
-                t, self._masks[row], self._dist_cols[:, row]
-            )
-            if entry is not None:
-                self._contribs[row], self._und[row] = entry
-            else:
-                missing.append(row)
-        if not missing:
-            return
-        miss = np.asarray(missing, dtype=np.intp)
-        dests = self._dest[miss]
-        contribs, und = batch_propagate_loads(
-            self._batch_plan,
-            self._masks[miss],
-            self._dist_cols[:, miss],
-            self._demands[:, dests],
-            dests,
-        )
-        for i, row in enumerate(missing):
-            t = int(self._dest[row])
-            contrib = contribs[i].copy()
-            undelivered = float(und[i])
-            self._memo.put(
-                t, self._masks[row], self._dist_cols[:, row],
-                contrib, undelivered,
-            )
+        for row, (contrib, undelivered) in zip(rows.tolist(), entries):
             self._contribs[row] = contrib
             self._und[row] = undelivered
 
@@ -638,8 +669,7 @@ class IncrementalRouter:
                 spf_rows = rows[~dist_keeps]
                 if mask_only.size:
                     self._masks[mask_only, arc] = False
-                    for row in mask_only:
-                        self._propagate_row(int(row), int(self._dest[row]))
+                    self._propagate_rows(mask_only)
                 if spf_rows.size:
                     self._recompute_rows(spf_rows, repair_failed=[arc])
         else:
@@ -658,8 +688,7 @@ class IncrementalRouter:
             spf_rows = np.flatnonzero(improves)
             if mask_only.size:
                 self._masks[mask_only, arc] = True
-                for row in mask_only:
-                    self._propagate_row(int(row), int(self._dest[row]))
+                self._propagate_rows(mask_only)
             if spf_rows.size:
                 self._recompute_rows(spf_rows)
         self.stats.deltas += 1
@@ -782,31 +811,7 @@ class IncrementalRouter:
             )
         return self._routing
 
-    def matching_destinations(
-        self, base: ClassRouting | None
-    ) -> frozenset[int] | None:
-        """Destinations whose state in ``base`` equals the current state.
-
-        Answers "relative to the normal routing ``base`` evaluated
-        earlier, which destinations still have bit-identical distance
-        columns and mask rows?" — the precondition for reusing the base
-        evaluation's path-delay columns.  Verified by direct array
-        comparison (a few thousand element compares — negligible next to
-        one propagation), so a stale, reverted-back-to, or
-        cross-process base is handled exactly, not heuristically.
-        """
-        if base is None or not np.array_equal(base.destinations, self._dest):
-            return None
-        cols_equal = (
-            base.dist[:, self._dest] == self._dist_cols
-        ).all(axis=0)
-        rows_equal = (base.masks == self._masks).all(axis=1)
-        ok = cols_equal & rows_equal
-        return frozenset(int(t) for t in self._dest[ok])
-
-    def route_scenario(
-        self, scenario: FailureScenario, want_reusable: bool = False
-    ) -> ScenarioRouting:
+    def route_scenario(self, scenario: FailureScenario) -> ScenarioRouting:
         """Route this class under a failure, reusing unaffected columns.
 
         A one-shot delta against the base state (never mutates it): arc
@@ -822,25 +827,12 @@ class IncrementalRouter:
         is served from cache or the propagation memo, and the totals are
         re-folded in ascending destination order for bit-identity with
         ``route_class``.
-
-        Args:
-            scenario: the failure scenario.
-            want_reusable: also report the reusable destination set
-                (skipped by default; building it costs a little and only
-                the delay class consumes it).
         """
         if scenario.is_normal:
-            reusable = (
-                frozenset(int(t) for t in self._dest)
-                if want_reusable
-                else frozenset()
-            )
-            return ScenarioRouting(routing=self.routing, reusable=reusable)
+            return ScenarioRouting(routing=self.routing)
         struct = self._scenario_structure(scenario)
-        computed, batch_info = self._propagate_structure(struct)
-        return self._assemble_scenario(
-            struct, computed, batch_info, want_reusable
-        )
+        entries, handoffs = self._propagate_structure(struct)
+        return self._assemble_scenario(struct, entries, handoffs)
 
     def _scenario_info_for(self, scenario: FailureScenario) -> tuple:
         """Weight-independent structures of one scenario, cached.
@@ -973,23 +965,20 @@ class IncrementalRouter:
                     net, self._weights, cols, disabled
                 )
 
-        hit_list = arc_hit.tolist()
-        dem_list = dem_hit.tolist() if dem_hit is not None else None
-        need = [
-            pos
-            for pos in range(dest_s.size)
-            if hit_list[pos] or (dem_list is not None and dem_list[pos])
-        ]
+        if dem_hit is None:
+            need = np.flatnonzero(arc_hit).tolist()
+            memoize = None
+        else:
+            need = np.flatnonzero(arc_hit | dem_hit).tolist()
+            memoize = (~dem_hit[need]).tolist()
         return _ScenarioStructure(
             scenario=scenario,
             dest_s=dest_s,
             demands=demands,
             dist=dist,
             masks=masks,
-            arc_hit=arc_hit,
-            hit_list=hit_list,
-            dem_list=dem_list,
             need=need,
+            memoize=memoize,
             base_contribs=base_contribs,
             base_und=base_und,
         )
@@ -1089,132 +1078,60 @@ class IncrementalRouter:
 
     def _propagate_structure(
         self, struct: _ScenarioStructure
-    ) -> "tuple[dict[int, tuple[np.ndarray, float]], tuple | None]":
-        """Per-scenario propagation of one structure's ``need`` positions.
+    ) -> "tuple[list[tuple[np.ndarray, float]], tuple]":
+        """The memo-wrapped load driver over one structure's ``need``.
 
-        Returns ``(computed, batch_info)``: pre-computed ``(contrib,
-        undelivered)`` entries per position — filled by the vector batch
-        path; positions absent fall through to the per-destination python
-        path in the assembly fold — and the ``(dests-bytes, schedule)``
-        pair of the batch, when one ran, for path-delay schedule reuse.
+        Returns one ``(contribution, undelivered)`` entry per ``need``
+        position, plus the handoffs of the vector batch, if one ran,
+        for the delay DP.
         """
-        dest_s, masks = struct.dest_s, struct.masks
-        dist, demands = struct.dist, struct.demands
-        dem_list, need = struct.dem_list, struct.need
-        n, num_arcs = self._net.num_nodes, self._net.num_arcs
-        computed: dict[int, tuple[np.ndarray, float]] = {}
-        batch_schedule = None
-        bd = None
-        resolved = resolve_backend(
-            self._backend, n, num_arcs, len(need), kind="propagate"
-        ) if need else "python"
-        if need and resolved != "python":
-            batch_pos: list[int] = []
-            for pos in need:
-                t = int(dest_s[pos])
-                if dem_list is not None and dem_list[pos]:
-                    # Changed demand column: not memoizable, rare (node
-                    # removals only) — propagate individually.
-                    computed[pos] = self._propagate_for(
-                        t, masks[pos], dist[:, t], demands[:, t], False
-                    )
-                else:
-                    entry = self._memo.get(t, masks[pos], dist[:, t])
-                    if entry is not None:
-                        computed[pos] = entry
-                    else:
-                        batch_pos.append(pos)
-            if batch_pos:
-                bp = np.asarray(batch_pos, dtype=np.intp)
-                bd = dest_s[bp]
-                batch_masks = masks[bp]
-                batch_schedule = build_schedule(
-                    self._batch_plan, batch_masks, dist[:, bd]
-                )
-                contribs, und = batch_propagate_loads(
-                    self._batch_plan,
-                    batch_masks,
-                    dist[:, bd],
-                    demands[:, bd],
-                    bd,
-                    schedule=batch_schedule,
-                )
-                for i, pos in enumerate(batch_pos):
-                    t = int(dest_s[pos])
-                    contrib = contribs[i].copy()
-                    und_value = float(und[i])
-                    self._memo.put(
-                        t, masks[pos], dist[:, t], contrib, und_value
-                    )
-                    computed[pos] = (contrib, und_value)
-        batch_info = (
-            (bd.tobytes(), batch_schedule)
-            if batch_schedule is not None
-            else None
+        if not struct.need:
+            return [], ()
+        ts = struct.dest_s[struct.need]
+        entries, handoff = self._propagate_cells(
+            ts,
+            struct.masks[struct.need],
+            struct.dist[:, ts],
+            struct.demands,
+            struct.memoize,
         )
-        return computed, batch_info
+        return entries, (handoff,) if handoff is not None else ()
 
     def _assemble_scenario(
         self,
         struct: _ScenarioStructure,
-        computed: "dict[int, tuple[np.ndarray, float]]",
-        batch_info: "tuple | None",
-        want_reusable: bool,
+        entries: "list[tuple[np.ndarray, float]]",
+        handoffs: tuple,
     ) -> ScenarioRouting:
         """Fold a structure (plus computed propagations) into a routing.
 
         The shared ``loads`` array and the ``undelivered`` total fold in
         ascending destination order — ``route_class``'s float summation
         order — so the result is bit-identical to a from-scratch call
-        regardless of how the ``computed`` entries were produced (memo
-        hit, per-destination python kernel or per-scenario batch).
+        regardless of how the ``need`` cells were produced (memo hit,
+        python kernel or vector batch).
         """
-        dest_s, masks = struct.dest_s, struct.masks
-        dist, demands = struct.dist, struct.demands
-        hit_list, dem_list = struct.hit_list, struct.dem_list
+        computed = dict(zip(struct.need, entries))
         loads = np.zeros(self._net.num_arcs)
         undelivered = 0.0
-        recomputed = 0
-        for pos, t in enumerate(dest_s.tolist()):
-            demand_changed = dem_list is not None and dem_list[pos]
-            if hit_list[pos] or demand_changed:
-                entry = computed.get(pos)
-                if entry is None:
-                    entry = self._propagate_for(
-                        t,
-                        masks[pos],
-                        dist[:, t],
-                        demands[:, t],
-                        not demand_changed,
-                    )
-                contrib, und_value = entry
-                loads += contrib
-                undelivered += und_value
-                recomputed += 1
-            else:
+        for pos in range(struct.dest_s.size):
+            entry = computed.get(pos)
+            if entry is None:
                 loads += struct.base_contribs[pos]
                 undelivered += float(struct.base_und[pos])
-        self.stats.destinations_recomputed += recomputed
-        self.stats.destinations_reused += int(dest_s.size) - recomputed
-
+            else:
+                loads += entry[0]
+                undelivered += entry[1]
+        self.stats.destinations_recomputed += len(entries)
+        self.stats.destinations_reused += struct.dest_s.size - len(entries)
         routing = ClassRouting(
             network=self._net,
             scenario=struct.scenario,
-            dist=dist,
-            destinations=dest_s,
-            masks=masks,
+            dist=struct.dist,
+            destinations=struct.dest_s,
+            masks=struct.masks,
             loads=loads,
-            demands=demands,
+            demands=struct.demands,
             undelivered=undelivered,
         )
-        if batch_info is not None:
-            # path_delays often re-propagates exactly the recomputed
-            # destinations; handing it this schedule (keyed by the
-            # destination ids it covers) skips a rebuild.
-            object.__setattr__(routing, "_subset_schedule", batch_info)
-        reusable = (
-            frozenset(int(t) for t in dest_s[~struct.arc_hit])
-            if want_reusable
-            else frozenset()
-        )
-        return ScenarioRouting(routing=routing, reusable=reusable)
+        return ScenarioRouting(routing=routing, handoffs=handoffs)

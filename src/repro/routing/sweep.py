@@ -30,19 +30,25 @@ Three pieces live here:
 * :func:`route_scenario_batch` — the scenario-axis counterpart of
   :meth:`~repro.routing.incremental.IncrementalRouter.route_scenario`:
   the group's distances ``(S, N, N)``, mask rows ``(S, D, A)`` and hit
-  cells ``(S, D)`` as arrays, one ``batch_propagate_loads`` call for
-  every hit cell (chunked by a kernel budget), one ascending-destination
-  fold into an ``(S, A)`` accumulator.
-* :func:`flush_delay_batch` — the group's outstanding path-delay DPs,
-  replaying the load batches' schedules where they apply.
+  cells ``(S, D)`` as arrays, the hit cells' load contributions through
+  the router's load driver (chunked by a kernel budget), one
+  ascending-destination fold into an ``(S, A)`` accumulator.
+* :func:`flush_delay_batch` — the group's outstanding path-delay DPs
+  through the engine's delay driver, replaying the load batches'
+  schedules where they apply.
 
-Neither probes nor fills a memo.  The propagation memo and the engine's
-delay memo serve the move and per-scenario paths, where local search
-revisits states; a batch sweep prices each setting once, so its cells
-never recur (on the costs-only audit workload, 0 of ~90k propagation
-lookups and 0 of ~105k delay probes hit).  ``tests/routing/test_sweep.py``
-pins the bit-identity property-style; the evaluator-level parity across
-scenario families is pinned by ``tests/core/test_sweep_evaluator.py``.
+Both drivers are the ones the per-scenario path runs
+(:func:`repro.routing.incremental._load_columns`,
+:func:`repro.routing.engine._delay_columns`), with the same
+python-vs-vector rule; what differs is how the structure is built and
+that no memo wraps them here.  The propagation memo, the engine's delay
+memo and the evaluator's routing cache serve the move and per-scenario
+paths, where local search revisits states; a batch sweep prices each
+setting once, so its cells never recur (on the costs-only audit
+workload, 0 of ~90k propagation lookups and 0 of ~105k delay probes
+hit).  ``tests/routing/test_sweep.py`` pins the bit-identity
+property-style; the evaluator-level parity across scenario families is
+pinned by ``tests/core/test_sweep_evaluator.py``.
 
 Fan-out sweeps reuse this planner: sweep hosts receive only index
 tickets and batch their slice locally (see :mod:`repro.core.parallel`).
@@ -55,29 +61,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.routing.engine import (
-    _PY_DELAY_BATCH_MAX,
+    BatchHandoff,
     ClassRouting,
-    _batch_delay_kernel,
+    _delay_columns,
+    kernel_cell_budget,
 )
 from repro.routing.failures import FailureScenario
-from repro.routing.fastpath import (
-    fast_propagate_mean_delay,
-    fast_propagate_worst_delay,
+from repro.routing.incremental import (
+    IncrementalRouter,
+    ScenarioRouting,
+    _load_columns,
 )
-from repro.routing.incremental import IncrementalRouter, ScenarioRouting
-from repro.routing.vectorized import (
-    BatchSchedule,
-    batch_propagate_loads,
-    build_schedule,
-)
+from repro.routing.vectorized import BatchSchedule
 
 #: Upper bound on the bytes one batch group holds while it is in flight
 #: (see :func:`group_scenario_budget` for what counts).  64 MB.
 SWEEP_STATE_BUDGET = 64_000_000
-
-#: Upper bound on ``cells x num_arcs`` of one load-propagation kernel
-#: call (the contribution matrix it materializes).  ~48 MB at float64.
-SWEEP_KERNEL_BUDGET = 6_000_000
 
 
 #: Chaos-testing hook: set by :func:`repro.core.faults.install_fault_plan`
@@ -126,32 +125,6 @@ def group_scenario_budget(num_nodes: int, num_arcs: int) -> int:
         + 48 * num_arcs
     )
     return max(1, SWEEP_STATE_BUDGET // max(1, per_scenario))
-
-
-def kernel_cell_budget(num_arcs: int) -> int:
-    """Columns per load-kernel call, bounded by the contribution matrix."""
-    return max(64, SWEEP_KERNEL_BUDGET // max(1, num_arcs))
-
-
-@dataclass(frozen=True)
-class BatchHandoff:
-    """One load-propagation batch's schedule, handed to the delay DP.
-
-    The scenario-axis counterpart of the per-scenario path's
-    ``_subset_schedule`` handoff: a schedule depends only on the
-    ``(mask row, distance column)`` pairs of its columns, and those are
-    identical between a scenario's load propagation and its path-delay
-    DP, so the delay flush replays the loads schedule instead of
-    rebuilding one.
-
-    Attributes:
-        cells: ``(scenario index, destination)`` per schedule column,
-            aligned with the schedule's column order.
-        schedule: the prebuilt schedule.
-    """
-
-    cells: tuple[tuple[int, int], ...]
-    schedule: BatchSchedule
 
 
 @dataclass(frozen=True)
@@ -229,7 +202,6 @@ def plan_sweep(items: "list", num_nodes: int, num_arcs: int) -> SweepPlan:
 def route_scenario_batch(
     router: IncrementalRouter,
     scenarios: "list[FailureScenario]",
-    want_reusable: bool = False,
 ) -> "tuple[list[ScenarioRouting], list[BatchHandoff]]":
     """Route one class under a group of arc failures, held as arrays.
 
@@ -238,25 +210,25 @@ def route_scenario_batch(
     group's distances, masks and hit cells as arrays
     (:meth:`IncrementalRouter._group_structure`); the hit cells' mask
     rows, distance columns and demand columns are gathered by fancy
-    indexing into chunked ``batch_propagate_loads`` calls — the
-    kernel's per-column results do not depend on which columns share a
-    call — and every scenario's loads fold in ascending destination
-    order, one vector add per destination into an ``(S, A)``
+    indexing into chunked calls of the load driver
+    (:func:`~repro.routing.incremental._load_columns`, the one the
+    per-scenario path runs) — a column's result does not depend on which
+    columns share a call — and every scenario's loads fold in ascending
+    destination order, one vector add per destination into an ``(S, A)``
     accumulator.  The propagation memo is neither probed nor filled: a
     batch sweep prices each setting once, so the memo serves the move
     and per-scenario paths only.
 
     Takes plain arc failures only (what :func:`plan_sweep` batches).
     Returns the per-scenario routings, whose arrays are views into the
-    group's, plus the load batches' schedules (as :class:`BatchHandoff`
-    objects), which :func:`flush_delay_batch` replays for the path-delay
-    DPs of the same columns.
+    group's, plus the vector load batches' schedules (as
+    :class:`BatchHandoff` objects), which :func:`flush_delay_batch`
+    replays for the path-delay DPs of the same columns.
     """
     _maybe_fault("route_batch")
     if not scenarios:
         return [], []
     group = router._group_structure(scenarios)
-    plan = router._batch_plan
     dest = router.destinations
     hit = group.hit
     num_scen = hit.shape[0]
@@ -282,23 +254,20 @@ def route_scenario_batch(
         if rows.size:
             cells = rows + lo
             ts = dest[pos]
-            masks = group.masks[cells, pos]
-            dist_cols = group.dist[cells, :, ts].T
-            schedule = build_schedule(plan, masks, dist_cols)
-            contribs, und = batch_propagate_loads(
-                plan,
-                masks,
-                dist_cols,
-                group.demands[:, ts],
+            contribs, und, schedule = _load_columns(
+                router,
                 ts,
-                schedule=schedule,
+                group.masks[cells, pos],
+                group.dist[cells, :, ts].T,
+                group.demands,
             )
-            handoffs.append(
-                BatchHandoff(
-                    cells=tuple(zip(cells.tolist(), ts.tolist())),
-                    schedule=schedule,
+            if schedule is not None:
+                handoffs.append(
+                    BatchHandoff(
+                        cells=tuple(zip(cells.tolist(), ts.tolist())),
+                        schedule=schedule,
+                    )
                 )
-            )
         _fold_loads(
             group, block, rows, pos, contribs, und,
             loads[lo:hi], undelivered[lo:hi],
@@ -317,10 +286,7 @@ def route_scenario_batch(
             demands=group.demands,
             undelivered=float(undelivered[s]),
         )
-        reusable = (
-            frozenset(dest[~hit[s]].tolist()) if want_reusable else frozenset()
-        )
-        routings.append(ScenarioRouting(routing=routing, reusable=reusable))
+        routings.append(ScenarioRouting(routing=routing))
     return routings, handoffs
 
 
@@ -370,87 +336,18 @@ def flush_delay_batch(
 ) -> None:
     """Run the pending path-delay DPs of a group's ``K`` delay tasks.
 
-    Args:
-        engine: the :class:`~repro.routing.engine.RoutingEngine`.
-        mode: ``"worst"`` or ``"mean"``.
-        destinations: the ``D`` destinations of every task, ascending.
-        masks: ``(K, D, A)`` delay-class mask rows per task.
-        dist: ``(K, N, N)`` delay-class distances per task.
-        arc_delays: ``(K, A)`` arc delays per task.
-        pending: ``(K, D)`` cells still needing their DP (the caller
-            has copied the reusable ones); cleared as cells are served.
-        out: ``(K, N, N)`` path-delay matrices, written in place.
-        shared: prebuilt ``(task rows, destinations, schedule)`` triples
-            from the load-propagation batches (:class:`BatchHandoff`
-            resolved to task rows by the caller).  A schedule depends
-            only on its columns' (mask, distance) pairs — identical
-            between a scenario's load propagation and its delay DP — so
-            those cells replay it instead of paying a fresh build.
-
-    The other pending cells are gathered by fancy indexing and run
-    through chunked DPs (or, when at most ``_PY_DELAY_BATCH_MAX`` are
-    left, the per-destination python kernel).  Every column reads its
-    own task's arc-delay row via the kernels' ``delay_rows`` hook, so it
-    is bit-identical to a per-scenario ``path_delays`` call.  No memo is
-    probed or filled: a batch sweep prices each setting once.
+    The batch sweep's face of the engine's one delay driver
+    (:func:`~repro.routing.engine._delay_columns`, which documents the
+    arguments): ``shared`` carries the load batches'
+    :class:`BatchHandoff` schedules resolved to task rows, and the other
+    pending cells run through the python kernel or chunked vector DPs by
+    the same rule as :meth:`~repro.routing.engine.RoutingEngine.
+    path_delays`.  Every column reads its own task's arc-delay row, so
+    it is bit-identical to a per-scenario ``path_delays`` call.  No memo
+    is probed or filled: a batch sweep prices each setting once.
     """
     _maybe_fault("delay_flush")
-    batch_propagate = _batch_delay_kernel(mode)
-    for rows, ts, schedule in shared:
-        columns = batch_propagate(
-            engine._batch_plan,
-            None,
-            None,
-            arc_delays,
-            ts,
-            schedule=schedule,
-            delay_rows=rows,
-        )
-        _write_columns(out, rows, ts, columns)
-        pending[rows, np.searchsorted(destinations, ts)] = False
-
-    rows, pos = np.nonzero(pending)
-    if not rows.size:
-        return
-    pending[rows, pos] = False
-    ts = destinations[pos]
-    if rows.size <= _PY_DELAY_BATCH_MAX:
-        # Too few to amortize a schedule build: the per-destination
-        # python kernel is cheaper (and bit-identical), mirroring
-        # path_delays' small-batch fallback.
-        propagate = (
-            fast_propagate_mean_delay
-            if mode == "mean"
-            else fast_propagate_worst_delay
-        )
-        for k, d, t in zip(rows.tolist(), pos.tolist(), ts.tolist()):
-            column = propagate(
-                engine.plan,
-                masks[k, d],
-                dist[k, :, t],
-                arc_delays[k].tolist(),
-                t,
-            )
-            out[k, :, t] = column
-            out[k, t, t] = np.nan
-        return
-    budget = kernel_cell_budget(engine.network.num_arcs)
-    for lo in range(0, rows.size, budget):
-        chunk = slice(lo, lo + budget)
-        columns = batch_propagate(
-            engine._batch_plan,
-            masks[rows[chunk], pos[chunk]],
-            dist[rows[chunk], :, ts[chunk]].T,
-            arc_delays,
-            ts[chunk],
-            delay_rows=rows[chunk],
-        )
-        _write_columns(out, rows[chunk], ts[chunk], columns)
-
-
-def _write_columns(
-    out: np.ndarray, rows: np.ndarray, ts: np.ndarray, columns: np.ndarray
-) -> None:
-    """Scatter ``(N, C)`` delay columns into ``out[rows, :, ts]``."""
-    out[rows, :, ts] = columns.T
-    out[rows, ts, ts] = np.nan
+    _delay_columns(
+        engine, mode, destinations, masks, dist, arc_delays, pending, out,
+        shared,
+    )

@@ -62,33 +62,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(faults=("kill task 0",))
 
-    def test_json_roundtrip_all_kinds(self):
-        plan = FaultPlan(
-            faults=(
-                WorkerKill(task=0),
-                TaskDelay(task=2, seconds=0.5, attempts=(1, 2)),
-                StageFault(stage="delay_flush", task=1, attempts=None),
-            ),
-            seed=17,
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_sample_is_deterministic(self):
-        a = FaultPlan.sample(42, num_tasks=8, kills=2, delays=1,
-                             stage_faults=2)
-        b = FaultPlan.sample(42, num_tasks=8, kills=2, delays=1,
-                             stage_faults=2)
-        assert a == b
-        assert a.seed == 42
-        assert len(a) == 5
-        # a different seed draws a different schedule
-        assert a != FaultPlan.sample(43, num_tasks=8, kills=2, delays=1,
-                                     stage_faults=2)
-
-    def test_sample_rejects_empty_task_space(self):
-        with pytest.raises(ValueError):
-            FaultPlan.sample(0, num_tasks=0)
-
     def test_rides_in_execution_params(self):
         plan = FaultPlan(faults=(StageFault(stage="task", task=0),))
         execution = ExecutionParams(fault_plan=plan)

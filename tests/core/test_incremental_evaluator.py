@@ -116,6 +116,65 @@ class TestEvaluateMoveParity:
         evaluator.revert_move(setting, move)  # must not raise
 
 
+class TestNormalColumnRule:
+    def test_reused_columns_under_moved_distances_stay_exact(self):
+        """Cells whose mask row and masked arc delays equal the NORMAL
+        evaluation's but whose distance column moved take the NORMAL
+        delay column; the move and per-scenario paths built on them stay
+        bitwise equal to the from-scratch evaluator."""
+        from repro.config import OptimizerConfig
+        from repro.core.perturbation import Move
+        from repro.exp.common import make_instance
+
+        config = OptimizerConfig()
+        moved_cells = 0
+        for nodes in (8, 12, 16):
+            for seed in range(6):
+                instance = make_instance("rand", nodes, 4.0, seed=seed)
+                network, traffic = instance.network, instance.traffic
+                fast = DtrEvaluator(network, traffic, config)
+                scratch = _scratch_evaluator(fast)
+                rng = np.random.default_rng(seed)
+                setting = WeightSetting.random(
+                    network.num_arcs, config.weights, rng
+                )
+                base = fast.evaluate_normal(setting)
+                failures = [s.failure for s in legacy_failures(network)]
+                used = np.flatnonzero(base.routing_delay.used_arcs())
+                for arc in rng.choice(used, size=5, replace=False):
+                    old_delay, old_tput = setting.arc_pair(int(arc))
+                    move = Move(
+                        int(arc), old_delay + 1, old_tput, old_delay,
+                        old_tput,
+                    )
+                    move.apply(setting)
+                    moved = fast.evaluate_move(setting, move, reuse=base)
+                    assert_evaluations_identical(
+                        moved, scratch.evaluate_normal(setting), "move"
+                    )
+                    before, after = base.routing_delay, moved.routing_delay
+                    for row, t in enumerate(after.destinations):
+                        mask = after.masks[row]
+                        moved_cells += bool(
+                            np.array_equal(mask, before.masks[row])
+                            and np.array_equal(
+                                moved.arc_delay[mask], base.arc_delay[mask]
+                            )
+                            and not np.array_equal(
+                                after.dist[:, t], before.dist[:, t]
+                            )
+                        )
+                    for failure in failures[::5]:
+                        assert_evaluations_identical(
+                            fast.evaluate(setting, failure, reuse=moved),
+                            scratch.evaluate(setting, failure),
+                            failure.label,
+                        )
+                    move.revert(setting)
+                    fast.revert_move(setting, move)
+        assert moved_cells > 0
+
+
 class TestFailureSweepParity:
     def test_full_sweep_bit_identical(self, small_evaluator, rng):
         scratch = _scratch_evaluator(small_evaluator)

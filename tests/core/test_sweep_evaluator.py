@@ -4,7 +4,8 @@ Pins the PR's acceptance criteria:
 
 * batched sweeps are bit-identical to the serial per-scenario path on
   integer-weight instances, randomized across every scenario family
-  (srlg / multi2 / regional / node / surge / cross);
+  (srlg / multi2 / regional / node / surge / cross), and touch neither
+  the routing cache nor the propagation and delay memos;
 * the ``sweep_batching`` knob defaults on under ``auto``, can be
   disabled, requires incremental routing, and validates its values;
 * fanned-out results (local sweep hosts) are invariant to ``n_jobs``
@@ -18,7 +19,11 @@ import pytest
 
 from repro.config import ExecutionParams
 from repro.core.evaluation import DtrEvaluator
-from repro.core.parallel import CachingDtrEvaluator, ParallelDtrEvaluator
+from repro.core.parallel import (
+    CachingDtrEvaluator,
+    ParallelDtrEvaluator,
+    make_evaluator,
+)
 from repro.core.weights import WeightSetting
 from repro.routing.backend import (
     SWEEP_BATCH_MIN_SCENARIOS,
@@ -154,26 +159,44 @@ class TestSerialParity:
                 batched.evaluate_scenarios(s, scenarios),
             )
 
-    def test_caching_evaluator_batched_parity_and_cache_use(
+    def test_batch_sweeps_touch_no_memo_or_cache(
         self, small_instance, tiny_config
     ):
+        """Batched sweeps on a ``make_evaluator`` evaluator (a caching
+        one) are bit-identical to the serial evaluator and leave the
+        routing cache, every router's propagation memo and the engine's
+        delay memo as they were: a batch sweep prices each setting once,
+        so those serve the per-scenario and move paths only."""
         network, traffic = small_instance
         failures = legacy_failures(network)
+        assert len(failures) >= 2
         setting = WeightSetting.random(
             network.num_arcs,
             tiny_config.weights,
             np.random.default_rng(77),
         )
-        serial = DtrEvaluator(network, traffic, tiny_config)
-        reference = serial.evaluate_scenarios(setting, failures)
-        caching = CachingDtrEvaluator(network, traffic, tiny_config)
-        first = caching.evaluate_scenarios(setting, failures)
-        assert_sweeps_identical(reference, first)
-        before = caching.cache_stats
-        second = caching.evaluate_scenarios(setting, failures)
-        assert_sweeps_identical(reference, second)
-        # the repeat sweep answers routed scenarios from the cache
-        assert caching.cache_stats.hits_exact > before.hits_exact
+        reference = DtrEvaluator(network, traffic, tiny_config)
+        expected = reference.evaluate_scenarios(setting, failures)
+        caching = make_evaluator(network, traffic, tiny_config)
+        assert isinstance(caching, CachingDtrEvaluator)
+        normal = caching.evaluate_normal(setting)
+
+        def probes():
+            return (
+                caching.cache_stats.lookups,
+                [r._memo.hits + r._memo.misses
+                 for r in caching._routers.values()],
+                list(caching.engine._delay_memo),
+            )
+
+        before = probes()
+        sweep = caching.evaluate_scenarios(setting, failures, reuse=normal)
+        costs = caching.evaluate_scenario_costs(
+            setting, failures, reuse=normal
+        )
+        assert probes() == before
+        assert_sweeps_identical(expected, sweep)
+        assert costs.total_cost == expected.total_cost
 
     def test_duplicate_scenarios_share_one_evaluation(
         self, small_evaluator, random_setting

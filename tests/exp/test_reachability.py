@@ -9,6 +9,9 @@
 * Every script under ``examples/``, ``benchmarks/`` and ``scripts/``
   must import (its ``__main__`` block is not run), so a deleted or
   renamed name fails here instead of on the next manual run.
+* ``python -m repro.exp.runner`` (the CLI without an install) must run
+  the runner module once: a package ``__init__`` that imports it makes
+  ``runpy`` execute it twice and warn.
 """
 
 from __future__ import annotations
@@ -99,3 +102,24 @@ def test_examples_benchmarks_and_scripts_import():
     assert files
     failed = _run_python(_IMPORT_FILES, *files).strip()
     assert not failed, "cannot import:\n" + failed
+
+
+def test_runner_module_runs_once():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "always::RuntimeWarning",
+            "-m", "repro.exp.runner", "--list",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO),
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "table2" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr

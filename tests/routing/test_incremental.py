@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.engine import RoutingEngine
+from repro.routing.engine import PathDelayReuse, RoutingEngine
 from repro.routing.failures import FailureScenario
 from repro.routing.incremental import IncrementalRouter
 from repro.scenarios import legacy_failures, node_failures
@@ -170,26 +170,52 @@ class TestSyncAndReuse:
         # the assembled routing is still valid (and still cached)
         assert router.routing is routing_before
 
-    def test_matching_destinations_exact(self, instance):
+    def test_normal_column_rule_exact(self, instance):
+        """PathDelayReuse.fill takes exactly the cells whose mask row and
+        masked arc delays equal the NORMAL ones, rows aligned by
+        destination, and those columns equal a fresh DP."""
         network, weights, demands = instance
+        engine = RoutingEngine(network)
         router = IncrementalRouter(network, demands, weights)
         base = router.routing
-        all_dests = frozenset(int(t) for t in router.destinations)
-        assert router.matching_destinations(base) == all_dests
-        assert router.matching_destinations(None) is None
-        # a delta shrinks the matching set by exactly the touched rows
+        delays = np.random.default_rng(0).uniform(
+            1e-3, 1e-2, network.num_arcs
+        )
+        reuse = PathDelayReuse(
+            pair_delays=engine.path_delays(base, delays),
+            arc_delays=delays,
+            destinations=base.destinations,
+            masks=base.masks,
+        )
         arc = int(np.flatnonzero(base.used_arcs())[0])
         router.set_arc_weight(arc, 20.0)
-        matching = router.matching_destinations(base)
-        expected = frozenset(
-            int(t)
-            for row, t in enumerate(router.destinations)
-            if np.array_equal(base.masks[row], router.routing.masks[row])
-            and np.array_equal(
-                base.dist[:, int(t)], router.routing.dist[:, int(t)]
+        removed = int(router.destinations[0])
+        scenario = node_failures(network, nodes=[removed])[0].failure
+        changed = delays.copy()
+        changed[int(network.arcs_of_node(removed)[0])] *= 2.0
+        # A node removal disables arcs on every DAG, so all its cells are
+        # pending; it checks the row alignment of a destination subset.
+        scenario_routing = router.route_scenario(scenario).routing
+        assert len(scenario_routing.destinations) < len(base.destinations)
+        for routing in (router.routing, scenario_routing):
+            dests = routing.destinations
+            out = np.full((1, network.num_nodes, network.num_nodes), np.nan)
+            pending = reuse.fill(
+                dests, routing.masks[None], changed[None], out
+            )[0]
+            rows = np.searchsorted(base.destinations, dests)
+            expected = [
+                not np.array_equal(routing.masks[d], base.masks[rows[d]])
+                or bool((base.masks[rows[d]] & (changed != delays)).any())
+                for d in range(len(dests))
+            ]
+            assert pending.tolist() == expected
+            assert routing is scenario_routing or not all(expected)
+            fresh = engine.path_delays(routing, changed)
+            taken = dests[~pending]
+            assert np.array_equal(
+                out[0][:, taken], fresh[:, taken], equal_nan=True
             )
-        )
-        assert matching == expected
 
     def test_non_integral_weights_rejected_from_fast_dijkstra(
         self, instance

@@ -72,18 +72,15 @@ def ring_instance(num_nodes: int = 20):
 def assert_batch_matches(network, demands, weights, scenarios):
     """route_scenario_batch equals per-scenario route_scenario."""
     reference = IncrementalRouter(network, demands, weights)
-    expected = [
-        reference.route_scenario(s, want_reusable=True) for s in scenarios
-    ]
+    expected = [reference.route_scenario(s) for s in scenarios]
     batched = IncrementalRouter(network, demands, weights)
-    got, _ = route_scenario_batch(batched, scenarios, want_reusable=True)
+    got, _ = route_scenario_batch(batched, scenarios)
     assert len(got) == len(expected)
     for exp, act in zip(expected, got):
         assert np.array_equal(exp.routing.dist, act.routing.dist)
         assert np.array_equal(exp.routing.masks, act.routing.masks)
         assert np.array_equal(exp.routing.loads, act.routing.loads)
         assert exp.routing.undelivered == act.routing.undelivered
-        assert exp.reusable == act.reusable
     assert batched.stats == reference.stats
     return got
 
@@ -301,7 +298,10 @@ class TestGroupCases:
             assert np.array_equal(
                 scenario_routing.routing.loads, base.routing.loads
             )
-            assert len(scenario_routing.reusable) == len(base.destinations)
+            # every mask row is the NORMAL one: all delay columns reusable
+            assert np.array_equal(
+                scenario_routing.routing.masks, base.routing.masks
+            )
 
     def test_evaluator_with_one_class_untouched(self, instance):
         """One class's DAGs avoid the failed arcs, the other's do not:
