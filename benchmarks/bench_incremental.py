@@ -1,13 +1,18 @@
 """Incremental delta-rerouting benchmark: Phase-2 inner loop, on vs off.
 
-Runs the *actual* seeded Phase-2 robust search (candidate moves,
-constraint checks, bounded failure sweeps with pruning) twice — once
-with ``incremental_routing`` on, once off — on the same instance and
-seeds, and reports evaluations/sec for both, the speedup, and a strict
-parity gate: the two runs must produce identical best settings, costs,
-and evaluation counts, and a full failure sweep must be bit-identical.
-A from-scratch-vs-incremental sweep microbenchmark rides along.
+Runs the *actual* seeded Phase-2 robust search (candidate moves through
+the evaluator's trial seam, constraint checks, bounded failure sweeps
+with pruning) with ``incremental_routing`` on and off, on the same
+instance and seeds, and reports evaluations/sec for both, the speedup,
+and a strict parity gate: every run must produce identical best
+settings, costs and evaluation counts, and every full failure sweep
+must be bit-identical.  A from-scratch-vs-incremental sweep
+microbenchmark rides along.
 
+Every arm is timed over ``--rounds`` rounds (default 5), each arm once
+per round on a fresh evaluator, arms alternating their order each
+round; the record reports each arm's median and quartiles of
+evaluations/sec next to the CPU count, and speedups compare medians.
 Results are written to ``BENCH_incremental.json`` so the perf
 trajectory is tracked PR-over-PR (CI uploads it as an artifact)::
 
@@ -16,7 +21,7 @@ trajectory is tracked PR-over-PR (CI uploads it as an artifact)::
     python benchmarks/bench_incremental.py --assert-speedup 3.0
 
 The parity gate always applies (exit 1 on divergence);
-``--assert-speedup`` additionally fails the run when the Phase-2
+``--assert-speedup`` additionally fails the run when the median Phase-2
 speedup lands below the bound — meaningful on dedicated hardware,
 deliberately not the default because shared CI runners make wall-clock
 assertions flaky.
@@ -25,11 +30,13 @@ assertions flaky.
 from __future__ import annotations
 
 import argparse
+import gc
+import statistics
 import sys
 import time
 
 import numpy as np
-from bench_schema import bench_payload, write_payload
+from bench_schema import bench_payload, quartiles, write_payload
 
 from repro.config import (
     ExecutionParams,
@@ -80,6 +87,7 @@ def run_phase2_arm(network, traffic, config, failures, pool, constraints,
     """One timed Phase-2 run; returns (result, evaluations, seconds)."""
     evaluator = DtrEvaluator(network, traffic, config)
     before = evaluator.num_evaluations
+    gc.collect()
     start = time.perf_counter()
     result = run_phase2(
         evaluator,
@@ -92,15 +100,41 @@ def run_phase2_arm(network, traffic, config, failures, pool, constraints,
     return result, evaluator.num_evaluations - before, elapsed
 
 
-def sweep_rate(evaluator, setting, failures, rounds: int):
-    """Best-of-``rounds`` evaluations/sec of a full failure sweep."""
+def sweep_arm(network, traffic, config, setting, failures):
+    """One timed full failure sweep on a fresh evaluator; (rate, sweep)."""
+    evaluator = DtrEvaluator(network, traffic, config)
     normal = evaluator.evaluate_normal(setting)
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        evaluator.evaluate_scenarios(setting, failures, reuse=normal)
-        best = min(best, time.perf_counter() - start)
-    return len(failures) / best
+    gc.collect()
+    start = time.perf_counter()
+    sweep = evaluator.evaluate_scenarios(setting, failures, reuse=normal)
+    return len(failures) / (time.perf_counter() - start), sweep
+
+
+def sweeps_identical(a, b) -> bool:
+    """Bitwise cost and load equality of two failure sweeps."""
+    return all(
+        x.cost.lam == y.cost.lam
+        and x.cost.phi == y.cost.phi
+        and np.array_equal(x.loads_delay, y.loads_delay)
+        and np.array_equal(x.loads_tput, y.loads_tput)
+        for x, y in zip(a.evaluations, b.evaluations)
+    )
+
+
+def arm_row(workload: str, rates: "dict[str, list[float]]", parity: bool,
+            **extra) -> dict:
+    """One record row: both arms' quartiles, the median speedup."""
+    speedup = statistics.median(rates["incremental"]) / statistics.median(
+        rates["scratch"]
+    )
+    return {
+        "workload": workload,
+        **extra,
+        "scratch_evals_per_sec": quartiles(rates["scratch"]),
+        "incremental_evals_per_sec": quartiles(rates["incremental"]),
+        "speedup": round(speedup, 2),
+        "parity": parity,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,11 +148,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--iterations",
         type=int,
-        default=8,
-        help="per-phase iteration cap of the seeded search (default 8)",
+        default=3,
+        help="per-phase iteration cap of the seeded search (default 3)",
     )
     parser.add_argument(
-        "--rounds", type=int, default=3, help="sweep timing rounds (best-of)"
+        "--rounds",
+        type=int,
+        default=5,
+        help="timed rounds, one run per arm each (default 5)",
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
@@ -152,83 +189,73 @@ def main(argv: list[str] | None = None) -> int:
         p1.best_cost.lam, p1.best_cost.phi, config_on.sampling.chi
     )
 
-    # The Phase-2 inner loop, timed with the knob on and off.
-    result_on, evals_on, time_on = run_phase2_arm(
-        network, traffic, config_on, failures, p1.pool, constraints,
-        args.seed + 2,
-    )
-    result_off, evals_off, time_off = run_phase2_arm(
-        network, traffic, config_off, failures, p1.pool, constraints,
-        args.seed + 2,
-    )
-    rate_on = evals_on / time_on
-    rate_off = evals_off / time_off
-    speedup = rate_on / rate_off if rate_off else 0.0
+    # The Phase-2 inner loop and full sweeps, timed with the knob on and
+    # off: one fresh evaluator per arm and round, arms alternating.
+    configs = {"scratch": config_off, "incremental": config_on}
+    order = list(configs)
+    phase2_rates = {name: [] for name in configs}
+    sweep_rates = {name: [] for name in configs}
+    runs, sweeps = [], []
+    for _ in range(args.rounds):
+        for name in order:
+            result, evals, seconds = run_phase2_arm(
+                network, traffic, configs[name], failures, p1.pool,
+                constraints, args.seed + 2,
+            )
+            phase2_rates[name].append(evals / seconds)
+            runs.append((result, evals))
+        setting = runs[0][0].best_setting
+        for name in order:
+            rate, sweep = sweep_arm(
+                network, traffic, configs[name], setting, failures
+            )
+            sweep_rates[name].append(rate)
+            sweeps.append(sweep)
+        order.reverse()
 
-    phase2_parity = (
-        evals_on == evals_off
-        and result_on.best_kfail == result_off.best_kfail
-        and result_on.normal_cost == result_off.normal_cost
-        and result_on.best_setting == result_off.best_setting
-        and result_on.stats.evaluations == result_off.stats.evaluations
+    first, evals = runs[0]
+    phase2_parity = all(
+        count == evals
+        and result.best_kfail == first.best_kfail
+        and result.normal_cost == first.normal_cost
+        and result.best_setting == first.best_setting
+        and result.stats.evaluations == first.stats.evaluations
+        for result, count in runs
     )
+    sweep_parity = all(sweeps_identical(sweeps[0], s) for s in sweeps)
+    rows = [
+        arm_row("phase2", phase2_rates, phase2_parity, evaluations=evals),
+        arm_row("sweep", sweep_rates, sweep_parity),
+    ]
 
-    # Sweep microbenchmark + bit-level parity of every scenario cost.
-    eval_on = DtrEvaluator(network, traffic, config_on)
-    eval_off = DtrEvaluator(network, traffic, config_off)
-    sweep_on = sweep_rate(
-        eval_on, result_on.best_setting, failures, args.rounds
-    )
-    sweep_off = sweep_rate(
-        eval_off, result_on.best_setting, failures, args.rounds
-    )
-    full_on = eval_on.evaluate_scenarios(result_on.best_setting, failures)
-    full_off = eval_off.evaluate_scenarios(result_on.best_setting, failures)
-    sweep_parity = all(
-        a.cost.lam == b.cost.lam
-        and a.cost.phi == b.cost.phi
-        and np.array_equal(a.loads_delay, b.loads_delay)
-        and np.array_equal(a.loads_tput, b.loads_tput)
-        for a, b in zip(full_on.evaluations, full_off.evaluations)
-    )
-
-    print(f"phase-2 inner loop ({evals_on} evaluations):")
-    print(f"  scratch:     {rate_off:8.0f} evaluations/s")
-    print(f"  incremental: {rate_on:8.0f} evaluations/s")
-    print(f"  speedup:     {speedup:8.2f}x")
-    print(f"full failure sweep: {sweep_off:.0f} -> {sweep_on:.0f} "
-          f"evaluations/s ({sweep_on / sweep_off:.2f}x)")
+    for row in rows:
+        print(f"{row['workload']} ({args.rounds} rounds, evaluations/s "
+              "median [quartiles]):")
+        for arm in ("scratch", "incremental"):
+            stats = row[f"{arm}_evals_per_sec"]
+            print(f"  {arm:>11}: {stats['median']:8.1f} "
+                  f"[{stats['q1']:.1f}, {stats['q3']:.1f}]")
+        print(f"  speedup:     {row['speedup']:8.2f}x")
     print(f"parity: phase2={phase2_parity} sweep={sweep_parity}")
+    speedup = rows[0]["speedup"]
 
     payload = bench_payload(
         "incremental",
         (
             "seeded Phase-2 inner loop and full failure sweeps with "
-            "incremental_routing on vs off, with bitwise parity gates"
+            "incremental_routing on vs off, a fresh evaluator per arm and "
+            "round, arms alternating; evals/s median and quartiles; "
+            "bitwise parity gated"
         ),
-        rows=[
-            {
-                "workload": "phase2",
-                "evaluations": evals_on,
-                "scratch_evals_per_sec": round(rate_off, 1),
-                "incremental_evals_per_sec": round(rate_on, 1),
-                "speedup": round(speedup, 2),
-                "parity": phase2_parity,
-            },
-            {
-                "workload": "sweep",
-                "scratch_evals_per_sec": round(sweep_off, 1),
-                "incremental_evals_per_sec": round(sweep_on, 1),
-                "speedup": round(sweep_on / sweep_off, 2),
-                "parity": sweep_parity,
-            },
-        ],
+        rows=rows,
         context={
             "nodes": network.num_nodes,
             "arcs": network.num_arcs,
             "scenarios": len(failures),
             "degree": args.degree,
             "seed": args.seed,
+            "iterations": args.iterations,
+            "rounds": args.rounds,
         },
     )
     write_payload(args.out, payload)

@@ -22,6 +22,12 @@ Two properties are recorded per size and written to
   backend by more than 10 % (it picks the python stack at backbone
   scale, the vector stack at Rocketfuel scale).
 
+Every backend is timed over ``--rounds`` rounds (default 5), each once
+per round on a fresh evaluator, backends alternating their order each
+round; a row reports each backend's median and quartiles of
+evaluations/sec next to the record's CPU count, and the speedup, the
+auto margin and both gates compare medians.
+
 Usage::
 
     python benchmarks/bench_scale.py                     # full report
@@ -37,11 +43,13 @@ are opt-in because shared CI runners make wall-clock assertions flaky.
 from __future__ import annotations
 
 import argparse
+import gc
+import statistics
 import sys
 import time
 
 import numpy as np
-from bench_schema import bench_payload, write_payload
+from bench_schema import bench_payload, quartiles, write_payload
 
 from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.evaluation import DtrEvaluator
@@ -98,21 +106,14 @@ def config_for(backend: str) -> OptimizerConfig:
     )
 
 
-def sweep_rate(network, traffic, setting, failures, backend: str,
-               rounds: int) -> tuple[float, object]:
-    """Best-of-``rounds`` evaluations/sec with a cold evaluator per round.
-
-    Returns the rate and the last round's full sweep (for parity).
-    """
-    best = float("inf")
-    sweep = None
-    for _ in range(rounds):
-        evaluator = DtrEvaluator(network, traffic, config_for(backend))
-        normal = evaluator.evaluate_normal(setting)
-        start = time.perf_counter()
-        sweep = evaluator.evaluate_scenarios(setting, failures, reuse=normal)
-        best = min(best, time.perf_counter() - start)
-    return len(failures) / best, sweep
+def sweep_arm(network, traffic, setting, failures, backend: str):
+    """One timed sweep on a fresh evaluator; returns (rate, sweep)."""
+    evaluator = DtrEvaluator(network, traffic, config_for(backend))
+    normal = evaluator.evaluate_normal(setting)
+    gc.collect()
+    start = time.perf_counter()
+    sweep = evaluator.evaluate_scenarios(setting, failures, reuse=normal)
+    return len(failures) / (time.perf_counter() - start), sweep
 
 
 def sweeps_identical(a, b) -> bool:
@@ -142,44 +143,48 @@ def bench_size(family: str, num_nodes: int, seed: int, rounds: int,
     )
 
     backends = ["python", "vector", "auto"]
-    rates = {}
-    sweeps = {}
-    for backend in backends:
-        rates[backend], sweeps[backend] = sweep_rate(
-            network, traffic, setting, failures, backend, rounds
-        )
-    parity = all(
-        sweeps_identical(sweeps["python"], sweeps[backend])
-        for backend in backends[1:]
-    )
+    rates: "dict[str, list[float]]" = {backend: [] for backend in backends}
+    order = list(backends)
+    reference = None
+    parity = True
+    for _ in range(rounds):
+        for backend in order:
+            rate, sweep = sweep_arm(
+                network, traffic, setting, failures, backend
+            )
+            rates[backend].append(rate)
+            if reference is None:
+                reference = sweep
+            parity = parity and sweeps_identical(reference, sweep)
+        order.reverse()
+    median = {b: statistics.median(rates[b]) for b in backends}
 
     destinations = network.num_nodes  # gravity demand reaches every node
     auto_choice = resolve_backend(
         "auto", network.num_nodes, network.num_arcs, destinations
     )
-    best_fixed = max(rates["python"], rates["vector"])
+    best_fixed = max(median["python"], median["vector"])
     row = {
         "family": network.name,
         "nodes": network.num_nodes,
         "arcs": network.num_arcs,
         "scenarios": len(failures),
-        "python_evals_per_sec": round(rates["python"], 2),
-        "vector_evals_per_sec": round(rates["vector"], 2),
-        "auto_evals_per_sec": round(rates["auto"], 2),
-        "vector_speedup": round(rates["vector"] / rates["python"], 2),
+        **{f"{b}_evals_per_sec": quartiles(rates[b]) for b in backends},
+        "vector_speedup": round(median["vector"] / median["python"], 2),
         "auto_backend_choice": auto_choice,
-        "auto_vs_best_fixed": round(rates["auto"] / best_fixed, 3),
+        "auto_vs_best_fixed": round(median["auto"] / best_fixed, 3),
         "parity": parity,
     }
+    spread = "  ".join(
+        f"{b} {median[b]:>8.2f}/s [{row[f'{b}_evals_per_sec']['q1']:.2f}, "
+        f"{row[f'{b}_evals_per_sec']['q3']:.2f}]"
+        for b in backends
+    )
     print(
         f"{row['family']:>7}[{row['nodes']:>3},{row['arcs']:>5}] "
-        f"{row['scenarios']:>3} scenarios: "
-        f"python {row['python_evals_per_sec']:>8.2f}/s  "
-        f"vector {row['vector_evals_per_sec']:>8.2f}/s "
-        f"({row['vector_speedup']:.2f}x)  "
-        f"auto {row['auto_evals_per_sec']:>8.2f}/s "
-        f"[{auto_choice}, {row['auto_vs_best_fixed']:.2f} of best]  "
-        f"parity={parity}"
+        f"{row['scenarios']:>3} scenarios: {spread}  "
+        f"vector {row['vector_speedup']:.2f}x, auto [{auto_choice}] "
+        f"{row['auto_vs_best_fixed']:.2f} of best  parity={parity}"
     )
     return row
 
@@ -199,7 +204,10 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the fixed 16-node ISP backbone row",
     )
     parser.add_argument(
-        "--rounds", type=int, default=2, help="timing rounds (best-of)"
+        "--rounds",
+        type=int,
+        default=5,
+        help="timed rounds, one sweep per backend each (default 5)",
     )
     parser.add_argument(
         "--max-scenarios",
@@ -245,11 +253,13 @@ def main(argv: list[str] | None = None) -> int:
         "scale",
         (
             "from-scratch failure sweeps (incremental_routing=False, "
-            "routing_cache=False); delta-rerouting gains are tracked by "
-            "BENCH_incremental.json"
+            "routing_cache=False), a fresh evaluator per backend and "
+            "round, backends alternating; evals/s median and quartiles; "
+            "delta-rerouting gains are tracked by BENCH_incremental.json"
         ),
         rows=rows,
         context={
+            "rounds": args.rounds,
             "crossover_work": {
                 "route": VECTOR_CROSSOVER_WORK,
                 "propagate": VECTOR_PROPAGATION_CROSSOVER_WORK,

@@ -17,6 +17,9 @@ comparable across PRs and across benchmarks:
   numpy version) — so trajectory comparisons across PRs can tell a
   slow kernel from a missing one;
 * ``rows`` — the measurements, one dict per benchmarked configuration.
+  A timed arm reports the median and quartiles of its rounds
+  (:func:`quartiles`) and every record carries ``context.cpu_count``,
+  so a speedup is read with its spread and the box that produced it.
 
 The helper is deliberately dependency-free (stdlib json only) so the
 benchmarks stay runnable without the package installed; the backend
@@ -27,6 +30,7 @@ stub when the package is absent.
 from __future__ import annotations
 
 import json
+import os
 
 #: Version of the shared BENCH_*.json layout.
 SCHEMA_VERSION = 1
@@ -41,6 +45,27 @@ def _backend_availability() -> dict:
     return backend_availability()
 
 
+def quartiles(values: "list[float]") -> "dict[str, float]":
+    """Median and quartiles of one arm's timed rounds.
+
+    Linear interpolation between order statistics (numpy's default
+    percentile rule), rounded to 2 decimals.
+    """
+    ordered = sorted(values)
+
+    def at(q: float) -> float:
+        pos = q * (len(ordered) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(ordered) - 1)
+        return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+    return {
+        "median": round(at(0.5), 2),
+        "q1": round(at(0.25), 2),
+        "q3": round(at(0.75), 2),
+    }
+
+
 def bench_payload(
     benchmark: str,
     mode: str,
@@ -50,6 +75,7 @@ def bench_payload(
     """Assemble one benchmark record in the shared schema."""
     full_context = dict(context or {})
     full_context.setdefault("backend_availability", _backend_availability())
+    full_context.setdefault("cpu_count", os.cpu_count())
     return {
         "schema_version": SCHEMA_VERSION,
         "benchmark": benchmark,

@@ -33,7 +33,7 @@ import sys
 import time
 
 import numpy as np
-from bench_schema import bench_payload, write_payload
+from bench_schema import bench_payload, quartiles, write_payload
 
 from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.parallel import make_evaluator
@@ -80,15 +80,6 @@ def costs_key(costs) -> "list[tuple]":
         (e.cost.lam, e.cost.phi, e.sla.violations, e.sla.disconnected)
         for e in costs.evaluations
     ]
-
-
-def quartiles(values: "list[float]") -> "dict[str, float]":
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {
-        "median": round(float(median), 2),
-        "q1": round(float(q1), 2),
-        "q3": round(float(q3), 2),
-    }
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,11 +13,7 @@ import numpy as np
 
 from repro.core.evaluation import DtrEvaluator
 from repro.core.phase1 import Phase1Result
-from repro.core.phase2 import (
-    Phase2Result,
-    RobustConstraints,
-    run_phase2,
-)
+from repro.core.phase2 import Phase2Result, phase2_from
 from repro.routing.failures import FailureModel
 from repro.scenarios.generators import legacy_failures
 
@@ -46,9 +42,4 @@ def optimize_with_critical_arcs(
     ).restricted_to_arcs(critical_arcs)
     if len(failures) == 0:
         raise ValueError("critical arc set touches no failure scenario")
-    constraints = RobustConstraints(
-        lam_star=phase1.best_cost.lam,
-        phi_star=phase1.best_cost.phi,
-        chi=evaluator.config.sampling.chi,
-    )
-    return run_phase2(evaluator, failures, phase1.pool, constraints, rng)
+    return phase2_from(evaluator, phase1, failures, rng)

@@ -11,11 +11,7 @@ import numpy as np
 
 from repro.core.evaluation import DtrEvaluator
 from repro.core.phase1 import Phase1Result
-from repro.core.phase2 import (
-    Phase2Result,
-    RobustConstraints,
-    run_phase2,
-)
+from repro.core.phase2 import Phase2Result, phase2_from
 from repro.routing.failures import FailureModel
 from repro.scenarios.generators import legacy_failures
 
@@ -28,9 +24,4 @@ def full_search_optimize(
 ) -> Phase2Result:
     """Run Phase 2 over the complete single-failure set."""
     failures = legacy_failures(evaluator.network, failure_model)
-    constraints = RobustConstraints(
-        lam_star=phase1.best_cost.lam,
-        phi_star=phase1.best_cost.phi,
-        chi=evaluator.config.sampling.chi,
-    )
-    return run_phase2(evaluator, failures, phase1.pool, constraints, rng)
+    return phase2_from(evaluator, phase1, failures, rng)

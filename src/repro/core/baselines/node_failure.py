@@ -15,11 +15,7 @@ import numpy as np
 
 from repro.core.evaluation import DtrEvaluator
 from repro.core.phase1 import Phase1Result
-from repro.core.phase2 import (
-    Phase2Result,
-    RobustConstraints,
-    run_phase2,
-)
+from repro.core.phase2 import Phase2Result, phase2_from
 from repro.scenarios.generators import node_failures
 
 
@@ -31,9 +27,4 @@ def node_failure_optimize(
 ) -> Phase2Result:
     """Run Phase 2 against all (or the given) single node failures."""
     failures = node_failures(evaluator.network, nodes)
-    constraints = RobustConstraints(
-        lam_star=phase1.best_cost.lam,
-        phi_star=phase1.best_cost.phi,
-        chi=evaluator.config.sampling.chi,
-    )
-    return run_phase2(evaluator, failures, phase1.pool, constraints, rng)
+    return phase2_from(evaluator, phase1, failures, rng)

@@ -20,12 +20,12 @@ shortcut; tests pin it against the direct computation.
 That shortcut is the trivial (all-destinations-unaffected) case of the
 delta-rerouting core (:mod:`repro.routing.incremental`), which the
 evaluator uses for every routing when
-``config.execution.incremental_routing`` is on (the default): single-arc
-weight moves (:meth:`DtrEvaluator.evaluate_move` /
-:meth:`DtrEvaluator.revert_move`) and failure scenarios re-route only
-the destinations the delta can affect, and every path-delay column
-whose mask row and masked arc delays equal the ``reuse`` evaluation's
-is copied from it instead of re-propagated
+``config.execution.incremental_routing`` is on (the default): routers
+follow every setting through ``IncrementalRouter.sync``, so a move
+(:meth:`DtrEvaluator.trial`, the local searches' one seam) or a failure
+scenario re-routes only the destinations the delta can affect, and
+every path-delay column whose mask row and masked arc delays equal the
+``reuse`` evaluation's is copied from it instead of re-propagated
 (:meth:`~repro.routing.engine.PathDelayReuse.fill`, the one reuse rule
 of the per-scenario, move and batch paths).  All of it is bit-identical
 to from-scratch evaluation; tests pin the parity.
@@ -279,6 +279,29 @@ class SweepMemoStats:
         )
 
 
+@dataclass(eq=False)
+class MoveTrial:
+    """An open move (:meth:`DtrEvaluator.trial`), to be closed once.
+
+    Attributes:
+        evaluation: the moved setting's failure-free evaluation.
+    """
+
+    evaluation: ScenarioEvaluation
+    _evaluator: "DtrEvaluator"
+    _setting: WeightSetting
+    _move: Move
+
+    def commit(self) -> None:
+        """Keep the move: the setting and the routers stay moved."""
+        self._evaluator._close_trial(self)
+
+    def rollback(self) -> None:
+        """Undo the move on the setting and the routers."""
+        self._evaluator._close_trial(self)
+        self._evaluator.revert_move(self._setting, self._move)
+
+
 #: Entries kept in the costs-only sweep memo.  Phase 2 cycles through at
 #: most ``keep_acceptable_settings`` diversification starts plus the
 #: incumbent, so a few dozen compact (scalars-only) entries already
@@ -327,6 +350,7 @@ class DtrEvaluator:
         )
         self._sweep_memo_hits = 0
         self._sweep_memo_misses = 0
+        self._open_trial: "MoveTrial | None" = None
 
     # ------------------------------------------------------------------
     @property
@@ -641,50 +665,57 @@ class DtrEvaluator:
         """Cost under the failure-free scenario."""
         return self.evaluate(setting, NORMAL)
 
+    def trial(
+        self,
+        setting: WeightSetting,
+        move: Move,
+        reuse: ScenarioEvaluation | None = None,
+    ) -> MoveTrial:
+        """Open a trial of ``move`` on ``setting``: the one move protocol.
+
+        :meth:`evaluate_move` (``reuse``: the base's normal evaluation)
+        opens it; the caller may evaluate the moved setting further, then
+        closes it once: ``commit()`` keeps the move, ``rollback()``
+        restores setting and routers (:meth:`revert_move`).
+        """
+        if self._open_trial is not None:
+            raise RuntimeError("a move trial is already open")
+        evaluation = self.evaluate_move(setting, move, reuse=reuse)
+        self._open_trial = MoveTrial(evaluation, self, setting, move)
+        return self._open_trial
+
+    def _close_trial(self, trial: MoveTrial) -> None:
+        if self._open_trial is not trial:
+            raise RuntimeError("this move trial is already closed")
+        self._open_trial = None
+
     def evaluate_move(
         self,
         setting: WeightSetting,
         move: Move,
         reuse: ScenarioEvaluation | None = None,
     ) -> ScenarioEvaluation:
-        """Failure-free cost of a candidate one :class:`Move` from its base.
+        """The trial's first half: apply ``move``, sync, evaluate.
 
-        The local-search fast path, bit-identical to
-        ``evaluate_normal(setting)``.  ``move`` is the single-arc delta
-        that produced ``setting``; with incremental routing it is applied
-        to the per-class routers directly (O(affected destinations) —
-        often zero, e.g. a weight increase on an off-DAG arc), and
-        ``reuse`` — the *base* setting's normal evaluation, as returned
-        by the previous ``evaluate_move`` / ``evaluate_normal`` call on
-        this evaluator — lets every destination whose mask row and
-        masked arc delays are unchanged reuse its path-delay column.
-        Both hints are safe against protocol drift: the router diffs the
-        requested weights itself and falls back to a rebuild, and the
-        reuse rule compares mask rows and delays cell by cell.
+        The routers sync before any routing-cache probe, so a hit leaves
+        none behind.
         """
-        if self._incremental and move is not None:
-            for class_id, arc, old, new in move.deltas:
-                router = self._routers.get(class_id)
-                if router is not None and router.weight_of(arc) == float(old):
-                    router.set_arc_weight(arc, new)
+        move.apply(setting)
+        self._follow(setting)
         return self.evaluate(setting, NORMAL, reuse=reuse)
 
     def revert_move(self, setting: WeightSetting, move: Move) -> None:
-        """Restore the routers after a rejected move, in O(affected).
+        """The trial's rollback half: undo ``move``, sync the routers."""
+        move.revert(setting)
+        self._follow(setting)
 
-        The counterpart of :meth:`evaluate_move`: ``move.revert(...)``
-        restores the *weight setting*; this restores the evaluator's
-        incremental router state so the next candidate is again a
-        single-arc delta.  A no-op without incremental routing, and safe
-        to skip entirely — the routers re-diff on the next evaluation.
-        """
-        del setting  # the routers track their own weights
-        if not self._incremental:
-            return
-        for class_id, arc, old, new in move.deltas:
+    def _follow(self, setting: WeightSetting) -> None:
+        """Sync every built router to ``setting``."""
+        pairs = (("delay", setting.delay), ("tput", setting.tput))
+        for class_id, weights in pairs:
             router = self._routers.get(class_id)
-            if router is not None and router.weight_of(arc) == float(new):
-                router.set_arc_weight(arc, old)
+            if router is not None:
+                router.sync(weights)
 
     def evaluate_normal_batch(
         self, settings: "list[WeightSetting] | tuple[WeightSetting, ...]"

@@ -29,11 +29,7 @@ from repro.core.checkpoint import (
 from repro.core.evaluation import DtrEvaluator
 from repro.core.parallel import make_evaluator
 from repro.core.phase1 import Phase1Result, run_phase1
-from repro.core.phase2 import (
-    Phase2Result,
-    RobustConstraints,
-    run_phase2,
-)
+from repro.core.phase2 import Phase2Result, phase2_from
 from repro.core.weights import WeightSetting
 from repro.routing.failures import FailureModel
 from repro.routing.network import Network
@@ -262,17 +258,11 @@ class RobustDtrOptimizer:
             critical_failures = all_failures.restricted_to_arcs(
                 phase1.critical_arcs
             )
-        constraints = RobustConstraints(
-            lam_star=phase1.best_cost.lam,
-            phi_star=phase1.best_cost.phi,
-            chi=self._evaluator.config.sampling.chi,
-        )
         t1 = time.perf_counter()
-        phase2 = run_phase2(
+        phase2 = phase2_from(
             self._evaluator,
+            phase1,
             critical_failures,
-            phase1.pool,
-            constraints,
             self._rng,
             manager=manager,
             context={

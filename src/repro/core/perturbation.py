@@ -20,6 +20,9 @@ from repro.core.weights import WeightSetting
 class Move:
     """One reversible weight change on a single arc.
 
+    The local searches apply moves only through a trial
+    (:meth:`~repro.core.evaluation.DtrEvaluator.trial`).
+
     Attributes:
         arc: the arc whose weights change.
         new_delay: new delay-class weight.
@@ -49,24 +52,6 @@ class Move:
             self.new_delay != self.old_delay
             or self.new_tput != self.old_tput
         )
-
-    @property
-    def deltas(self) -> tuple[tuple[str, int, int, int], ...]:
-        """Per-class single-arc deltas as ``(class_id, arc, old, new)``.
-
-        The incremental-routing protocol: the evaluator applies these to
-        its per-class routers on :meth:`~repro.core.evaluation.
-        DtrEvaluator.evaluate_move` and plays them backwards on
-        :meth:`~repro.core.evaluation.DtrEvaluator.revert_move`, so both
-        directions cost O(affected destinations) instead of a re-route.
-        Classes whose weight is unchanged are omitted.
-        """
-        out = []
-        if self.new_delay != self.old_delay:
-            out.append(("delay", self.arc, self.old_delay, self.new_delay))
-        if self.new_tput != self.old_tput:
-            out.append(("tput", self.arc, self.old_tput, self.new_tput))
-        return tuple(out)
 
 
 def random_pair_move(

@@ -1,9 +1,9 @@
 """Phase 1: regular optimization plus critical-link identification.
 
-Candidate moves are evaluated through the evaluator's incremental
-:meth:`~repro.core.evaluation.DtrEvaluator.evaluate_move` fast path
-(single-arc delta-rerouting); rejected moves restore the router state
-with :meth:`~repro.core.evaluation.DtrEvaluator.revert_move`.
+Every candidate move goes through the evaluator's one move seam,
+:meth:`~repro.core.evaluation.DtrEvaluator.trial` (single-arc
+delta-rerouting): an accepted move commits the trial, a rejected one
+rolls the setting and the router state back.
 
 Phase 1a (Section IV-A) locally searches for the best failure-free DTR
 weight setting while opportunistically recording failure-cost samples:
@@ -255,8 +255,8 @@ def run_phase1a(
             move = random_pair_move(current, int(arc), wp, rng)
             if not move.changes_anything:
                 continue
-            move.apply(current)
-            cand_eval = evaluator.evaluate_move(current, move, reuse=cur_eval)
+            trial = evaluator.trial(current, move, reuse=cur_eval)
+            cand_eval = trial.evaluation
             cand_cost = cand_eval.cost
             stats.evaluations += 1
             if collector is not None and collector.observe_move(
@@ -264,6 +264,7 @@ def run_phase1a(
             ):
                 stats.samples_recorded += 1
             if cand_cost.is_better_than(cur_cost):
+                trial.commit()
                 cur_eval = cand_eval
                 cur_cost = cand_cost
                 improved = True
@@ -274,8 +275,7 @@ def run_phase1a(
                     pool.rebase(best_cost)
                 pool.offer(current, cand_cost, best_cost)
             else:
-                move.revert(current)
-                evaluator.revert_move(current, move)
+                trial.rollback()
         stats.iterations += 1
         if controller.note_iteration(improved):
             controller.note_diversification(

@@ -11,15 +11,13 @@ The search is scenario-agnostic: it accepts any
 :class:`~repro.scenarios.ScenarioSet` — the paper's single-link set, an
 SRLG or regional family, traffic surges, failure×surge cross products.
 
-Candidate evaluation is the hot path: the normal-scenario constraint
-check runs first (one evaluation, through the evaluator's incremental
-:meth:`~repro.core.evaluation.DtrEvaluator.evaluate_move` fast path)
-and the per-scenario failure sweep is abandoned as soon as its partial
+Candidate evaluation is the hot path: each move opens a trial on the
+evaluator's one move seam (:meth:`~repro.core.evaluation.DtrEvaluator.
+trial`), whose normal-scenario evaluation is the constraint check, and
+the per-scenario failure sweep is abandoned as soon as its partial
 lexicographic cost can no longer beat the incumbent (costs only grow as
-scenarios accumulate).  Rejected moves restore the evaluator's
-incremental router state via
-:meth:`~repro.core.evaluation.DtrEvaluator.revert_move` in O(affected
-destinations).
+scenarios accumulate).  A rejected move, infeasible or not better,
+rolls the trial back in O(affected destinations).
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from repro.core.local_search import (
     SearchStats,
 )
 from repro.core.perturbation import random_phase2_move, scramble_some_arcs
+from repro.core.phase1 import Phase1Result
 from repro.core.weights import WeightSetting
 from repro.scenarios.scenario import ScenarioSet
 
@@ -211,7 +210,6 @@ def run_phase2(
         stats = SearchStats()
         current = starts[0].setting.copy()
         cur_normal_eval = evaluator.evaluate_normal(current)
-        cur_normal = cur_normal_eval.cost
         stats.evaluations += 1
         ordered, cur_kfail = _ordered_sweep(
             evaluator, current, failures, stats, reuse=cur_normal_eval
@@ -247,7 +245,6 @@ def run_phase2(
         # Recomputed, not stored (bit-identical by evaluator parity);
         # the checkpointed counters already account for it.
         cur_normal_eval = evaluator.evaluate_normal(current)
-        cur_normal = cur_normal_eval.cost
     sweep = max(1, round(sp.arcs_per_iteration_fraction * num_arcs))
 
     while stats.iterations < sp.max_iterations:
@@ -276,38 +273,31 @@ def run_phase2(
             move = random_phase2_move(current, int(arc), wp, rng)
             if not move.changes_anything:
                 continue
-            move.apply(current)
-            cand_normal_eval = evaluator.evaluate_move(
-                current, move, reuse=cur_normal_eval
-            )
-            cand_normal = cand_normal_eval.cost
+            trial = evaluator.trial(current, move, reuse=cur_normal_eval)
             stats.evaluations += 1
-            if not constraints.satisfied_by(cand_normal):
-                move.revert(current)
-                evaluator.revert_move(current, move)
-                continue
-            cand_kfail = bounded_failure_cost(
-                evaluator,
-                current,
-                ordered,
-                cur_kfail,
-                stats,
-                reuse=cand_normal_eval,
-            )
-            if cand_kfail is not None and cand_kfail.is_better_than(
+            cand_kfail = None
+            if constraints.satisfied_by(trial.evaluation.cost):
+                cand_kfail = bounded_failure_cost(
+                    evaluator,
+                    current,
+                    ordered,
+                    cur_kfail,
+                    stats,
+                    reuse=trial.evaluation,
+                )
+            if cand_kfail is None or not cand_kfail.is_better_than(
                 cur_kfail
             ):
-                cur_kfail = cand_kfail
-                cur_normal = cand_normal
-                cur_normal_eval = cand_normal_eval
-                improved = True
-                stats.accepted_moves += 1
-                if cand_kfail.is_better_than(best_kfail):
-                    best_kfail = cand_kfail
-                    best_setting = current.copy()
-            else:
-                move.revert(current)
-                evaluator.revert_move(current, move)
+                trial.rollback()
+                continue
+            trial.commit()
+            cur_kfail = cand_kfail
+            cur_normal_eval = trial.evaluation
+            improved = True
+            stats.accepted_moves += 1
+            if cand_kfail.is_better_than(best_kfail):
+                best_kfail = cand_kfail
+                best_setting = current.copy()
         stats.iterations += 1
         if controller.note_iteration(improved):
             controller.note_diversification(
@@ -326,7 +316,6 @@ def run_phase2(
                 evaluator, failures, starts, constraints, rng, next_start,
                 stats,
             )
-            cur_normal = cur_normal_eval.cost
             next_start += 1
 
     normal_cost = evaluator.evaluate_normal(best_setting).cost
@@ -338,6 +327,39 @@ def run_phase2(
         failure_evaluation=failure_evaluation,
         constraints=constraints,
         stats=stats,
+    )
+
+
+def phase2_from(
+    evaluator: DtrEvaluator,
+    phase1: Phase1Result,
+    failures: ScenarioSet,
+    rng: np.random.Generator,
+    manager: "CheckpointManager | None" = None,
+    context: "dict | None" = None,
+    restore: "dict | None" = None,
+) -> Phase2Result:
+    """Run Phase 2 from a Phase 1 result: its pool, bound to its optimum.
+
+    The one place the Eq. (5)-(6) constraints are built from
+    ``phase1.best_cost`` and ``config.sampling.chi``; the optimizer and
+    every baseline differ only in the ``failures`` they pass.  The
+    remaining arguments go to :func:`run_phase2` unchanged.
+    """
+    constraints = RobustConstraints(
+        lam_star=phase1.best_cost.lam,
+        phi_star=phase1.best_cost.phi,
+        chi=evaluator.config.sampling.chi,
+    )
+    return run_phase2(
+        evaluator,
+        failures,
+        phase1.pool,
+        constraints,
+        rng,
+        manager=manager,
+        context=context,
+        restore=restore,
     )
 
 

@@ -15,7 +15,6 @@ from repro.routing.engine import (
 from repro.routing.incremental import IncrementalRouter, ScenarioRouting
 from repro.routing.failures import NORMAL, FailureModel, FailureScenario
 from repro.routing.network import Network
-from repro.routing.state import NetworkState
 
 __all__ = [
     "Arc",
@@ -25,7 +24,6 @@ __all__ = [
     "IncrementalRouter",
     "NORMAL",
     "Network",
-    "NetworkState",
     "PathDelayReuse",
     "RoutingEngine",
     "ScenarioRouting",

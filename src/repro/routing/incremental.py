@@ -86,10 +86,9 @@ from repro.routing.vectorized import (
 )
 
 #: Weight-delta count above which :meth:`IncrementalRouter.sync` rebuilds
-#: from scratch instead of replaying per-arc deltas.  Local-search sync
-#: patterns are 1 arc (accepted move), 2 arcs (rejected move + next
-#: candidate) or 4 (Phase-1b base hops); beyond that a rebuild's single
-#: batched Dijkstra wins.
+#: from scratch instead of replaying per-arc deltas.  A local-search move
+#: or its rollback is 1 arc per class and a Phase-1b base hop up to 4;
+#: beyond that a rebuild's single batched Dijkstra wins.
 SYNC_DELTA_LIMIT = 4
 
 #: Capacity of the per-destination propagation memo (entries).
@@ -389,10 +388,6 @@ class IncrementalRouter:
     def destinations(self) -> np.ndarray:
         """Demand-carrying destinations, ascending (fixed per demands)."""
         return self._dest
-
-    def weight_of(self, arc: int) -> float:
-        """Current weight of one arc."""
-        return float(self._weights[arc])
 
     def routes_demands(self, demands: np.ndarray) -> bool:
         """Whether this router is bound to exactly these demands.

@@ -314,42 +314,3 @@ def path_counts(
     return np.asarray(
         fast_path_counts(plan, mask, dist_to_t, t), dtype=np.float64
     )
-
-
-def next_hops(
-    network: Network, mask: np.ndarray, node: int
-) -> np.ndarray:
-    """ECMP next-hop node ids of ``node`` in a shortest-path DAG mask."""
-    out = network.out_arcs[node]
-    live = out[mask[out]]
-    return network.arc_dst[live]
-
-
-def extract_one_path(
-    network: Network,
-    mask: np.ndarray,
-    dist_to_t: np.ndarray,
-    source: int,
-    t: int,
-) -> list[int]:
-    """One concrete shortest path ``source -> t`` as a node list.
-
-    Picks the lexicographically-smallest next hop at each step; useful in
-    examples and debugging output, never in the optimization itself.
-
-    Raises:
-        ValueError: if ``source`` cannot reach ``t``.
-    """
-    if not np.isfinite(dist_to_t[source]):
-        raise ValueError(f"node {source} cannot reach {t}")
-    path = [source]
-    node = source
-    while node != t:
-        hops = next_hops(network, mask, node)
-        if hops.size == 0:
-            raise ValueError(f"dead end at node {node} towards {t}")
-        node = int(hops.min())
-        path.append(node)
-        if len(path) > network.num_nodes:
-            raise ValueError("cycle detected in shortest-path DAG")
-    return path

@@ -1,18 +1,24 @@
 """Evaluator-level parity of the incremental delta-rerouting fast path.
 
 ``incremental_routing`` (on by default) must never change a computed
-bit: candidate moves through :meth:`DtrEvaluator.evaluate_move`, failure
-sweeps, and whole seeded experiments must match the from-scratch
-evaluator exactly.
+bit: candidate moves through the evaluator's move seam
+(:meth:`DtrEvaluator.trial`), failure sweeps, and whole seeded
+experiments must match the from-scratch evaluator exactly.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import ExecutionParams
+from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.evaluation import DtrEvaluator
-from repro.core.perturbation import random_phase2_move
+from repro.core.perturbation import (
+    Move,
+    random_pair_move,
+    random_phase2_move,
+)
 from repro.core.weights import WeightSetting
+from repro.exp.common import make_instance
+from repro.routing.incremental import IncrementalRouter
 from repro.scenarios import legacy_failures, node_failures
 
 
@@ -21,6 +27,14 @@ def _scratch_evaluator(evaluator: DtrEvaluator) -> DtrEvaluator:
         execution=ExecutionParams(incremental_routing=False)
     )
     return DtrEvaluator(evaluator.network, evaluator.traffic, config)
+
+
+def _bump(setting: WeightSetting, arc: int, w_max: int) -> Move:
+    """A move that changes both class weights of ``arc``."""
+    old_delay, old_tput = setting.arc_pair(arc)
+    return Move(
+        arc, old_delay % w_max + 1, old_tput % w_max + 1, old_delay, old_tput
+    )
 
 
 def assert_evaluations_identical(a, b, context=""):
@@ -39,7 +53,7 @@ def assert_evaluations_identical(a, b, context=""):
 
 class TestEvaluateMoveParity:
     def test_move_sequence_matches_scratch(self, small_evaluator, rng):
-        """Moves, reverts and sweeps: incremental == from-scratch."""
+        """Trials, rollbacks and sweeps: incremental == from-scratch."""
         scratch = _scratch_evaluator(small_evaluator)
         network = small_evaluator.network
         config = small_evaluator.config
@@ -56,10 +70,8 @@ class TestEvaluateMoveParity:
             move = random_phase2_move(setting, arc, config.weights, rng)
             if not move.changes_anything:
                 continue
-            move.apply(setting)
-            cand_fast = small_evaluator.evaluate_move(
-                setting, move, reuse=cur_fast
-            )
+            trial = small_evaluator.trial(setting, move, reuse=cur_fast)
+            cand_fast = trial.evaluation
             cand_slow = scratch.evaluate_normal(setting)
             assert_evaluations_identical(
                 cand_fast, cand_slow, f"move {step}"
@@ -75,9 +87,9 @@ class TestEvaluateMoveParity:
                     got, expected, f"{scenario.label} at move {step}"
                 )
             if rng.random() < 0.5:
-                move.revert(setting)
-                small_evaluator.revert_move(setting, move)
+                trial.rollback()
             else:
+                trial.commit()
                 cur_fast, cur_slow = cand_fast, cand_slow
 
     def test_evaluate_move_equals_evaluate_normal(
@@ -88,7 +100,6 @@ class TestEvaluateMoveParity:
         move = random_phase2_move(
             random_setting, arc, small_evaluator.config.weights, rng
         )
-        move.apply(random_setting)
         via_move = small_evaluator.evaluate_move(
             random_setting, move, reuse=base
         )
@@ -100,6 +111,8 @@ class TestEvaluateMoveParity:
     def test_revert_move_is_noop_without_incremental(
         self, small_instance, tiny_config, rng
     ):
+        """Without incremental routing a trial builds and syncs no
+        router, and its rollback still restores the setting."""
         network, traffic = small_instance
         config = tiny_config.replace(
             execution=ExecutionParams(incremental_routing=False)
@@ -108,12 +121,117 @@ class TestEvaluateMoveParity:
         setting = WeightSetting.random(
             network.num_arcs, config.weights, rng
         )
-        move = random_phase2_move(setting, 0, config.weights, rng)
-        move.apply(setting)
-        outcome = evaluator.evaluate_move(setting, move)
-        assert outcome.scenario.is_normal
-        move.revert(setting)
-        evaluator.revert_move(setting, move)  # must not raise
+        before = setting.copy()
+        move = _bump(setting, 0, config.weights.w_max)
+        trial = evaluator.trial(setting, move)
+        assert trial.evaluation.scenario.is_normal
+        assert setting.arc_pair(0) == (move.new_delay, move.new_tput)
+        trial.rollback()
+        assert setting == before
+        assert not evaluator._routers
+
+
+class TestMoveTrial:
+    @pytest.mark.parametrize("nodes", [8, 12, 16])
+    def test_random_trials_match_scratch_and_a_rebuild(self, nodes):
+        """30+ seeded trials of pair and Phase-2 moves, each committed or
+        rolled back at random: every candidate equals the from-scratch
+        evaluation bitwise, every rollback restores the setting, and the
+        routers end where a fresh build at the final weights starts."""
+        config = OptimizerConfig()
+        instance = make_instance("rand", nodes, 4.0, seed=nodes)
+        network, traffic = instance.network, instance.traffic
+        fast = DtrEvaluator(network, traffic, config)
+        scratch = _scratch_evaluator(fast)
+        failures = [s.failure for s in legacy_failures(network)]
+        rng = np.random.default_rng(nodes)
+        setting = WeightSetting.random(network.num_arcs, config.weights, rng)
+        base = fast.evaluate_normal(setting)
+        trials = commits = 0
+        while trials < 32:
+            draw = random_pair_move if rng.random() < 0.5 else (
+                random_phase2_move
+            )
+            arc = int(rng.integers(network.num_arcs))
+            move = draw(setting, arc, config.weights, rng)
+            if not move.changes_anything:
+                continue
+            before = setting.copy()
+            trial = fast.trial(setting, move, reuse=base)
+            trials += 1
+            assert_evaluations_identical(
+                trial.evaluation, scratch.evaluate_normal(setting),
+                f"trial {trials}",
+            )
+            if rng.random() < 0.3:
+                # Phase 2 sweeps scenarios while its trial is open.
+                failure = failures[int(rng.integers(len(failures)))]
+                assert_evaluations_identical(
+                    fast.evaluate(setting, failure, reuse=trial.evaluation),
+                    scratch.evaluate(setting, failure),
+                    failure.label,
+                )
+            if rng.random() < 0.3:
+                trial.commit()
+                base = trial.evaluation
+                commits += 1
+            else:
+                trial.rollback()
+                assert setting == before, f"rollback of trial {trials}"
+        assert 0 < commits < trials
+        for class_id, weights, demands in (
+            ("delay", setting.delay, traffic.delay.values),
+            ("tput", setting.tput, traffic.throughput.values),
+        ):
+            router = fast._routers[class_id]
+            fresh = IncrementalRouter(network, demands, weights)
+            assert np.array_equal(router._dist_cols, fresh._dist_cols)
+            assert np.array_equal(router._masks, fresh._masks)
+            assert np.array_equal(router._contribs, fresh._contribs)
+            assert np.array_equal(router._und, fresh._und)
+            got, expected = router.routing, fresh.routing
+            assert np.array_equal(got.dist, expected.dist)
+            assert np.array_equal(got.masks, expected.masks)
+            assert np.array_equal(got.loads, expected.loads)
+            assert got.undelivered == expected.undelivered
+
+    def test_a_trial_closes_exactly_once(self, small_evaluator, rng):
+        config = small_evaluator.config
+        setting = WeightSetting.random(
+            small_evaluator.network.num_arcs, config.weights, rng
+        )
+        for close, again in (
+            ("commit", "commit"),
+            ("commit", "rollback"),
+            ("rollback", "rollback"),
+            ("rollback", "commit"),
+        ):
+            move = _bump(setting, 0, config.weights.w_max)
+            trial = small_evaluator.trial(setting, move)
+            getattr(trial, close)()
+            moved = setting.copy()
+            with pytest.raises(RuntimeError, match="already closed"):
+                getattr(trial, again)()
+            assert setting == moved
+
+    def test_one_trial_open_at_a_time(self, small_evaluator, rng):
+        config = small_evaluator.config
+        setting = WeightSetting.random(
+            small_evaluator.network.num_arcs, config.weights, rng
+        )
+        first = small_evaluator.trial(
+            setting, random_pair_move(setting, 0, config.weights, rng)
+        )
+        moved = setting.copy()
+        with pytest.raises(RuntimeError, match="already open"):
+            small_evaluator.trial(
+                setting, random_pair_move(setting, 1, config.weights, rng)
+            )
+        assert setting == moved
+        first.rollback()
+        small_evaluator.trial(
+            setting, random_pair_move(setting, 1, config.weights, rng)
+        ).commit()
 
 
 class TestNormalColumnRule:
@@ -122,10 +240,6 @@ class TestNormalColumnRule:
         evaluation's but whose distance column moved take the NORMAL
         delay column; the move and per-scenario paths built on them stay
         bitwise equal to the from-scratch evaluator."""
-        from repro.config import OptimizerConfig
-        from repro.core.perturbation import Move
-        from repro.exp.common import make_instance
-
         config = OptimizerConfig()
         moved_cells = 0
         for nodes in (8, 12, 16):
@@ -147,8 +261,8 @@ class TestNormalColumnRule:
                         int(arc), old_delay + 1, old_tput, old_delay,
                         old_tput,
                     )
-                    move.apply(setting)
-                    moved = fast.evaluate_move(setting, move, reuse=base)
+                    trial = fast.trial(setting, move, reuse=base)
+                    moved = trial.evaluation
                     assert_evaluations_identical(
                         moved, scratch.evaluate_normal(setting), "move"
                     )
@@ -170,8 +284,7 @@ class TestNormalColumnRule:
                             scratch.evaluate(setting, failure),
                             failure.label,
                         )
-                    move.revert(setting)
-                    fast.revert_move(setting, move)
+                    trial.rollback()
         assert moved_cells > 0
 
 

@@ -1,5 +1,9 @@
-"""Tests for local-search scaffolding (controller, pool)."""
+"""Tests for local-search scaffolding (controller, pool, move draws)."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.core.lexicographic import CostPair
@@ -8,6 +12,7 @@ from repro.core.local_search import (
     DiversificationController,
     SearchStats,
 )
+from repro.core.phase1 import run_phase1a
 from repro.core.weights import WeightSetting
 
 
@@ -109,3 +114,57 @@ class TestSearchStats:
         assert stats.iterations == 0
         assert stats.evaluations == 0
         assert stats.pruned_evaluations == 0
+
+
+class _FakeTrial:
+    def __init__(self, owner, setting, move, cost):
+        self.evaluation = SimpleNamespace(cost=cost)
+        self._owner, self._setting, self._move = owner, setting, move
+
+    def commit(self):
+        self._owner.commits += 1
+
+    def rollback(self):
+        self._move.revert(self._setting)
+        self._owner.rollbacks += 1
+
+
+class _FakeEvaluator:
+    """Stands behind the trial seam with no router: every candidate
+    costs less than the incumbent (``accept``) or more."""
+
+    def __init__(self, config, num_arcs, accept):
+        self.config = config
+        self.network = SimpleNamespace(num_arcs=num_arcs)
+        self.accept = accept
+        self.trials = self.commits = self.rollbacks = 0
+
+    def evaluate_normal(self, setting):
+        return SimpleNamespace(cost=CostPair(0.0, 1000.0))
+
+    def trial(self, setting, move, reuse=None):
+        move.apply(setting)
+        self.trials += 1
+        phi = 1000.0 - self.trials if self.accept else 2000.0
+        return _FakeTrial(self, setting, move, CostPair(0.0, phi))
+
+
+def test_phase1a_sweep_draws_ignore_outcomes(tiny_config):
+    """One Phase-1a sweep leaves the generator in the same state whether
+    every trial commits or every trial rolls back."""
+    config = tiny_config.replace(
+        search=replace(tiny_config.search, max_iterations=1)
+    )
+    states, trials = [], []
+    for accept in (True, False):
+        evaluator = _FakeEvaluator(config, num_arcs=40, accept=accept)
+        rng = np.random.default_rng(3)
+        stats = SearchStats()
+        run_phase1a(evaluator, rng, None, stats)
+        assert stats.iterations == 1 and stats.diversifications == 0
+        closed = evaluator.commits if accept else evaluator.rollbacks
+        assert closed == evaluator.trials > 0
+        states.append(rng.bit_generator.state)
+        trials.append(evaluator.trials)
+    assert states[0] == states[1]
+    assert trials[0] == trials[1]

@@ -309,3 +309,42 @@ def test_production_matches_oracle(num_nodes, seed, mode):
             move.revert(setting)
             evaluator.revert_move(setting, move)
     check(evaluator.evaluate_normal(setting), NORMAL_SCENARIO, "final")
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    num_nodes=st.integers(6, 10),
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(["worst", "mean"]),
+)
+def test_trials_match_oracle(num_nodes, seed, mode):
+    """The accept/reject move sequence above, through the trial seam.
+
+    Every candidate a trial evaluates and the final ``evaluate_normal``
+    after its commits and rollbacks agree with the oracle.
+    """
+    instance = make_instance("rand", num_nodes, 3.5, seed)
+    network, traffic = instance.network, instance.traffic
+    config = PAPER_CONFIG
+    rng = np.random.default_rng(seed)
+    setting = WeightSetting.random(network.num_arcs, config.weights, rng)
+    evaluator = DtrEvaluator(network, traffic, config, delay_mode=mode)
+
+    def check(evaluation, label):
+        expected = oracle(
+            network, traffic, config, setting, NORMAL_SCENARIO, mode
+        )
+        assert_matches_oracle(evaluation, expected, label)
+
+    base = evaluator.evaluate_normal(setting)
+    for step in range(8):
+        arc = int(rng.integers(network.num_arcs))
+        move = random_pair_move(setting, arc, config.weights, rng)
+        trial = evaluator.trial(setting, move, reuse=base)
+        check(trial.evaluation, f"move {step} on arc {arc}")
+        if rng.random() < 0.3:
+            trial.commit()
+            base = trial.evaluation
+        else:
+            trial.rollback()
+    check(evaluator.evaluate_normal(setting), "final")

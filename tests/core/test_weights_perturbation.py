@@ -117,3 +117,42 @@ class TestMoves:
         ws = WeightSetting.uniform(4)
         with pytest.raises(ValueError):
             scramble_some_arcs(ws, params, rng, fraction=1.5)
+
+
+class TestDrawsIgnoreOutcomes:
+    """Within one sweep, move draws do not depend on the setting: each
+    move kind consumes a fixed number of draws (2 for a pair move, 3
+    for a Phase-2 move), so a sweep's draws are the same whichever
+    earlier moves were kept."""
+
+    @pytest.mark.parametrize("draw", [random_pair_move, random_phase2_move])
+    def test_one_sweep_draws_alike_from_different_settings(
+        self, draw, params
+    ):
+        num_arcs = 60
+        a = WeightSetting.random(num_arcs, params, np.random.default_rng(0))
+        # b differs from a in every weight of every arc.
+        b = WeightSetting(
+            a.delay % params.w_max + 1, a.tput % params.w_max + 1
+        )
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        sweep = rng_a.permutation(num_arcs)
+        assert np.array_equal(sweep, rng_b.permutation(num_arcs))
+        chosen_kinds = set()
+        for arc in sweep.tolist():
+            move_a = draw(a, arc, params, rng_a)
+            move_b = draw(b, arc, params, rng_b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            # A drawn weight is equal in both moves; a kept one differs.
+            chosen = frozenset(
+                name
+                for name in ("delay", "tput")
+                if getattr(move_a, f"new_{name}")
+                == getattr(move_b, f"new_{name}")
+            )
+            assert chosen
+            chosen_kinds.add(chosen)
+        if draw is random_pair_move:
+            assert chosen_kinds == {frozenset({"delay", "tput"})}
+        else:
+            assert len(chosen_kinds) == 3  # delay, tput and both

@@ -5,7 +5,6 @@ import pytest
 
 from repro.routing.engine import RoutingEngine
 from repro.routing.failures import FailureScenario
-from repro.routing.state import NetworkState
 
 
 def demand_matrix(n, pairs):
@@ -129,25 +128,3 @@ class TestPathMaxUtilization:
         utilization[square_network.arc_id(0, 3)] = 0.7
         per_pair = engine.path_max_utilization(routing, utilization)
         assert per_pair[1, 3] == pytest.approx(0.7)
-
-
-class TestNetworkState:
-    def test_from_routings(self, square_network):
-        engine = RoutingEngine(square_network)
-        weights = np.ones(square_network.num_arcs)
-        d = engine.route_class(weights, demand_matrix(4, [(0, 3, 10e6)]))
-        t = engine.route_class(weights, demand_matrix(4, [(1, 3, 30e6)]))
-        state = NetworkState.from_routings(d, t)
-        assert state.total_loads.sum() == pytest.approx(
-            d.loads.sum() + t.loads.sum()
-        )
-        assert 0 < state.mean_utilization < state.max_utilization <= 1.0
-        assert state.arcs_carrying_tput().any()
-
-    def test_shape_validation(self, square_network):
-        with pytest.raises(ValueError, match="per arc"):
-            NetworkState(
-                network=square_network,
-                loads_delay=np.zeros(3),
-                loads_tput=np.zeros(square_network.num_arcs),
-            )

@@ -6,7 +6,6 @@ import pytest
 from repro.routing.spf import (
     distance_columns,
     distance_matrix,
-    extract_one_path,
     path_counts,
     shortest_arc_mask,
 )
@@ -204,26 +203,3 @@ class TestPathCounts:
         assert counts[1] == 2  # via 0 and via 2
         assert counts[0] == 1
         assert counts[3] == 1
-
-
-class TestExtractOnePath:
-    def test_simple_path(self, square_network):
-        weights = uniform_weights(square_network)
-        dist = distance_matrix(square_network, weights)
-        mask = shortest_arc_mask(square_network, weights, dist[:, 3])
-        path = extract_one_path(square_network, mask, dist[:, 3], 1, 3)
-        assert path[0] == 1
-        assert path[-1] == 3
-        assert len(path) == 3
-
-    def test_unreachable_raises(self, square_network):
-        weights = uniform_weights(square_network)
-        disabled = np.zeros(square_network.num_arcs, dtype=bool)
-        for u, v in [(2, 3), (3, 2), (3, 0), (0, 3)]:
-            disabled[square_network.arc_id(u, v)] = True
-        dist = distance_matrix(square_network, weights, disabled)
-        mask = shortest_arc_mask(
-            square_network, weights, dist[:, 3], disabled
-        )
-        with pytest.raises(ValueError, match="cannot reach"):
-            extract_one_path(square_network, mask, dist[:, 3], 0, 3)
