@@ -7,6 +7,12 @@ or region — :meth:`IncrementalRouter.route_scenario` answers *multi-arc*
 scenarios exactly (the affected-destination test and the dynamic-SPF cone
 repair are per-scenario, not per-arc), so the composed scenario families
 of :mod:`repro.scenarios` ride the same fast path as single-link sweeps.
+One rule works out every failure's structure (which destinations are
+hit, which need new distances, and those distances):
+:meth:`IncrementalRouter._group_structure`, run for a batch sweep group
+(:func:`repro.routing.sweep.route_scenario_batch`) and, as a group of
+one, for :meth:`~IncrementalRouter.route_scenario`, which adds a node
+removal's demand zeroing on top.
 Traffic variants never share a router: a router is bound to one demand
 matrix (checked via :meth:`IncrementalRouter.routes_demands`), which
 keeps the propagation-memo keys traffic-variant-aware by construction.
@@ -33,14 +39,14 @@ changed arcs participate in (or could start participating in).
 
 Results are **bit-identical** to :meth:`repro.routing.engine.
 RoutingEngine.route_class`.  Two properties make that possible: arc
-weights are integer-valued, so every path length is exact in float64 and
-"mathematically unchanged" implies "bitwise unchanged"; and the shared
-``loads`` / ``undelivered`` totals are *re-folded* from the
-per-destination contributions in ascending destination order — the same
-float summation order ``route_class`` uses — rather than patched with a
-subtract-and-add (float addition is not associative, so in-place
-patching would drift by ulps).  ``tests/routing/test_incremental.py``
-pins the parity property-style.
+weights are integers (the router refuses others), so every path length
+is exact in float64 and "mathematically unchanged" implies "bitwise
+unchanged"; and the shared ``loads`` / ``undelivered`` totals are
+*re-folded* from the per-destination contributions in ascending
+destination order — the same float summation order ``route_class`` uses
+— rather than patched with a subtract-and-add (float addition is not
+associative, so in-place patching would drift by ulps).
+``tests/routing/test_incremental.py`` pins the parity property-style.
 
 Every load propagation — a delta's rows, a scenario's hit cells, a batch
 sweep group's chunk (:func:`repro.routing.sweep.route_scenario_batch`) —
@@ -154,7 +160,10 @@ class RouterStats:
             deltas and scenario routes (Dijkstra + mask + propagation).
         destinations_reused: destination columns served from cache by
             scenario routes.
-        scenario_routes: :meth:`IncrementalRouter.route_scenario` calls.
+        scenario_routes: failure scenarios routed, one per
+            :meth:`IncrementalRouter.route_scenario` call and one per
+            scenario of a :func:`~repro.routing.sweep.
+            route_scenario_batch` group.
     """
 
     rebuilds: int = 0
@@ -165,72 +174,25 @@ class RouterStats:
 
 
 @dataclass
-class _ScenarioStructure:
-    """The structural half of one scenario delta, before load propagation.
-
-    Everything :meth:`IncrementalRouter.route_scenario` derives from the
-    base state *except* the per-destination load propagations: the
-    scenario's destination set, (possibly demand-zeroed) demand matrix,
-    repaired distance matrix and mask rows, plus which positions were hit
-    and therefore still need their contribution recomputed.  Only the
-    per-scenario path builds it; the sweep engine holds a whole group of
-    scenarios as arrays instead (:class:`_GroupStructure`).
-
-    Attributes:
-        scenario: the failure scenario this structure answers.
-        dest_s: demand-carrying destinations under the scenario.
-        demands: the demand matrix actually routed.
-        dist: full ``(N, N)`` distance matrix (repaired columns patched).
-        masks: per-destination DAG mask rows under the scenario.
-        need: positions whose contribution must be recomputed (a failed
-            arc sat on the DAG, or a removed node fed the destination).
-        memoize: per ``need`` entry, whether the demand column is the
-            base one (and the propagation memo may serve it); None when
-            no nodes were removed.
-        base_contribs: base-state contribution rows, position-aligned.
-        base_und: base-state undelivered volumes, position-aligned.
-    """
-
-    scenario: FailureScenario
-    dest_s: np.ndarray
-    demands: np.ndarray
-    dist: np.ndarray
-    masks: np.ndarray
-    need: list
-    memoize: "list[bool] | None"
-    base_contribs: np.ndarray
-    base_und: np.ndarray
-
-
-@dataclass
 class _GroupStructure:
-    """The structural half of a group of plain arc-failure scenarios.
+    """The structural half of a group of failures, before load propagation.
 
-    The scenario-axis counterpart of :class:`_ScenarioStructure`, held
-    as a few arrays per group instead of one object per scenario.  Arc
-    failures keep the demand matrix, so every scenario shares the
-    router's destinations, demands and base contributions.
+    The arrays :meth:`IncrementalRouter._group_structure` adds to the
+    router's base state for ``S`` scenarios over ``R`` of its
+    destination rows (all of them unless a node removal dropped some).
 
     Attributes:
-        scenarios: the group's scenarios, in order (``S`` of them).
-        dist: ``(S, N, N)`` distance matrices (repaired columns patched).
-        masks: ``(S, D, A)`` DAG mask rows, aligned with the router's
-            destinations.
-        hit: ``(S, D)`` "a failed arc sat on this DAG" flags — the cells
+        dist: ``(S, N, N)`` distance matrices (repaired columns patched,
+            ``inf`` outside the ``R`` destinations).
+        masks: ``(S, R, A)`` DAG mask rows, aligned with those rows.
+        hit: ``(S, R)`` "a failed arc sat on this DAG" flags — the cells
             whose load contribution must be recomputed; every other cell
             keeps its base distance column, mask row and contribution.
-        demands: the router's demand matrix.
-        base_contribs: base-state contribution rows, ``(D, A)``.
-        base_und: base-state undelivered volumes, ``(D,)``.
     """
 
-    scenarios: list
     dist: np.ndarray
     masks: np.ndarray
     hit: np.ndarray
-    demands: np.ndarray
-    base_contribs: np.ndarray
-    base_und: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -316,7 +278,8 @@ class IncrementalRouter:
         network: the topology.
         demands: ``(N, N)`` demand matrix of this class (validated once
             here, never again).
-        weights: initial per-arc weights, integer-valued >= 1.
+        weights: initial per-arc weights, integers >= 1 (the exact
+            arithmetic bit-identity rests on; others raise ValueError).
         plan: optional prebuilt propagation plan (shared with the engine).
         backend: kernel backend; see :mod:`repro.routing.backend`.
             Every load propagation goes through :func:`_load_columns`,
@@ -349,25 +312,28 @@ class IncrementalRouter:
         self._routing: ClassRouting | None = None
         self._memo = _PropagationMemo()
         #: Weight-independent per-scenario structures (failed arcs,
-        #: disabled mask + list form, survivor out-arcs per failed arc)
-        #: — failure sets are swept thousands of times, scenarios are
-        #: hashable.
+        #: disabled mask + list form) — failure sets are swept thousands
+        #: of times, scenarios are hashable.
         self._scenario_info: dict[FailureScenario, tuple] = {}
         #: Current weights as a plain list (for the in-process Dijkstra);
         #: rebuilt lazily after weight changes.
         self._weights_list: list[float] | None = None
-        self._weights_integral = False
         self._arc_src_list = [int(u) for u in network.arc_src]
-        #: Arc ids grouped by source node, and each node's slice bounds
-        #: in that order (the group path's per-node out-arc counts).
+        #: Arc ids grouped by source node, and where each node with
+        #: out-arcs starts in that order (per-node DAG out-arc flags).
         self._arcs_by_src = np.argsort(network.arc_src, kind="stable")
-        self._src_bounds = np.searchsorted(
-            network.arc_src[self._arcs_by_src],
-            np.arange(network.num_nodes + 1),
-        )
+        self._src_starts = np.unique(
+            network.arc_src[self._arcs_by_src], return_index=True
+        )[1]
         self._rev_adjacency = _reverse_adjacency(network)
         self.stats = RouterStats()
         self._rebuild(weights)
+        #: ``(D, N')`` "node has a DAG out-arc towards this destination"
+        #: flags (see :meth:`_has_dag_out`).  A node has one exactly when
+        #: it reaches the destination and is not it (weights are finite),
+        #: so the flags do not depend on weights and are computed once,
+        #: not per router state.
+        self._base_out = self._has_dag_out(self._masks)
 
     # ------------------------------------------------------------------
     # state inspection
@@ -413,9 +379,10 @@ class IncrementalRouter:
             raise ValueError("weights must have one entry per arc")
         if np.any(weights < 1):
             raise ValueError("arc weights must be >= 1")
+        if not np.all(np.isfinite(weights) & (weights == np.floor(weights))):
+            raise ValueError("arc weights must be integers")
         self._weights = weights
         self._weights_list = None
-        self._weights_integral = bool(np.all(weights == np.floor(weights)))
         self._dist_cols = distance_columns(
             self._net, weights, self._dest, backend=self._backend
         )
@@ -452,12 +419,8 @@ class IncrementalRouter:
         (integer weights, exact sums).
 
         Returns None — caller falls back to a full column — when the
-        cone grows past the point where repair stops being cheaper, or
-        when weights are not integral (ulp parity with scipy is only
-        guaranteed for exact arithmetic).
+        cone grows past the point where repair stops being cheaper.
         """
-        if not self._weights_integral:
-            return None
         if self._weights_list is None:
             self._weights_list = self._weights.tolist()
         out_arcs = self._plan.out_arcs
@@ -530,8 +493,6 @@ class IncrementalRouter:
         self._weights[arc] = new_weight
         if self._weights_list is not None:
             self._weights_list[arc] = new_weight
-        if self._weights_integral and not float(new_weight).is_integer():
-            self._weights_integral = False
 
     def _propagate_cells(
         self,
@@ -643,6 +604,8 @@ class IncrementalRouter:
         new_weight = float(new_weight)
         if new_weight < 1:
             raise ValueError("arc weights must be >= 1")
+        if not new_weight.is_integer():
+            raise ValueError("arc weights must be integers")
         old_weight = float(self._weights[arc])
         if new_weight == old_weight:
             return 0
@@ -702,10 +665,10 @@ class IncrementalRouter:
 
         Small batches run the in-process heap Dijkstra over adjacency
         lists the router caches across calls (no per-call conversions at
-        all); larger batches fall back to scipy.  Both produce the same
-        bits — weights are integer-valued, path sums exact.
+        all); larger batches take the engine's size dispatch.  Both
+        produce the same bits — weights are integers, path sums exact.
         """
-        if len(dests) <= _PY_DIJKSTRA_MAX_COLS and self._weights_integral:
+        if len(dests) <= _PY_DIJKSTRA_MAX_COLS:
             if self._weights_list is None:
                 self._weights_list = self._weights.tolist()
             n = self._net.num_nodes
@@ -721,16 +684,8 @@ class IncrementalRouter:
                 )
             return out
         # Repair batches are small; outside the pure-python stack the
-        # seed's size dispatch stays the cheapest choice — except for
-        # non-integral weights, where the base columns came from scipy
-        # and a heap column differing by an ulp at the tolerance
-        # boundary could flip a DAG bit: keep the provenance uniform.
-        if self._backend == "python":
-            backend = "python"
-        elif self._weights_integral:
-            backend = "auto"
-        else:
-            backend = "vector"
+        # size dispatch stays the cheapest choice.
+        backend = "python" if self._backend == "python" else "auto"
         return distance_columns(
             self._net, self._weights, dests, disabled, backend=backend
         )
@@ -809,224 +764,141 @@ class IncrementalRouter:
     def route_scenario(self, scenario: FailureScenario) -> ScenarioRouting:
         """Route this class under a failure, reusing unaffected columns.
 
-        A one-shot delta against the base state (never mutates it): arc
-        failures are pure weight increases (to infinity), so a
-        destination needs recomputation only when a failed arc sits on
-        its DAG; node removals additionally zero demand rows, so
-        destinations that lost a source get a re-propagation over their
-        unchanged column.  Among the DAG-hit destinations, those where
-        every failed arc's source keeps a surviving DAG out-arc retain
-        all their distances, so their new mask row is just the old one
-        minus the failed arcs — no Dijkstra.  Everything else —
-        distances, masks, and the per-destination load contributions —
-        is served from cache or the propagation memo, and the totals are
-        re-folded in ascending destination order for bit-identity with
+        A one-shot delta against the base state (never mutates it),
+        structured as a group of one (:meth:`_group_structure`): only
+        destinations with a failed arc on their DAG recompute anything,
+        and only those where some node loses every DAG out-arc get new
+        distances.  A node removal also zeroes the node's demand row and
+        column: destinations left without demand drop out, and those
+        that lost a source re-propagate over their (possibly unchanged)
+        column.  The recomputed cells go through the propagation memo
+        (a cell whose demand column changed bypasses it), every other
+        cell keeps its base contribution, and the totals fold in
+        ascending destination order for bit-identity with
         ``route_class``.
         """
         if scenario.is_normal:
             return ScenarioRouting(routing=self.routing)
-        struct = self._scenario_structure(scenario)
-        entries, handoffs = self._propagate_structure(struct)
-        return self._assemble_scenario(struct, entries, handoffs)
+        self.stats.scenario_routes += 1
+        demands, dest, rows = self._demands, self._dest, slice(None)
+        removed = list(scenario.removed_nodes)
+        if removed:
+            demands = demands.copy()
+            demands[removed, :] = 0.0
+            demands[:, removed] = 0.0
+            dest = np.flatnonzero(demands.sum(axis=0) > 0.0)
+            rows = np.searchsorted(self._dest, dest)
+        group = self._group_structure([scenario], rows)
+        dist, masks, need = group.dist[0], group.masks[0], group.hit[0]
+        memoize = None
+        if removed:
+            lost_source = (self._demands[removed][:, dest] > 0.0).any(axis=0)
+            need = need | lost_source
+            memoize = (~lost_source[need]).tolist()
+        need = np.flatnonzero(need)
+        computed: "dict[int, tuple[np.ndarray, float]]" = {}
+        handoffs: "tuple[BatchHandoff, ...]" = ()
+        if need.size:
+            ts = dest[need]
+            entries, handoff = self._propagate_cells(
+                ts, masks[need], dist[:, ts], demands, memoize
+            )
+            computed = dict(zip(need.tolist(), entries))
+            if handoff is not None:
+                handoffs = (handoff,)
+        base_contribs, base_und = self._contribs[rows], self._und[rows]
+        loads = np.zeros(self._net.num_arcs)
+        undelivered = 0.0
+        for pos in range(dest.size):
+            entry = computed.get(pos)
+            if entry is None:
+                loads += base_contribs[pos]
+                undelivered += float(base_und[pos])
+            else:
+                loads += entry[0]
+                undelivered += entry[1]
+        self.stats.destinations_recomputed += int(need.size)
+        self.stats.destinations_reused += int(dest.size - need.size)
+        routing = ClassRouting(
+            network=self._net,
+            scenario=scenario,
+            dist=dist,
+            destinations=dest,
+            masks=masks,
+            loads=loads,
+            demands=demands,
+            undelivered=undelivered,
+        )
+        return ScenarioRouting(routing=routing, handoffs=handoffs)
 
     def _scenario_info_for(self, scenario: FailureScenario) -> tuple:
         """Weight-independent structures of one scenario, cached.
 
-        ``(failed arcs, failed set, disabled mask, disabled list,
-        removed nodes, survivor out-arcs per failed arc)``.
+        ``(failed arcs, failed set, disabled mask, disabled list)``.
         """
         info = self._scenario_info.get(scenario)
         if info is None:
-            net = self._net
             failed = [int(a) for a in scenario.failed_arcs]
-            failed_set = set(failed)
-            disabled = disabled_arc_mask(net, scenario)
-            survivors = [
-                (
-                    a,
-                    np.asarray(
-                        [
-                            int(o)
-                            for o in net.out_arcs[int(net.arc_src[a])]
-                            if int(o) not in failed_set
-                        ],
-                        dtype=np.intp,
-                    ),
-                )
-                for a in failed
-            ]
-            info = (
-                failed,
-                failed_set,
-                disabled,
-                disabled.tolist(),
-                list(scenario.removed_nodes),
-                survivors,
-            )
+            disabled = disabled_arc_mask(self._net, scenario)
+            info = (failed, set(failed), disabled, disabled.tolist())
             if len(self._scenario_info) > 4096:
                 self._scenario_info.clear()
             self._scenario_info[scenario] = info
         return info
 
-    def _scenario_structure(
-        self, scenario: FailureScenario
-    ) -> _ScenarioStructure:
-        """Distances, masks and recompute positions of one scenario delta.
+    def _has_dag_out(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each node keeps a DAG out-arc in ``(R, A)`` mask rows.
 
-        The structural first half of :meth:`route_scenario`: everything
-        except the outstanding load propagations (listed in ``need``)
-        and the final fold.
+        ``(R, N')`` over the ``N'`` nodes that have out-arcs (a node
+        without any can have none on a DAG), by one OR-reduction over
+        the arcs grouped by source node.
         """
-        self.stats.scenario_routes += 1
-        net = self._net
-        failed, failed_set, disabled, dead_list, rem, survivors = (
-            self._scenario_info_for(scenario)
+        return np.logical_or.reduceat(
+            rows[:, self._arcs_by_src], self._src_starts, axis=1
         )
-
-        demands = self._demands
-        if rem:
-            demands = demands.copy()
-            demands[rem, :] = 0.0
-            demands[:, rem] = 0.0
-            dest_s = np.flatnonzero(demands.sum(axis=0) > 0.0)
-            rows_s = np.searchsorted(self._dest, dest_s)
-            dem_hit = (self._demands[rem][:, dest_s] > 0.0).any(axis=0)
-            base_masks_s = self._masks[rows_s]
-            base_cols_s = self._dist_cols[:, rows_s]
-            base_contribs = self._contribs[rows_s]
-            base_und = self._und[rows_s]
-        else:
-            # Arc failures keep the demand matrix, and therefore the
-            # destination set, untouched — the hot path of every sweep.
-            dest_s = self._dest
-            dem_hit = None
-            base_masks_s = self._masks
-            base_cols_s = self._dist_cols
-            base_contribs = self._contribs
-            base_und = self._und
-        if failed and dest_s.size:
-            arc_hit = base_masks_s[:, failed].any(axis=1)
-        else:
-            arc_hit = np.zeros(dest_s.size, dtype=bool)
-
-        n, num_arcs = net.num_nodes, net.num_arcs
-        dist = np.full((n, n), np.inf)
-        dist[:, dest_s] = base_cols_s
-        # Failed arcs sit on no unaffected DAG, so clearing them from
-        # every row is exact for reused rows and required for the rest.
-        masks = base_masks_s & ~disabled
-        hit = np.flatnonzero(arc_hit)
-        if hit.size:
-            # Distances to a hit destination survive when every failed
-            # on-DAG arc's source node keeps a non-failed DAG out-arc:
-            # the surviving sub-DAG still connects every node at its old
-            # distance.  Those rows skip Dijkstra; only the genuinely
-            # re-routed remainder gets fresh columns.
-            base_masks_hit = base_masks_s[hit]
-            need_spf = np.zeros(hit.size, dtype=bool)
-            for a, others in survivors:
-                on_dag = base_masks_hit[:, a]
-                if not on_dag.any():
-                    continue
-                if others.size:
-                    survives = base_masks_hit[:, others].any(axis=1)
-                    need_spf |= on_dag & ~survives
-                else:
-                    need_spf |= on_dag
-            spf_pos = hit[need_spf]
-            if spf_pos.size:
-                cols = np.empty((n, spf_pos.size), dtype=np.float64)
-                missing = []
-                for i, pos in enumerate(spf_pos):
-                    repaired = self._repaired_column(
-                        base_cols_s[:, pos],
-                        base_masks_s[pos],
-                        failed,
-                        failed_set,
-                        dead_list,
-                    )
-                    if repaired is None:
-                        missing.append(i)
-                    else:
-                        cols[:, i] = repaired
-                if missing:
-                    cols[:, missing] = self._columns_for(
-                        dest_s[spf_pos[np.asarray(missing)]],
-                        disabled,
-                        dead_list,
-                    )
-                dist[:, dest_s[spf_pos]] = cols
-                masks[spf_pos] = destination_mask_rows(
-                    net, self._weights, cols, disabled
-                )
-
-        if dem_hit is None:
-            need = np.flatnonzero(arc_hit).tolist()
-            memoize = None
-        else:
-            need = np.flatnonzero(arc_hit | dem_hit).tolist()
-            memoize = (~dem_hit[need]).tolist()
-        return _ScenarioStructure(
-            scenario=scenario,
-            dest_s=dest_s,
-            demands=demands,
-            dist=dist,
-            masks=masks,
-            need=need,
-            memoize=memoize,
-            base_contribs=base_contribs,
-            base_und=base_und,
-        )
-
-    def _out_counts(self, rows: np.ndarray) -> np.ndarray:
-        """Per-node DAG out-arc counts of ``(R, A)`` mask rows, ``(R, N)``.
-
-        One cumulative sum over the arcs grouped by source node; a
-        node's count is the difference across its slice.
-        """
-        cum = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.int32)
-        np.cumsum(rows[:, self._arcs_by_src], axis=1, out=cum[:, 1:])
-        bounds = self._src_bounds
-        return cum[:, bounds[1:]] - cum[:, bounds[:-1]]
 
     def _group_structure(
-        self, scenarios: "list[FailureScenario]"
+        self,
+        scenarios: "list[FailureScenario]",
+        rows: "slice | np.ndarray" = slice(None),
     ) -> _GroupStructure:
-        """Distances, masks and hit cells of a group of arc failures.
+        """Distances, masks and hit cells of a group of failures.
 
-        The scenario-axis counterpart of :meth:`_scenario_structure`,
-        with the same per-cell arithmetic: failed arcs leave every mask
-        row; a destination is hit when a failed arc sat on its DAG; a
-        hit destination keeps its distances when every node with DAG
-        out-arcs keeps one (counted per node for all hit cells at
-        once), and the rest get a repaired column
+        The one failure-structure rule, for a batch group
+        (:func:`repro.routing.sweep.route_scenario_batch`) and for
+        :meth:`route_scenario`'s group of one alike.  Failed arcs leave
+        every mask row; a destination is hit when a failed arc sat on
+        its DAG; a hit destination keeps its distances unless a node
+        that had DAG out-arcs has none left (checked per node for all
+        hit cells at once, against the base flags :attr:`_base_out`),
+        and those columns come from the cone repair
         (:meth:`_repaired_column`, with :meth:`_columns_for` per
-        scenario as the fallback) whose mask rows come from one
+        scenario as the fallback) with their mask rows from one
         :func:`destination_mask_rows` call.
 
-        Raises:
-            ValueError: for a normal or node-removing scenario; those
-                change the demand matrix and take :meth:`route_scenario`.
+        Args:
+            scenarios: the ``S`` failures.  Removed nodes are the
+                caller's to handle: this rule sees only failed arcs.
+            rows: the base destination rows to route (default all).
         """
-        for scenario in scenarios:
-            if scenario.removed_nodes or not scenario.failed_arcs:
-                raise ValueError("scenario groups take arc failures only")
         infos = [self._scenario_info_for(s) for s in scenarios]
         net = self._net
         num_scen, n = len(scenarios), net.num_nodes
+        dest = self._dest[rows]
+        base_masks = self._masks[rows]
+        base_cols = self._dist_cols[:, rows]
         disabled = np.array(
             [info[2] for info in infos], dtype=bool
         ).reshape(num_scen, net.num_arcs)
-        base_masks = self._masks
         masks = base_masks[None, :, :] & ~disabled[:, None, :]
         hit = (base_masks[None, :, :] & disabled[:, None, :]).any(axis=2)
         dist = np.full((num_scen, n, n), np.inf)
-        dist[:, :, self._dest] = self._dist_cols
+        dist[:, :, dest] = base_cols
         hit_s, hit_d = np.nonzero(hit)
         if hit_s.size:
             # A node left without DAG out-arcs lengthens its distance.
-            lost = self._out_counts(masks[hit_s, hit_d]) == 0
-            lost &= self._out_counts(base_masks)[hit_d] > 0
+            lost = ~self._has_dag_out(masks[hit_s, hit_d])
+            lost &= self._base_out[rows][hit_d]
             need = lost.any(axis=1)
             spf_s, spf_d = hit_s[need], hit_d[need]
             if spf_s.size:
@@ -1035,9 +907,9 @@ class IncrementalRouter:
                 for i, (s, d) in enumerate(
                     zip(spf_s.tolist(), spf_d.tolist())
                 ):
-                    failed, failed_set, _, dead_list, _, _ = infos[s]
+                    failed, failed_set, _, dead_list = infos[s]
                     repaired = self._repaired_column(
-                        self._dist_cols[:, d],
+                        base_cols[:, d],
                         base_masks[d],
                         failed,
                         failed_set,
@@ -1049,84 +921,10 @@ class IncrementalRouter:
                         cols[:, i] = repaired
                 for s, idx in missing.items():
                     cols[:, idx] = self._columns_for(
-                        self._dest[spf_d[idx]], infos[s][2], infos[s][3]
+                        dest[spf_d[idx]], infos[s][2], infos[s][3]
                     )
-                dist[spf_s, :, self._dest[spf_d]] = cols.T
+                dist[spf_s, :, dest[spf_d]] = cols.T
                 masks[spf_s, spf_d] = destination_mask_rows(
                     net, self._weights, cols
                 ) & ~disabled[spf_s]
-        recomputed = int(hit_s.size)
-        self.stats.scenario_routes += num_scen
-        self.stats.destinations_recomputed += recomputed
-        self.stats.destinations_reused += (
-            num_scen * int(self._dest.size) - recomputed
-        )
-        return _GroupStructure(
-            scenarios=list(scenarios),
-            dist=dist,
-            masks=masks,
-            hit=hit,
-            demands=self._demands,
-            base_contribs=self._contribs,
-            base_und=self._und,
-        )
-
-    def _propagate_structure(
-        self, struct: _ScenarioStructure
-    ) -> "tuple[list[tuple[np.ndarray, float]], tuple]":
-        """The memo-wrapped load driver over one structure's ``need``.
-
-        Returns one ``(contribution, undelivered)`` entry per ``need``
-        position, plus the handoffs of the vector batch, if one ran,
-        for the delay DP.
-        """
-        if not struct.need:
-            return [], ()
-        ts = struct.dest_s[struct.need]
-        entries, handoff = self._propagate_cells(
-            ts,
-            struct.masks[struct.need],
-            struct.dist[:, ts],
-            struct.demands,
-            struct.memoize,
-        )
-        return entries, (handoff,) if handoff is not None else ()
-
-    def _assemble_scenario(
-        self,
-        struct: _ScenarioStructure,
-        entries: "list[tuple[np.ndarray, float]]",
-        handoffs: tuple,
-    ) -> ScenarioRouting:
-        """Fold a structure (plus computed propagations) into a routing.
-
-        The shared ``loads`` array and the ``undelivered`` total fold in
-        ascending destination order — ``route_class``'s float summation
-        order — so the result is bit-identical to a from-scratch call
-        regardless of how the ``need`` cells were produced (memo hit,
-        python kernel or vector batch).
-        """
-        computed = dict(zip(struct.need, entries))
-        loads = np.zeros(self._net.num_arcs)
-        undelivered = 0.0
-        for pos in range(struct.dest_s.size):
-            entry = computed.get(pos)
-            if entry is None:
-                loads += struct.base_contribs[pos]
-                undelivered += float(struct.base_und[pos])
-            else:
-                loads += entry[0]
-                undelivered += entry[1]
-        self.stats.destinations_recomputed += len(entries)
-        self.stats.destinations_reused += struct.dest_s.size - len(entries)
-        routing = ClassRouting(
-            network=self._net,
-            scenario=struct.scenario,
-            dist=struct.dist,
-            destinations=struct.dest_s,
-            masks=struct.masks,
-            loads=loads,
-            demands=struct.demands,
-            undelivered=undelivered,
-        )
-        return ScenarioRouting(routing=routing, handoffs=handoffs)
+        return _GroupStructure(dist=dist, masks=masks, hit=hit)

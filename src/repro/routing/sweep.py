@@ -30,25 +30,28 @@ Three pieces live here:
 * :func:`route_scenario_batch` — the scenario-axis counterpart of
   :meth:`~repro.routing.incremental.IncrementalRouter.route_scenario`:
   the group's distances ``(S, N, N)``, mask rows ``(S, D, A)`` and hit
-  cells ``(S, D)`` as arrays, the hit cells' load contributions through
-  the router's load driver (chunked by a kernel budget), one
-  ascending-destination fold into an ``(S, A)`` accumulator.
+  cells ``(S, D)`` as arrays from the router's one structure rule
+  (which ``route_scenario`` runs as a group of one), the hit cells'
+  load contributions through the router's load driver (chunked by a
+  kernel budget), one ascending-destination fold into an ``(S, A)``
+  accumulator.
 * :func:`flush_delay_batch` — the group's outstanding path-delay DPs
   through the engine's delay driver, replaying the load batches'
   schedules where they apply.
 
-Both drivers are the ones the per-scenario path runs
-(:func:`repro.routing.incremental._load_columns`,
+The structure rule and both drivers are the ones the per-scenario path
+runs (:meth:`repro.routing.incremental.IncrementalRouter.
+_group_structure`, :func:`repro.routing.incremental._load_columns`,
 :func:`repro.routing.engine._delay_columns`), with the same
-python-vs-vector rule; what differs is how the structure is built and
-that no memo wraps them here.  The propagation memo, the engine's delay
-memo and the evaluator's routing cache serve the move and per-scenario
-paths, where local search revisits states; a batch sweep prices each
-setting once, so its cells never recur (on the costs-only audit
-workload, 0 of ~90k propagation lookups and 0 of ~105k delay probes
-hit).  ``tests/routing/test_sweep.py`` pins the bit-identity
-property-style; the evaluator-level parity across scenario families is
-pinned by ``tests/core/test_sweep_evaluator.py``.
+python-vs-vector rule; what differs is that the load driver runs in
+chunks over the whole group and that no memo wraps the drivers here.
+The propagation memo, the engine's delay memo and the evaluator's
+routing cache serve the move and per-scenario paths, where local search
+revisits states; a batch sweep prices each setting once, so its cells
+never recur (on the costs-only audit workload, 0 of ~90k propagation
+lookups and 0 of ~105k delay probes hit).  ``tests/routing/test_sweep.py``
+pins the bit-identity property-style; the evaluator-level parity across
+scenario families is pinned by ``tests/core/test_sweep_evaluator.py``.
 
 Fan-out sweeps reuse this planner: sweep hosts receive only index
 tickets and batch their slice locally (see :mod:`repro.core.parallel`).
@@ -206,33 +209,46 @@ def route_scenario_batch(
     """Route one class under a group of arc failures, held as arrays.
 
     The scenario-axis counterpart of :meth:`IncrementalRouter.
-    route_scenario`, bit-identical per scenario.  The router builds the
-    group's distances, masks and hit cells as arrays
-    (:meth:`IncrementalRouter._group_structure`); the hit cells' mask
-    rows, distance columns and demand columns are gathered by fancy
-    indexing into chunked calls of the load driver
-    (:func:`~repro.routing.incremental._load_columns`, the one the
-    per-scenario path runs) — a column's result does not depend on which
-    columns share a call — and every scenario's loads fold in ascending
-    destination order, one vector add per destination into an ``(S, A)``
-    accumulator.  The propagation memo is neither probed nor filled: a
-    batch sweep prices each setting once, so the memo serves the move
-    and per-scenario paths only.
+    route_scenario`, bit-identical per scenario: both take their
+    distances, masks and hit cells from the router's one structure rule
+    (:meth:`IncrementalRouter._group_structure`), here for the whole
+    group at once.  The hit cells' mask rows, distance columns and
+    demand columns are gathered by fancy indexing into chunked calls of
+    the load driver (:func:`~repro.routing.incremental._load_columns`,
+    the one the per-scenario path runs) — a column's result does not
+    depend on which columns share a call — and every scenario's loads
+    fold in ascending destination order, one vector add per destination
+    into an ``(S, A)`` accumulator.  The propagation memo is neither
+    probed nor filled: a batch sweep prices each setting once, so the
+    memo serves the move and per-scenario paths only.
 
-    Takes plain arc failures only (what :func:`plan_sweep` batches).
+    Takes failures without removed nodes (:func:`plan_sweep` batches
+    plain arc failures): every scenario keeps the router's demands.
     Returns the per-scenario routings, whose arrays are views into the
     group's, plus the vector load batches' schedules (as
     :class:`BatchHandoff` objects), which :func:`flush_delay_batch`
     replays for the path-delay DPs of the same columns.
+
+    Raises:
+        ValueError: for a node-removing scenario; those change the
+            demand matrix and take :meth:`IncrementalRouter.
+            route_scenario`.
     """
     _maybe_fault("route_batch")
     if not scenarios:
         return [], []
+    if any(scenario.removed_nodes for scenario in scenarios):
+        raise ValueError("scenario groups take no node removals")
     group = router._group_structure(scenarios)
     dest = router.destinations
     hit = group.hit
     num_scen = hit.shape[0]
     num_arcs = router.network.num_arcs
+    recomputed = int(np.count_nonzero(hit))
+    router.stats.scenario_routes += num_scen
+    router.stats.destinations_recomputed += recomputed
+    router.stats.destinations_reused += num_scen * dest.size - recomputed
+    demands = router._demands
     loads = np.zeros((num_scen, num_arcs))
     undelivered = np.zeros(num_scen)
     handoffs: "list[BatchHandoff]" = []
@@ -259,7 +275,7 @@ def route_scenario_batch(
                 ts,
                 group.masks[cells, pos],
                 group.dist[cells, :, ts].T,
-                group.demands,
+                demands,
             )
             if schedule is not None:
                 handoffs.append(
@@ -269,13 +285,13 @@ def route_scenario_batch(
                     )
                 )
         _fold_loads(
-            group, block, rows, pos, contribs, und,
+            router, block, rows, pos, contribs, und,
             loads[lo:hi], undelivered[lo:hi],
         )
         lo = hi
 
     routings = []
-    for s, scenario in enumerate(group.scenarios):
+    for s, scenario in enumerate(scenarios):
         routing = ClassRouting(
             network=router.network,
             scenario=scenario,
@@ -283,7 +299,7 @@ def route_scenario_batch(
             destinations=dest,
             masks=group.masks[s],
             loads=loads[s],
-            demands=group.demands,
+            demands=demands,
             undelivered=float(undelivered[s]),
         )
         routings.append(ScenarioRouting(routing=routing))
@@ -291,7 +307,7 @@ def route_scenario_batch(
 
 
 def _fold_loads(
-    group,
+    router: IncrementalRouter,
     hit: np.ndarray,
     rows: np.ndarray,
     pos: np.ndarray,
@@ -304,13 +320,14 @@ def _fold_loads(
 
     ``hit`` is the block's ``(B, D)`` hit flags, and row ``i`` of
     ``contribs`` / ``und`` is the recomputed cell ``(rows[i], pos[i])``;
-    every other cell takes its base contribution.  Destinations fold in
-    ascending order — ``route_class``'s float summation order — so every
-    scenario's totals are bit-identical to the per-scenario fold.
+    every other cell takes the router's base contribution.  Destinations
+    fold in ascending order — ``route_class``'s float summation order —
+    so every scenario's totals are bit-identical to the per-scenario
+    fold.
     """
     cell = np.zeros(hit.shape, dtype=np.intp)
     cell[rows, pos] = np.arange(rows.size)
-    base_contribs, base_und = group.base_contribs, group.base_und
+    base_contribs, base_und = router._contribs, router._und
     for d, any_hit in enumerate(hit.any(axis=0).tolist()):
         if any_hit:
             col = hit[:, d]

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.routing.engine import PathDelayReuse, RoutingEngine
 from repro.routing.failures import FailureScenario
-from repro.routing.incremental import IncrementalRouter
+from repro.routing.incremental import SYNC_DELTA_LIMIT, IncrementalRouter
+from repro.routing.sweep import route_scenario_batch
 from repro.scenarios import legacy_failures, node_failures
 from repro.topology import rand_topology
 
@@ -105,21 +106,55 @@ def test_failure_scenarios_bit_identical(case):
 @settings(max_examples=10, deadline=None)
 @given(case=router_cases())
 def test_interleaved_moves_and_failures(case):
-    """Moves, reverts and failure sweeps interleaved stay exact."""
+    """Moves, rebuilds and failure sweeps interleaved stay exact.
+
+    Every third step syncs past ``SYNC_DELTA_LIMIT`` (a rebuild), the
+    others move one arc.  After each step the link failures route one
+    by one and as one batch group on a twin router that took the same
+    steps, and up to four node failures route one by one: both paths'
+    structure rule must keep matching ``route_class`` whatever state
+    the router reached, and the per-node DAG out-arc flags it reads
+    must still be the ones of the current masks.
+    """
     network, weights, demands, seed = case
     gen = np.random.default_rng(seed + 3)
     engine = RoutingEngine(network)
     router = IncrementalRouter(network, demands, weights)
+    twin = IncrementalRouter(network, demands, weights)
     current = weights.copy()
-    failures = [s.failure for s in legacy_failures(network)]
+    links = [s.failure for s in legacy_failures(network)]
     for step in range(8):
-        arc = int(gen.integers(0, network.num_arcs))
-        new = float(gen.integers(1, 18))
-        current[arc] = new
-        router.set_arc_weight(arc, new)
-        for scenario in failures[:: max(1, len(failures) // 5)]:
-            got = router.route_scenario(scenario).routing
+        if step % 3 == 2:
+            arcs = gen.choice(
+                network.num_arcs, SYNC_DELTA_LIMIT + 1, replace=False
+            )
+            current[arcs] = current[arcs] % 17 + 1  # each one changes
+            rebuilds = router.stats.rebuilds
+            router.sync(current)
+            twin.sync(current)
+            assert router.stats.rebuilds == rebuilds + 1
+        else:
+            arc = int(gen.integers(0, network.num_arcs))
+            current[arc] = float(gen.integers(1, 18))
+            router.set_arc_weight(arc, current[arc])
+            twin.set_arc_weight(arc, current[arc])
+        assert np.array_equal(
+            router._base_out, router._has_dag_out(router._masks)
+        )
+        batched, _ = route_scenario_batch(twin, links)
+        for scenario, twin_routing in zip(links, batched):
             expected = engine.route_class(current, demands, scenario)
+            got = router.route_scenario(scenario).routing
+            assert_routing_identical(got, expected)
+            assert_routing_identical(twin_routing.routing, expected)
+        nodes = gen.choice(
+            network.num_nodes, min(4, network.num_nodes), replace=False
+        )
+        for scenario in node_failures(network, nodes=nodes):
+            got = router.route_scenario(scenario.failure).routing
+            expected = engine.route_class(
+                current, demands, scenario.failure
+            )
             assert_routing_identical(got, expected)
 
 
@@ -220,11 +255,19 @@ class TestSyncAndReuse:
     def test_non_integral_weights_rejected_from_fast_dijkstra(
         self, instance
     ):
-        """Float weights still route correctly (scipy fallback)."""
+        """Bit-identity rests on exact integer path sums, so the
+        constructor and a single-arc delta refuse a non-integral weight,
+        and a refused delta leaves the router as it was."""
         network, weights, demands = instance
-        w = weights + 0.5
-        router = IncrementalRouter(network, demands, w)
-        expected = RoutingEngine(network).route_class(w, demands)
+        with pytest.raises(ValueError, match="integers"):
+            IncrementalRouter(network, demands, weights + 0.5)
+        router = IncrementalRouter(network, demands, weights)
+        for bad in (weights[0] + 0.5, np.inf):
+            with pytest.raises(ValueError, match="integers"):
+                router.set_arc_weight(0, bad)
+        assert np.array_equal(router.weights, weights)
+        assert router.stats.deltas == 0
+        expected = RoutingEngine(network).route_class(weights, demands)
         assert_routing_identical(router.routing, expected)
 
     def test_weight_below_one_rejected(self, instance):

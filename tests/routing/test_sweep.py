@@ -258,19 +258,34 @@ class TestGroupCases:
         )
 
     def test_non_integral_weights(self, instance):
+        """A sync to non-integral weights is refused, by rebuild and by
+        single-arc delta alike, before it reaches the group rule (whose
+        cone repair and heap Dijkstra need exact sums); the router then
+        still routes the group as a fresh one does."""
         network, traffic = instance
         weights = random_weights(network, 5)
-        weights[::3] += 0.5
-        router = IncrementalRouter(network, traffic.delay.values, weights)
-        assert not router._weights_integral  # no repair: scipy columns
         scenarios = [
             s.failure
             for s in srlg_failures(network, num_groups=3, group_size=2, seed=5)
             + k_link_failures(network, k=2, max_scenarios=3, seed=5)
         ]
-        assert_batch_matches(
+        router = fresh_router(network, traffic, weights)
+        rebuild, delta = weights.copy(), weights.copy()
+        rebuild[::3] += 0.5
+        delta[4] += 0.5
+        for bad in (rebuild, delta):
+            with pytest.raises(ValueError, match="integers"):
+                router.sync(bad)
+        assert np.array_equal(router.weights, weights)
+        got, _ = route_scenario_batch(router, scenarios)
+        expected = assert_batch_matches(
             network, traffic.delay.values, weights, scenarios
         )
+        for exp, act in zip(expected, got):
+            assert np.array_equal(exp.routing.dist, act.routing.dist)
+            assert np.array_equal(exp.routing.masks, act.routing.masks)
+            assert np.array_equal(exp.routing.loads, act.routing.loads)
+            assert exp.routing.undelivered == act.routing.undelivered
 
     def test_group_of_one(self, instance):
         network, traffic = instance
