@@ -1,5 +1,5 @@
 """Scenario sweep benchmark: serial per-scenario, serial batched and
-``n_jobs=N`` sweep hosts, on the costs-only contract Phase 2 uses.
+``n_jobs=N`` sweep hosts, on the costs-only contract audits use.
 
 Each request prices a fresh seeded weight setting (drawn before any
 timing, so no memo can replay a result) across a

@@ -232,7 +232,12 @@ class ExecutionParams:
         chunk_size: items per fan-out ticket; None cuts each host's
             shard into roughly four tickets.
         routing_cache: enable the incremental routing cache that reuses
-            class routings across weight settings and scenarios.
+            class routings across weight settings and scenarios (off by
+            default: the routers already hold every NORMAL routing the
+            search asks for again, rolled-back moves restore their
+            routers' delta journals, and Phase-2 move trials reuse the
+            incumbent's routing of every class their move provably
+            cannot change, which leaves the cache nothing to answer).
         incremental_routing: answer single-arc weight moves and failure
             scenarios with the delta-rerouting core
             (:class:`repro.routing.incremental.IncrementalRouter`):
@@ -290,7 +295,7 @@ class ExecutionParams:
 
     n_jobs: int = 1
     chunk_size: int | None = None
-    routing_cache: bool = True
+    routing_cache: bool = False
     incremental_routing: bool = True
     routing_backend: str = "auto"
     sweep_batching: str = "auto"

@@ -23,7 +23,11 @@ evaluator uses for every routing when
 ``config.execution.incremental_routing`` is on (the default): routers
 follow every setting through ``IncrementalRouter.sync``, so a move
 (:meth:`DtrEvaluator.trial`, the local searches' one seam) or a failure
-scenario re-routes only the destinations the delta can affect, and
+scenario re-routes only the destinations the delta can affect, a
+rolled-back move restores the routers' delta journals, a move trial
+re-prices only the scenarios its move can change
+(:meth:`MoveTrial.evaluate`, given the incumbent's
+:class:`ScenarioRecord` per scenario), and
 every path-delay column whose mask row and masked arc delays equal the
 ``reuse`` evaluation's is copied from it instead of re-propagated
 (:meth:`~repro.routing.engine.PathDelayReuse.fill`, the one reuse rule
@@ -45,7 +49,7 @@ contract shared by the serial, caching and parallel evaluators.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -64,8 +68,8 @@ from repro.routing.engine import (
     PathDelayReuse,
     RoutingEngine,
 )
-from repro.routing.failures import NORMAL, FailureScenario
-from repro.routing.incremental import IncrementalRouter
+from repro.routing.failures import NORMAL, FailureScenario, disabled_arc_mask
+from repro.routing.incremental import IncrementalRouter, affected_destinations
 from repro.routing.network import Network
 from repro.routing.sweep import (
     flush_delay_batch,
@@ -217,7 +221,7 @@ def compact_evaluation(
     Drops every per-arc/per-pair array (loads, delays, utilization) and
     the routings — what remains (``cost``, the all-scalar ``sla``,
     ``variant``, ``kind``) is exactly what cost-folding consumers such
-    as Phase 2's ordered sweep read.  The scalars are the originals, so
+    as an audit's costs-only sweep read.  The scalars are the originals, so
     folds over compact evaluations are bit-identical to folds over full
     ones.
     """
@@ -279,18 +283,130 @@ class SweepMemoStats:
         )
 
 
+@dataclass(frozen=True)
+class ScenarioRecord:
+    """One scenario's evaluation of a setting, with its class routings.
+
+    What a move trial needs of the incumbent to prove a scenario's
+    routings unmoved (:meth:`MoveTrial.evaluate`).
+
+    Attributes:
+        evaluation: the setting's evaluation under the scenario.
+        routings: its ``(delay, throughput)`` class routings under the
+            scenario; None under a traffic variant, whose routings
+            belong to a sibling oracle (such a scenario is always
+            re-evaluated).
+    """
+
+    evaluation: ScenarioEvaluation
+    routings: "tuple[ClassRouting, ClassRouting] | None"
+
+    @classmethod
+    def of(
+        cls, evaluation: ScenarioEvaluation, normal: ScenarioEvaluation
+    ) -> "ScenarioRecord":
+        """The record of an in-process evaluation made with ``normal``.
+
+        An in-process base-traffic evaluation without routings is a
+        failed-arc shortcut hit (:meth:`DtrEvaluator._shortcut`), so its
+        routings are the ``normal`` (``reuse``) evaluation's.  A sweep
+        host strips the routings it returns, so its evaluations must
+        never be recorded: their None is not a shortcut's.
+        """
+        if evaluation.variant is not None:
+            return cls(evaluation, None)
+        if evaluation.routing_delay is None:
+            return cls(evaluation, (normal.routing_delay, normal.routing_tput))
+        return cls(
+            evaluation, (evaluation.routing_delay, evaluation.routing_tput)
+        )
+
+
 @dataclass(eq=False)
 class MoveTrial:
     """An open move (:meth:`DtrEvaluator.trial`), to be closed once.
 
     Attributes:
         evaluation: the moved setting's failure-free evaluation.
+        records: the moved setting's :class:`ScenarioRecord` of every
+            scenario :meth:`evaluate` priced.
     """
 
     evaluation: ScenarioEvaluation
     _evaluator: "DtrEvaluator"
     _setting: WeightSetting
     _move: Move
+    _incumbent: "dict[object, ScenarioRecord] | None" = None
+    records: "dict[object, ScenarioRecord]" = field(default_factory=dict)
+
+    def evaluate(self, scenario) -> "tuple[ScenarioEvaluation, bool]":
+        """The moved setting under one scenario, reusing the incumbent.
+
+        A class's routing under the scenario is provably the
+        incumbent's (its record, passed to :meth:`DtrEvaluator.trial`)
+        when the move leaves the class weight alone, when the moved arc
+        is dead under the scenario (:func:`~repro.routing.failures.
+        disabled_arc_mask`), or when the router's affected-destination
+        test (:func:`~repro.routing.incremental.affected_destinations`)
+        flags no destination of the incumbent's scenario routing.  With
+        both classes unmoved the incumbent's evaluation is returned
+        verbatim — loads, delays, SLA and Φ are functions of the two
+        routings; with one, :meth:`DtrEvaluator.evaluate` takes that
+        routing and routes only the other class.  A scenario without a
+        record or without base-traffic routings is evaluated in full.
+
+        Returns:
+            ``(evaluation, verbatim)``: the evaluation, and whether it
+            is the incumbent's.
+        """
+        incumbent = (
+            None if self._incumbent is None else self._incumbent.get(scenario)
+        )
+        known: tuple = (None, None)
+        if incumbent is not None and incumbent.routings is not None:
+            known = self._unmoved(scenario, incumbent.routings)
+            if known[0] is not None and known[1] is not None:
+                self.records[scenario] = incumbent
+                return incumbent.evaluation, True
+        evaluation = self._evaluator.evaluate(
+            self._setting, scenario, reuse=self.evaluation, known=known
+        )
+        self.records[scenario] = ScenarioRecord.of(evaluation, self.evaluation)
+        return evaluation, False
+
+    def _unmoved(
+        self, scenario, routings: "tuple[ClassRouting, ClassRouting]"
+    ) -> tuple:
+        """Each class's incumbent routing the move cannot change, or None."""
+        move = self._move
+        arc = move.arc
+        network = self._evaluator.network
+        if isinstance(scenario, Scenario):
+            scenario = scenario.failure
+        dead = bool(disabled_arc_mask(network, scenario)[arc])
+        u, v = network.arc_src[arc], network.arc_dst[arc]
+        unmoved = []
+        for routing, old, new in (
+            (routings[0], move.old_delay, move.new_delay),
+            (routings[1], move.old_tput, move.new_tput),
+        ):
+            dests = routing.destinations
+            if (
+                old == new
+                or dead
+                or not affected_destinations(
+                    routing.masks,
+                    routing.dist[u, dests],
+                    routing.dist[v, dests],
+                    arc,
+                    float(old),
+                    float(new),
+                ).any()
+            ):
+                unmoved.append(routing)
+            else:
+                unmoved.append(None)
+        return tuple(unmoved)
 
     def commit(self) -> None:
         """Keep the move: the setting and the routers stay moved."""
@@ -302,11 +418,9 @@ class MoveTrial:
         self._evaluator.revert_move(self._setting, self._move)
 
 
-#: Entries kept in the costs-only sweep memo.  Phase 2 cycles through at
-#: most ``keep_acceptable_settings`` diversification starts plus the
-#: incumbent, so a few dozen compact (scalars-only) entries already
-#: serve every repeat; the memo is deliberately small because its values
-#: are kept alive for the whole search.
+#: Entries kept in the costs-only sweep memo: a few dozen compact
+#: (scalars-only) entries serve the repeats of a short list of settings
+#: (the memo is deliberately small because its values stay alive).
 _SWEEP_MEMO_CAPACITY = 32
 
 
@@ -403,6 +517,7 @@ class DtrEvaluator:
         setting: WeightSetting,
         scenario: "FailureScenario | Scenario" = NORMAL,
         reuse: ScenarioEvaluation | None = None,
+        known: tuple = (None, None),
     ) -> ScenarioEvaluation:
         """Cost of one weight setting under one scenario.
 
@@ -421,6 +536,12 @@ class DtrEvaluator:
                 whose mask row and masked arc delays are unchanged is
                 copied.  Ignored by traffic-variant scenarios, which
                 maintain their own per-variant reuse.
+            known: the ``(delay, throughput)`` class routings of
+                ``setting`` under ``scenario`` already known (None:
+                route that class); they fill the slots the failed-arc
+                shortcut leaves empty.  :meth:`MoveTrial.evaluate`
+                passes the incumbent's routing of a class it proved the
+                move cannot change.
         """
         kind: str | None = None
         if isinstance(scenario, Scenario):
@@ -438,6 +559,10 @@ class DtrEvaluator:
         hit, routing_d, routing_t = self._shortcut(scenario, kind, reuse)
         if hit is not None:
             return hit
+        if routing_d is None:
+            routing_d = known[0]
+        if routing_t is None:
+            routing_t = known[1]
         # The from-scratch path keeps its delay DPs independent: it
         # copies NORMAL columns only into a routing it did not re-route.
         delay_reuse = (
@@ -670,18 +795,22 @@ class DtrEvaluator:
         setting: WeightSetting,
         move: Move,
         reuse: ScenarioEvaluation | None = None,
+        records: "dict[object, ScenarioRecord] | None" = None,
     ) -> MoveTrial:
         """Open a trial of ``move`` on ``setting``: the one move protocol.
 
         :meth:`evaluate_move` (``reuse``: the base's normal evaluation)
-        opens it; the caller may evaluate the moved setting further, then
-        closes it once: ``commit()`` keeps the move, ``rollback()``
-        restores setting and routers (:meth:`revert_move`).
+        opens it; the caller may evaluate the moved setting further —
+        per scenario through :meth:`MoveTrial.evaluate`, which reuses
+        the base's scenario ``records`` wherever the move provably
+        changes nothing — then closes it once: ``commit()`` keeps the
+        move, ``rollback()`` restores setting and routers
+        (:meth:`revert_move`; each router restores its delta journal).
         """
         if self._open_trial is not None:
             raise RuntimeError("a move trial is already open")
         evaluation = self.evaluate_move(setting, move, reuse=reuse)
-        self._open_trial = MoveTrial(evaluation, self, setting, move)
+        self._open_trial = MoveTrial(evaluation, self, setting, move, records)
         return self._open_trial
 
     def _close_trial(self, trial: MoveTrial) -> None:

@@ -27,6 +27,10 @@ class SearchStats:
         samples_recorded: failure-like cost samples recorded (Phase 1).
         pruned_evaluations: failure evaluations cut short by the
             lexicographic bound (Phase 2).
+        verbatim_evaluations: scenario evaluations of Phase-2
+            candidates that took the incumbent's cost verbatim, since
+            the move provably changed neither class routing (each is
+            counted in ``evaluations`` too).
     """
 
     iterations: int = 0
@@ -35,6 +39,7 @@ class SearchStats:
     diversifications: int = 0
     samples_recorded: int = 0
     pruned_evaluations: int = 0
+    verbatim_evaluations: int = 0
 
 
 class DiversificationController:

@@ -91,8 +91,9 @@ class RobustDtrOptimizer:
         config: parameters (defaults to the paper's values).  The
             ``config.execution`` block selects the evaluation engine:
             ``n_jobs > 1`` sweeps failure sets across local sweep hosts and
-            ``routing_cache`` reuses class routings across settings; both
-            are bit-identical to the serial evaluator.
+            ``routing_cache`` (off by default) reuses class routings
+            across settings; both are bit-identical to the serial
+            evaluator.
         failure_model: granularity of single-failure enumeration
             (physical link by default; per-arc available).  Ignored when
             ``scenarios`` is given.

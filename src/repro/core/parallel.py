@@ -24,7 +24,8 @@ without changing a single computed bit:
   (``evaluate`` / ``evaluate_move``).  Batch sweeps never touch it: they
   price each setting once, so — like the propagation and delay memos —
   the cache would only be probed and filled, never answered from
-  (:mod:`repro.routing.sweep`).
+  (:mod:`repro.routing.sweep`).  The cache is off by default (see
+  ``ExecutionParams.routing_cache`` for why).
 
 * :class:`ParallelDtrEvaluator` — additionally fans scenario sweeps
   (:class:`~repro.scenarios.ScenarioSet` collections, through the one
@@ -246,9 +247,9 @@ class CachingDtrEvaluator(DtrEvaluator):
     Produces bit-identical results to the serial evaluator — the cache
     only short-circuits recomputation of provably unchanged routings.
     It serves the per-scenario and move paths; batch sweeps neither
-    probe nor fill it.  ``config.execution.routing_cache = False``
-    disables caching (for memory-bound runs or A/B checks) while keeping
-    the class usable as the host-side evaluator.
+    probe nor fill it.  ``config.execution.routing_cache = False`` (the
+    default) disables caching while keeping the class usable as the
+    host-side evaluator; ``True`` turns it on for A/B checks.
     """
 
     def __init__(
@@ -692,9 +693,9 @@ def make_evaluator(
     """The right evaluator for ``config.execution``.
 
     A ``hosts`` spec or ``n_jobs > 1`` (0 = all CPUs on a multi-core
-    host) selects the fan-out evaluator, ``routing_cache`` alone the
-    caching one, and the plain serial evaluator otherwise.  All three
-    produce bit-identical results.
+    host) selects the fan-out evaluator, ``routing_cache`` alone (off by
+    default) the caching one, and the plain serial evaluator otherwise.
+    All three produce bit-identical results.
     """
     execution = config.execution
     if execution.hosts is not None or execution.resolved_jobs > 1:

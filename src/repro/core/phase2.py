@@ -16,8 +16,13 @@ evaluator's one move seam (:meth:`~repro.core.evaluation.DtrEvaluator.
 trial`), whose normal-scenario evaluation is the constraint check, and
 the per-scenario failure sweep is abandoned as soon as its partial
 lexicographic cost can no longer beat the incumbent (costs only grow as
-scenarios accumulate).  A rejected move, infeasible or not better,
-rolls the trial back in O(affected destinations).
+scenarios accumulate).  The search keeps the incumbent's per-scenario
+records (:class:`~repro.core.evaluation.ScenarioRecord`: cost and class
+routings), so a candidate re-prices only the scenarios its one-arc move
+can change (:meth:`~repro.core.evaluation.MoveTrial.evaluate`); an
+accepted candidate's records replace them.  A rejected move, infeasible
+or not better, rolls the trial back by restoring the routers' delta
+journals.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ from repro.config import OptimizerConfig
 from repro.core.checkpoint import CheckpointManager
 from repro.core.evaluation import (
     DtrEvaluator,
+    MoveTrial,
     ScenarioCosts,
     ScenarioEvaluation,
+    ScenarioRecord,
 )
 from repro.core.lexicographic import (
     LAMBDA_TOLERANCE,
@@ -78,6 +85,7 @@ def bounded_failure_cost(
     bound: CostPair | None,
     stats: SearchStats | None = None,
     reuse: "ScenarioEvaluation | None" = None,
+    trial: "MoveTrial | None" = None,
 ) -> CostPair | None:
     """``K_fail`` of a setting, or None once it provably exceeds ``bound``.
 
@@ -86,14 +94,24 @@ def bounded_failure_cost(
     sweep is pruned.  Passing the scenarios sorted by expected cost
     (highest first) makes the pruning bite earliest; passing ``reuse``
     (the setting's normal-scenario evaluation) enables the
-    unchanged-routing shortcut.
+    unchanged-routing shortcut.  With an open move ``trial`` instead
+    (``setting`` its moved setting), each scenario is priced by
+    :meth:`~repro.core.evaluation.MoveTrial.evaluate`, which reuses the
+    trial's normal evaluation: a scenario the move provably cannot
+    change takes the incumbent's cost verbatim, which counts as an
+    evaluation like any other (and in ``stats.verbatim_evaluations``).
     """
     lam = 0.0
     phi = 0.0
     for scenario in failures:
-        outcome = evaluator.evaluate(setting, scenario, reuse=reuse)
+        if trial is None:
+            outcome = evaluator.evaluate(setting, scenario, reuse=reuse)
+            verbatim = False
+        else:
+            outcome, verbatim = trial.evaluate(scenario)
         if stats is not None:
             stats.evaluations += 1
+            stats.verbatim_evaluations += verbatim
         lam += outcome.cost.lam
         phi += outcome.cost.phi
         if bound is not None and CostPair(lam, phi) > bound:
@@ -103,31 +121,49 @@ def bounded_failure_cost(
     return CostPair(lam, phi)
 
 
+def _records(
+    evaluator: DtrEvaluator,
+    setting: WeightSetting,
+    failures: ScenarioSet,
+    reuse: ScenarioEvaluation,
+) -> "tuple[ScenarioCosts, dict[object, ScenarioRecord]]":
+    """One full sweep of ``setting`` and its per-scenario records.
+
+    In-process (the unbound ``DtrEvaluator.evaluate_scenarios``, as a
+    sweep host's ticket runs it) on every evaluator: the records keep
+    each scenario's class routings, which a fan-out sweep's hosts would
+    strip.
+    """
+    costs = DtrEvaluator.evaluate_scenarios(
+        evaluator, setting, failures, reuse=reuse
+    )
+    records = {
+        scenario: ScenarioRecord.of(outcome, reuse)
+        for scenario, outcome in zip(failures, costs.evaluations)
+    }
+    return costs, records
+
+
 def _ordered_sweep(
     evaluator: DtrEvaluator,
     setting: WeightSetting,
     failures: ScenarioSet,
     stats: SearchStats,
     reuse: "ScenarioEvaluation | None" = None,
-) -> tuple[list, CostPair]:
-    """Full failure sweep returning scenarios sorted worst-first.
+) -> "tuple[list, CostPair, dict[object, ScenarioRecord]]":
+    """Full failure sweep: scenarios sorted worst-first, ``K_fail``, records.
 
     The ordering front-loads the expensive scenarios of the *incumbent*,
     which is the best available predictor of where a candidate's partial
-    cost will exceed the bound.  The sweep goes through
-    ``evaluator.evaluate_scenario_costs`` — the costs-only sweep
-    contract: only per-scenario scalars come back (parallel workers fold
-    locally instead of shipping arrays), and repeat sweeps of the same
-    (setting, scenario set) are answered by the evaluator's sweep memo
-    without re-dispatching.  Per-candidate *bounded* sweeps stay serial
-    because the lexicographic pruning is inherently sequential.
+    cost will exceed the bound.  The records (:func:`_records`) let the
+    candidates' move trials re-price only what their move can change.
+    Per-candidate *bounded* sweeps stay serial because the lexicographic
+    pruning is inherently sequential.
     """
     if reuse is None:
         reuse = evaluator.evaluate_normal(setting)
         stats.evaluations += 1
-    evaluation = evaluator.evaluate_scenario_costs(
-        setting, failures, reuse=reuse
-    )
+    evaluation, records = _records(evaluator, setting, failures, reuse)
     stats.evaluations += len(evaluation)
     costs = []
     lam = 0.0
@@ -137,7 +173,8 @@ def _ordered_sweep(
         lam += outcome.cost.lam
         phi += outcome.cost.phi
     costs.sort(key=lambda item: (-item[0], -item[1]))
-    return [scenario for _, _, scenario in costs], CostPair(lam, phi)
+    ordered = [scenario for _, _, scenario in costs]
+    return ordered, CostPair(lam, phi), records
 
 
 @dataclass(frozen=True)
@@ -211,7 +248,7 @@ def run_phase2(
         current = starts[0].setting.copy()
         cur_normal_eval = evaluator.evaluate_normal(current)
         stats.evaluations += 1
-        ordered, cur_kfail = _ordered_sweep(
+        ordered, cur_kfail, records = _ordered_sweep(
             evaluator, current, failures, stats, reuse=cur_normal_eval
         )
         best_setting = current.copy()
@@ -243,8 +280,10 @@ def run_phase2(
             ordered,
         ) = restore["loop"]
         # Recomputed, not stored (bit-identical by evaluator parity);
-        # the checkpointed counters already account for it.
+        # the checkpointed counters already account for it.  So are the
+        # records: derived state, counted nowhere.
         cur_normal_eval = evaluator.evaluate_normal(current)
+        _, records = _records(evaluator, current, failures, cur_normal_eval)
     sweep = max(1, round(sp.arcs_per_iteration_fraction * num_arcs))
 
     while stats.iterations < sp.max_iterations:
@@ -273,7 +312,9 @@ def run_phase2(
             move = random_phase2_move(current, int(arc), wp, rng)
             if not move.changes_anything:
                 continue
-            trial = evaluator.trial(current, move, reuse=cur_normal_eval)
+            trial = evaluator.trial(
+                current, move, reuse=cur_normal_eval, records=records
+            )
             stats.evaluations += 1
             cand_kfail = None
             if constraints.satisfied_by(trial.evaluation.cost):
@@ -283,7 +324,7 @@ def run_phase2(
                     ordered,
                     cur_kfail,
                     stats,
-                    reuse=trial.evaluation,
+                    trial=trial,
                 )
             if cand_kfail is None or not cand_kfail.is_better_than(
                 cur_kfail
@@ -293,6 +334,8 @@ def run_phase2(
             trial.commit()
             cur_kfail = cand_kfail
             cur_normal_eval = trial.evaluation
+            # An accepted sweep is never pruned: it priced every scenario.
+            records = trial.records
             improved = True
             stats.accepted_moves += 1
             if cand_kfail.is_better_than(best_kfail):
@@ -312,6 +355,7 @@ def run_phase2(
                 cur_normal_eval,
                 ordered,
                 cur_kfail,
+                records,
             ) = _diversified_start(
                 evaluator, failures, starts, constraints, rng, next_start,
                 stats,
@@ -371,7 +415,7 @@ def _diversified_start(
     rng: np.random.Generator,
     round_index: int,
     stats: SearchStats,
-) -> tuple[WeightSetting, "ScenarioEvaluation", list, CostPair]:
+) -> tuple[WeightSetting, "ScenarioEvaluation", list, CostPair, dict]:
     """Next diversification start: a pool setting, lightly scrambled.
 
     The scramble is kept only when it still satisfies the constraints
@@ -387,7 +431,7 @@ def _diversified_start(
         candidate = base.setting.copy()
         normal_eval = evaluator.evaluate_normal(candidate)
         stats.evaluations += 1
-    ordered, kfail = _ordered_sweep(
+    ordered, kfail, records = _ordered_sweep(
         evaluator, candidate, failures, stats, reuse=normal_eval
     )
-    return candidate, normal_eval, ordered, kfail
+    return candidate, normal_eval, ordered, kfail, records

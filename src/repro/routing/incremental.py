@@ -35,7 +35,15 @@ changed arcs participate in (or could start participating in).
   ``dist(u, t) >= w + dist(v, t)`` (otherwise the arc is strictly worse
   than what ``u`` already has, for every source);
 * only the affected destinations get a fresh single-destination Dijkstra
-  (on the reversed graph), mask-row rebuild and load re-propagation.
+  (on the reversed graph), mask-row rebuild and load re-propagation;
+* a delta first journals the rows it is about to touch, so a sync that
+  takes the arc straight back (a rejected local-search move) restores
+  those bytes instead of replaying the inverse delta.
+
+The affected-destination test is one function,
+:func:`affected_destinations`: the router runs it on its base state, and
+the move trial (:class:`repro.core.evaluation.MoveTrial`) on the
+incumbent's scenario routings, to prove a class routing unmoved.
 
 Results are **bit-identical** to :meth:`repro.routing.engine.
 RoutingEngine.route_class`.  Two properties make that possible: arc
@@ -110,7 +118,9 @@ class _PropagationMemo:
     replays the identical floats, no approximation involved.  The sweep
     access pattern makes this pay: one candidate's scenario states
     reappear for the next candidate whenever the move arc does not touch
-    them, and rejected moves revert straight back to memoized states.
+    them, and a later move often takes an arc back to a weight an
+    earlier state had.  (A rejected move's rollback needs no memo: it
+    restores the delta's journal.)
     """
 
     __slots__ = ("_entries", "_max_entries", "hits", "misses")
@@ -164,6 +174,8 @@ class RouterStats:
             :meth:`IncrementalRouter.route_scenario` call and one per
             scenario of a :func:`~repro.routing.sweep.
             route_scenario_batch` group.
+        restores: syncs that took the last delta's arc back by
+            restoring its journal instead of replaying a delta.
     """
 
     rebuilds: int = 0
@@ -171,6 +183,31 @@ class RouterStats:
     destinations_recomputed: int = 0
     destinations_reused: int = 0
     scenario_routes: int = 0
+    restores: int = 0
+
+
+@dataclass(frozen=True)
+class _Journal:
+    """The inverse of one arc-weight delta: what it overwrote.
+
+    Attributes:
+        arc: the arc the delta changed.
+        weight: the arc's weight before the delta.
+        rows: the destination rows the delta touched.
+        dist_cols, masks, contribs, und: those rows' distance columns,
+            mask rows, load contributions and undelivered volumes
+            before the delta.
+        routing: the assembled routing before the delta (or None).
+    """
+
+    arc: int
+    weight: float
+    rows: np.ndarray
+    dist_cols: np.ndarray
+    masks: np.ndarray
+    contribs: np.ndarray
+    und: np.ndarray
+    routing: "ClassRouting | None"
 
 
 @dataclass
@@ -210,6 +247,46 @@ class ScenarioRouting:
 
     routing: ClassRouting
     handoffs: "tuple[BatchHandoff, ...]" = ()
+
+
+def affected_destinations(
+    masks: np.ndarray,
+    dist_u: np.ndarray,
+    dist_v: np.ndarray,
+    arc: int,
+    old_weight: float,
+    new_weight: float,
+) -> np.ndarray:
+    """The affected-destination test of one arc-weight change.
+
+    Which destinations' routings can a change of arc ``(u, v)`` from
+    ``old_weight`` to ``new_weight`` move?  An **increase** only those
+    whose DAG contains the arc (for the rest the arc was strictly longer
+    than the best path through its tail and just got longer still); a
+    **decrease** to ``w`` only those ``t`` with ``dist(u, t) >= w +
+    dist(v, t)`` (otherwise the arc is strictly worse than what ``u``
+    already has, for every source).  Every other destination keeps its
+    distance column, mask row and loads bit for bit (integer weights).
+
+    Args:
+        masks: ``(D, A)`` DAG mask rows of the ``D`` destinations.
+        dist_u: ``(D,)`` distances from ``u`` to those destinations.
+        dist_v: ``(D,)`` distances from ``v`` to them.
+        arc: the changed arc.
+        old_weight: its weight the masks and distances were built with.
+        new_weight: its new weight (different from ``old_weight``).
+
+    Returns:
+        ``(D,)`` flags of the destinations the change may move.
+    """
+    if new_weight > old_weight:
+        return masks[:, arc]
+    with np.errstate(invalid="ignore"):
+        target = new_weight + dist_v
+        joins = np.abs(dist_u - target) <= SPF_TOLERANCE
+        improves = dist_u > target + SPF_TOLERANCE
+    joins &= np.isfinite(dist_u)
+    return np.isfinite(dist_v) & (joins | improves)
 
 
 def _load_columns(
@@ -310,6 +387,9 @@ class IncrementalRouter:
         self._contribs = np.empty((0, 0))
         self._und = np.empty(0)
         self._routing: ClassRouting | None = None
+        #: The inverse of the last delta (see :meth:`sync`); None after
+        #: a rebuild or a restore.
+        self._journal: _Journal | None = None
         self._memo = _PropagationMemo()
         #: Weight-independent per-scenario structures (failed arcs,
         #: disabled mask + list form) — failure sets are swept thousands
@@ -394,6 +474,7 @@ class IncrementalRouter:
         self._und = np.zeros(self._dest.size)
         self._propagate_rows(np.arange(self._dest.size))
         self._routing = None
+        self._journal = None
         self.stats.rebuilds += 1
         self.stats.destinations_recomputed += int(self._dest.size)
 
@@ -561,37 +642,59 @@ class IncrementalRouter:
     def sync(self, weights: np.ndarray) -> int:
         """Bring the router to ``weights`` by the cheapest route.
 
-        Diffs against the current weights; up to :data:`SYNC_DELTA_LIMIT`
-        changed arcs are replayed as single-arc deltas (each touching
-        only its affected destinations), more trigger a full rebuild.
+        Diffs against the current weights; more than
+        :data:`SYNC_DELTA_LIMIT` changed arcs trigger a full rebuild.
+        Otherwise, when the weights take the last delta's arc back to
+        its old weight (a rolled-back move), the delta's journal is
+        restored: the router's state before that delta equalled a
+        from-scratch build at those weights, so the restored bytes do
+        too.  Any other changed arc is replayed as a single-arc delta
+        (each touching only its affected destinations).
 
         Returns:
             The number of changed arcs observed.
         """
         weights = np.asarray(weights, dtype=np.float64)
         changed = np.flatnonzero(weights != self._weights)
-        if changed.size == 0:
+        count = int(changed.size)
+        if count == 0:
             return 0
-        if changed.size > SYNC_DELTA_LIMIT:
+        if count > SYNC_DELTA_LIMIT:
             self._rebuild(weights)
-            return int(changed.size)
+            return count
+        journal = self._journal
+        if journal is not None and weights[journal.arc] == journal.weight:
+            self._restore(journal)
+            changed = changed[changed != journal.arc]
         for arc in changed:
             self.set_arc_weight(int(arc), float(weights[arc]))
-        return int(changed.size)
+        return count
+
+    def _restore(self, journal: _Journal) -> None:
+        """Put back what the journalled delta overwrote."""
+        self._set_weight_entry(journal.arc, journal.weight)
+        rows = journal.rows
+        self._dist_cols[:, rows] = journal.dist_cols
+        self._masks[rows] = journal.masks
+        self._contribs[rows] = journal.contribs
+        self._und[rows] = journal.und
+        self._routing = journal.routing
+        self._journal = None
+        self.stats.restores += 1
 
     def set_arc_weight(self, arc: int, new_weight: float) -> int:
         """Apply one arc-weight delta, updating only affected destinations.
 
-        The affected-destination test on the cached distance columns:
+        The affected destinations come from :func:`affected_destinations`
+        on the cached distance columns, and the delta journals their
+        rows before touching them (see :meth:`sync`):
 
-        * **increase** — only destinations whose DAG contains the arc can
-          change (for the rest the arc was strictly longer than the best
-          path through its tail and just got longer still); among those,
-          destinations where the arc's source keeps another DAG out-arc
-          keep all their distances too, so only the mask bit flips and
-          the loads re-propagate — no Dijkstra.
-        * **decrease** to ``w`` — only destinations ``t`` with
-          ``dist(u, t) >= w + dist(v, t)`` can change; exact equality
+        * **increase** — among the destinations whose DAG contains the
+          arc, those where the arc's source keeps another DAG out-arc
+          keep all their distances, so only the mask bit flips and the
+          loads re-propagate — no Dijkstra; the rest get the cone
+          repair.
+        * **decrease** — exact equality ``dist(u, t) == w + dist(v, t)``
           means the arc *joins* the DAG without moving any distance
           (mask bit + re-propagation only), strict improvement means
           distances genuinely drop (fresh Dijkstra column).
@@ -610,45 +713,48 @@ class IncrementalRouter:
         if new_weight == old_weight:
             return 0
         net = self._net
-        u = int(net.arc_src[arc])
-        if new_weight > old_weight:
-            rows = np.flatnonzero(self._masks[:, arc])
-            self._set_weight_entry(arc, new_weight)
-            if rows.size:
-                out_u = net.out_arcs[u]
-                others = out_u[out_u != arc]
-                if others.size:
-                    dist_keeps = self._masks[np.ix_(rows, others)].any(
-                        axis=1
-                    )
-                else:
-                    dist_keeps = np.zeros(rows.size, dtype=bool)
-                mask_only = rows[dist_keeps]
-                spf_rows = rows[~dist_keeps]
-                if mask_only.size:
-                    self._masks[mask_only, arc] = False
-                    self._propagate_rows(mask_only)
-                if spf_rows.size:
-                    self._recompute_rows(spf_rows, repair_failed=[arc])
+        u, v = int(net.arc_src[arc]), int(net.arc_dst[arc])
+        du, dv = self._dist_cols[u], self._dist_cols[v]
+        rows = np.flatnonzero(
+            affected_destinations(
+                self._masks, du, dv, arc, old_weight, new_weight
+            )
+        )
+        self._journal = _Journal(
+            arc=arc,
+            weight=old_weight,
+            rows=rows,
+            dist_cols=self._dist_cols[:, rows],
+            masks=self._masks[rows],
+            contribs=self._contribs[rows],
+            und=self._und[rows],
+            routing=self._routing,
+        )
+        if not rows.size:
+            mask_only = spf_rows = rows
+        elif new_weight > old_weight:
+            out_u = net.out_arcs[u]
+            others = out_u[out_u != arc]
+            if others.size:
+                dist_keeps = self._masks[np.ix_(rows, others)].any(axis=1)
+            else:
+                dist_keeps = np.zeros(rows.size, dtype=bool)
+            mask_only = rows[dist_keeps]
+            spf_rows = rows[~dist_keeps]
         else:
-            du = self._dist_cols[u]
-            dv = self._dist_cols[net.arc_dst[arc]]
-            with np.errstate(invalid="ignore"):
-                target = new_weight + dv
-                joins = np.abs(du - target) <= SPF_TOLERANCE
-                improves = du > target + SPF_TOLERANCE
-            finite = np.isfinite(dv)
-            joins &= finite & np.isfinite(du)
-            improves &= finite
-            rows = np.flatnonzero(joins | improves)
-            self._set_weight_entry(arc, new_weight)
-            mask_only = np.flatnonzero(joins)
-            spf_rows = np.flatnonzero(improves)
-            if mask_only.size:
-                self._masks[mask_only, arc] = True
-                self._propagate_rows(mask_only)
-            if spf_rows.size:
-                self._recompute_rows(spf_rows)
+            improves = du[rows] > new_weight + dv[rows] + SPF_TOLERANCE
+            mask_only = rows[~improves]
+            spf_rows = rows[improves]
+        self._set_weight_entry(arc, new_weight)
+        if mask_only.size:
+            # The arc leaves (increase) or joins (decrease) those DAGs.
+            self._masks[mask_only, arc] = new_weight < old_weight
+            self._propagate_rows(mask_only)
+        if spf_rows.size:
+            self._recompute_rows(
+                spf_rows,
+                repair_failed=[arc] if new_weight > old_weight else None,
+            )
         self.stats.deltas += 1
         if rows.size:
             self._routing = None
@@ -898,6 +1004,11 @@ class IncrementalRouter:
         if hit_s.size:
             # A node left without DAG out-arcs lengthens its distance.
             lost = ~self._has_dag_out(masks[hit_s, hit_d])
+            # The base flags of the routed rows.  Under a node removal
+            # (``rows`` a subset) the removed node loses every DAG
+            # out-arc towards each remaining destination, so every hit
+            # cell needs repair whichever row's flags are read here: no
+            # test can see a misaligned row index, an equivalent mutant.
             lost &= self._base_out[rows][hit_d]
             need = lost.any(axis=1)
             spf_s, spf_d = hit_s[need], hit_d[need]

@@ -10,16 +10,18 @@ import numpy as np
 import pytest
 
 from repro.config import ExecutionParams, OptimizerConfig
-from repro.core.evaluation import DtrEvaluator
+from repro.core.evaluation import DtrEvaluator, ScenarioRecord
+from repro.core.local_search import SearchStats
 from repro.core.perturbation import (
     Move,
     random_pair_move,
     random_phase2_move,
 )
+from repro.core.phase2 import bounded_failure_cost
 from repro.core.weights import WeightSetting
 from repro.exp.common import make_instance
-from repro.routing.incremental import IncrementalRouter
-from repro.scenarios import legacy_failures, node_failures
+from repro.routing.incremental import SYNC_DELTA_LIMIT, IncrementalRouter
+from repro.scenarios import legacy_failures, node_failures, srlg_failures
 
 
 def _scratch_evaluator(evaluator: DtrEvaluator) -> DtrEvaluator:
@@ -131,13 +133,36 @@ class TestEvaluateMoveParity:
         assert not evaluator._routers
 
 
+def _assert_routers_match_a_rebuild(evaluator, setting, context):
+    """Both routers' whole state equals a fresh build at ``setting``."""
+    traffic = evaluator.traffic
+    for class_id, weights, demands in (
+        ("delay", setting.delay, traffic.delay.values),
+        ("tput", setting.tput, traffic.throughput.values),
+    ):
+        router = evaluator._routers[class_id]
+        fresh = IncrementalRouter(evaluator.network, demands, weights)
+        assert np.array_equal(router.weights, fresh.weights), context
+        assert np.array_equal(router._dist_cols, fresh._dist_cols), context
+        assert np.array_equal(router._masks, fresh._masks), context
+        assert np.array_equal(router._contribs, fresh._contribs), context
+        assert np.array_equal(router._und, fresh._und), context
+        got, expected = router.routing, fresh.routing
+        assert np.array_equal(got.dist, expected.dist), context
+        assert np.array_equal(got.masks, expected.masks), context
+        assert np.array_equal(got.loads, expected.loads), context
+        assert got.undelivered == expected.undelivered, context
+
+
 class TestMoveTrial:
     @pytest.mark.parametrize("nodes", [8, 12, 16])
     def test_random_trials_match_scratch_and_a_rebuild(self, nodes):
-        """30+ seeded trials of pair and Phase-2 moves, each committed or
-        rolled back at random: every candidate equals the from-scratch
-        evaluation bitwise, every rollback restores the setting, and the
-        routers end where a fresh build at the final weights starts."""
+        """32 seeded trials of pair and Phase-2 moves, each committed or
+        rolled back at random, with multi-arc jumps between trials (a
+        few deltas, or a rebuild past ``SYNC_DELTA_LIMIT``): every
+        candidate equals the from-scratch evaluation bitwise, every
+        rollback restores the setting, and after every rollback and
+        jump the routers' whole state equals a fresh build there."""
         config = OptimizerConfig()
         instance = make_instance("rand", nodes, 4.0, seed=nodes)
         network, traffic = instance.network, instance.traffic
@@ -147,8 +172,28 @@ class TestMoveTrial:
         rng = np.random.default_rng(nodes)
         setting = WeightSetting.random(network.num_arcs, config.weights, rng)
         base = fast.evaluate_normal(setting)
-        trials = commits = 0
+        trials = commits = jumps = 0
         while trials < 32:
+            if rng.random() < 0.15:
+                arcs = rng.choice(
+                    network.num_arcs,
+                    int(rng.integers(2, 2 * SYNC_DELTA_LIMIT + 1)),
+                    replace=False,
+                )
+                for arc in arcs.tolist():
+                    setting.set_arc(
+                        arc,
+                        int(rng.integers(1, config.weights.w_max + 1)),
+                        int(rng.integers(1, config.weights.w_max + 1)),
+                    )
+                base = fast.evaluate_normal(setting)
+                jumps += 1
+                assert_evaluations_identical(
+                    base, scratch.evaluate_normal(setting), f"jump {jumps}"
+                )
+                _assert_routers_match_a_rebuild(
+                    fast, setting, f"jump {jumps}"
+                )
             draw = random_pair_move if rng.random() < 0.5 else (
                 random_phase2_move
             )
@@ -178,22 +223,12 @@ class TestMoveTrial:
             else:
                 trial.rollback()
                 assert setting == before, f"rollback of trial {trials}"
-        assert 0 < commits < trials
-        for class_id, weights, demands in (
-            ("delay", setting.delay, traffic.delay.values),
-            ("tput", setting.tput, traffic.throughput.values),
-        ):
-            router = fast._routers[class_id]
-            fresh = IncrementalRouter(network, demands, weights)
-            assert np.array_equal(router._dist_cols, fresh._dist_cols)
-            assert np.array_equal(router._masks, fresh._masks)
-            assert np.array_equal(router._contribs, fresh._contribs)
-            assert np.array_equal(router._und, fresh._und)
-            got, expected = router.routing, fresh.routing
-            assert np.array_equal(got.dist, expected.dist)
-            assert np.array_equal(got.masks, expected.masks)
-            assert np.array_equal(got.loads, expected.loads)
-            assert got.undelivered == expected.undelivered
+                _assert_routers_match_a_rebuild(
+                    fast, setting, f"rollback of trial {trials}"
+                )
+        assert 0 < commits < trials and jumps > 0
+        assert all(r.stats.restores > 0 for r in fast._routers.values())
+        _assert_routers_match_a_rebuild(fast, setting, "end")
 
     def test_a_trial_closes_exactly_once(self, small_evaluator, rng):
         config = small_evaluator.config
@@ -398,3 +433,176 @@ class TestSeededExperimentUnchanged:
                 outcome.regular_setting.key(),
             )
         assert rows[True] == rows[False]
+
+
+def _records(evaluator, setting, scenarios, normal):
+    costs = DtrEvaluator.evaluate_scenarios(
+        evaluator, setting, scenarios, reuse=normal
+    )
+    return {
+        scenario: ScenarioRecord.of(outcome, normal)
+        for scenario, outcome in zip(scenarios, costs.evaluations)
+    }
+
+
+def _draw_move(setting, scenarios, normal, w_max, rng) -> Move:
+    """A one- or two-class move: a third of them on an arc some scenario
+    kills, a fifth raising a weight the class's NORMAL routing leaves
+    unused, the rest anywhere; every redraw may raise or lower a
+    weight."""
+    old_delay = old_tput = 0
+    roll = rng.random()
+    if roll < 0.2:
+        routings = (normal.routing_delay, normal.routing_tput)
+        pos = int(rng.integers(2))
+        unused = np.flatnonzero(~routings[pos].used_arcs())
+        arc = int(rng.choice(unused)) if unused.size else 0
+        old_delay, old_tput = setting.arc_pair(arc)
+        old = (old_delay, old_tput)[pos]
+        new = int(rng.integers(old, w_max + 1))
+        if pos == 0:
+            return Move(arc, new, old_tput, old_delay, old_tput)
+        return Move(arc, old_delay, new, old_delay, old_tput)
+    if roll < 0.55:
+        failure = scenarios[int(rng.integers(len(scenarios)))].failure
+        arc = int(rng.choice(failure.failed_arcs))
+    else:
+        arc = int(rng.integers(setting.num_arcs))
+    old_delay, old_tput = setting.arc_pair(arc)
+    new_delay, new_tput = old_delay, old_tput
+    which = rng.integers(3)  # delay, tput or both
+    if which != 1:
+        new_delay = int(rng.integers(1, w_max + 1))
+    if which != 0:
+        new_tput = int(rng.integers(1, w_max + 1))
+    return Move(arc, new_delay, new_tput, old_delay, old_tput)
+
+
+class TestScenarioReuseRule:
+    @pytest.mark.parametrize("nodes", [8, 12])
+    def test_unmoved_classes_route_as_the_incumbent(self, nodes):
+        """Random incumbent/candidate pairs over link, node and SRLG
+        scenarios: whenever the move trial's rule calls a class routing
+        unmoved (same weight, dead arc, or no affected destination of an
+        increase or a decrease), a from-scratch ``route_class`` of the
+        candidate equals the incumbent's routing bitwise, and every
+        scenario the trial prices equals the from-scratch evaluation."""
+        config = OptimizerConfig()
+        instance = make_instance("rand", nodes, 4.0, seed=nodes + 1)
+        network, traffic = instance.network, instance.traffic
+        evaluator = DtrEvaluator(network, traffic, config)
+        scratch = _scratch_evaluator(evaluator)
+        engine = scratch.engine
+        scenarios = list(
+            legacy_failures(network)
+            + node_failures(network)
+            + srlg_failures(network, num_groups=4, group_size=2, seed=1)
+        )
+        rng = np.random.default_rng(nodes)
+        seen = {"same": 0, "dead": 0, "increase": 0, "decrease": 0}
+        for _ in range(12):
+            setting = WeightSetting.random(
+                network.num_arcs, config.weights, rng
+            )
+            normal = evaluator.evaluate_normal(setting)
+            records = _records(evaluator, setting, scenarios, normal)
+            for _ in range(4):
+                move = _draw_move(
+                    setting, scenarios, normal, config.weights.w_max, rng
+                )
+                if not move.changes_anything:
+                    continue
+                trial = evaluator.trial(
+                    setting, move, reuse=normal, records=records
+                )
+                for scenario in scenarios:
+                    record = records[scenario]
+                    unmoved = trial._unmoved(scenario, record.routings)
+                    failure = scenario.failure
+                    for pos, (weights, demands, old, new) in enumerate((
+                        (setting.delay, traffic.delay.values,
+                         move.old_delay, move.new_delay),
+                        (setting.tput, traffic.throughput.values,
+                         move.old_tput, move.new_tput),
+                    )):
+                        if unmoved[pos] is None:
+                            continue
+                        if old == new:
+                            seen["same"] += 1
+                        elif move.arc in failure.failed_arcs:
+                            seen["dead"] += 1
+                        else:
+                            seen["increase" if new > old else "decrease"] += 1
+                        expected = engine.route_class(
+                            weights, demands, failure
+                        )
+                        got = unmoved[pos]
+                        assert np.array_equal(
+                            got.destinations, expected.destinations
+                        )
+                        assert np.array_equal(got.dist, expected.dist)
+                        assert np.array_equal(got.masks, expected.masks)
+                        assert np.array_equal(got.loads, expected.loads)
+                        assert np.array_equal(got.demands, expected.demands)
+                        assert got.undelivered == expected.undelivered
+                    outcome, _ = trial.evaluate(scenario)
+                    assert_evaluations_identical(
+                        outcome,
+                        scratch.evaluate(setting, scenario),
+                        f"{failure.label} after {move}",
+                    )
+                trial.rollback()
+        assert min(seen.values()) > 0, seen
+
+    def test_bounded_sweep_with_reuse_matches_without(self):
+        """A bounded sweep priced through the trial's records returns
+        what the plain per-scenario sweep returns, pruned or not, with
+        the same evaluation counts; accepted candidates' records carry
+        over to the next move."""
+        config = OptimizerConfig()
+        instance = make_instance("rand", 12, 4.0, seed=5)
+        network, traffic = instance.network, instance.traffic
+        evaluator = DtrEvaluator(network, traffic, config)
+        plain = _scratch_evaluator(evaluator)
+        scenarios = list(
+            legacy_failures(network)
+            + node_failures(network)
+            + srlg_failures(network, num_groups=4, group_size=2, seed=2)
+        )
+        rng = np.random.default_rng(5)
+        setting = WeightSetting.random(network.num_arcs, config.weights, rng)
+        normal = evaluator.evaluate_normal(setting)
+        records = _records(evaluator, setting, scenarios, normal)
+        incumbent = bounded_failure_cost(plain, setting, scenarios, None)
+        outcomes = {"pruned": 0, "kept": 0}
+        reused = SearchStats()
+        for _ in range(40):
+            move = _draw_move(
+                setting, scenarios, normal, config.weights.w_max, rng
+            )
+            if not move.changes_anything:
+                continue
+            trial = evaluator.trial(
+                setting, move, reuse=normal, records=records
+            )
+            bound = None if rng.random() < 0.25 else incumbent
+            with_reuse = bounded_failure_cost(
+                evaluator, setting, scenarios, bound, reused, trial=trial
+            )
+            counted = SearchStats()
+            without = bounded_failure_cost(
+                plain, setting, scenarios, bound, counted
+            )
+            assert with_reuse == without
+            outcomes["pruned" if without is None else "kept"] += 1
+            if without is not None and (
+                bound is None or without.is_better_than(incumbent)
+            ):
+                trial.commit()
+                normal, records = trial.evaluation, trial.records
+                incumbent = without
+                assert len(records) == len(set(scenarios))
+            else:
+                trial.rollback()
+        assert min(outcomes.values()) > 0, outcomes
+        assert reused.verbatim_evaluations > 0

@@ -6,6 +6,7 @@ results for the same inputs.  Parity assertions therefore use exact
 equality, not approximate comparisons.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -53,6 +54,13 @@ def isp_setting(isp_instance):
 def _config(**execution_kwargs) -> OptimizerConfig:
     return OptimizerConfig().replace(
         execution=ExecutionParams(**execution_kwargs)
+    )
+
+
+def _cached(config: OptimizerConfig) -> OptimizerConfig:
+    """``config`` with the (default-off) routing cache switched on."""
+    return config.replace(
+        execution=dataclasses.replace(config.execution, routing_cache=True)
     )
 
 
@@ -121,7 +129,7 @@ class TestProcessPoolParity:
         network, traffic = isp_instance
         failures = legacy_failures(network)
         with ParallelDtrEvaluator(
-            network, traffic, _config(n_jobs=2)
+            network, traffic, _config(n_jobs=2, routing_cache=True)
         ) as parallel:
             parallel.evaluate_scenarios(isp_setting, failures)
             first = parallel.cache_stats
@@ -188,13 +196,60 @@ class TestOptimizerInvariance:
             reference.store.total_samples == candidate.store.total_samples
         )
 
+    def test_phase2_results_do_not_depend_on_n_jobs(
+        self, small_instance, tiny_config
+    ):
+        """Seeded Phase 2 picks the same setting, with equal costs and
+        every SearchStats counter equal, for any n_jobs.  Its move trials
+        reuse the incumbent's per-scenario records, which must come from
+        an in-process sweep: a fan-out sweep's hosts strip routings, and
+        a stripped None read as the failed-arc shortcut's would hand the
+        trials NORMAL routings for failed scenarios."""
+        from repro.core.phase1 import run_phase1
+        from repro.core.phase2 import RobustConstraints, run_phase2
+        from repro.scenarios import node_failures
+
+        network, traffic = small_instance
+        serial = DtrEvaluator(network, traffic, tiny_config)
+        phase1 = run_phase1(serial, np.random.default_rng(7))
+        constraints = RobustConstraints(
+            lam_star=phase1.best_cost.lam,
+            phi_star=phase1.best_cost.phi,
+            chi=tiny_config.sampling.chi,
+        )
+        failures = legacy_failures(network) + node_failures(network)
+        reference = run_phase2(
+            serial,
+            failures,
+            phase1.pool,
+            constraints,
+            np.random.default_rng(9),
+        )
+        with ParallelDtrEvaluator(
+            network,
+            traffic,
+            tiny_config.replace(execution=ExecutionParams(n_jobs=2)),
+        ) as parallel:
+            candidate = run_phase2(
+                parallel,
+                failures,
+                phase1.pool,
+                constraints,
+                np.random.default_rng(9),
+            )
+        assert candidate.best_setting == reference.best_setting
+        assert candidate.best_kfail.lam == reference.best_kfail.lam
+        assert candidate.best_kfail.phi == reference.best_kfail.phi
+        assert candidate.stats == reference.stats
+        assert reference.stats.verbatim_evaluations > 0
+
 
 class TestRoutingCache:
     def test_exact_hit_on_repeat(self, small_evaluator, random_setting):
         caching = CachingDtrEvaluator(
             small_evaluator.network,
             small_evaluator.traffic,
-            small_evaluator.config,
+            _cached(small_evaluator.config),
         )
         caching.evaluate_normal(random_setting)
         assert caching.cache_stats.misses == 2  # one per class
@@ -206,7 +261,7 @@ class TestRoutingCache:
     ):
         config = small_evaluator.config
         caching = CachingDtrEvaluator(
-            small_evaluator.network, small_evaluator.traffic, config
+            small_evaluator.network, small_evaluator.traffic, _cached(config)
         )
         normal = caching.evaluate_normal(random_setting)
         unused = ~normal.routing_delay.used_arcs()
@@ -232,7 +287,7 @@ class TestRoutingCache:
     ):
         config = small_evaluator.config
         caching = CachingDtrEvaluator(
-            small_evaluator.network, small_evaluator.traffic, config
+            small_evaluator.network, small_evaluator.traffic, _cached(config)
         )
         caching.evaluate_normal(random_setting)
         arc = 0
@@ -254,7 +309,7 @@ class TestRoutingCache:
         config = small_evaluator.config
         network = small_evaluator.network
         caching = CachingDtrEvaluator(
-            network, small_evaluator.traffic, config
+            network, small_evaluator.traffic, _cached(config)
         )
         serial = DtrEvaluator(network, small_evaluator.traffic, config)
         setting = WeightSetting.random(
@@ -322,7 +377,9 @@ class TestMakeEvaluator:
             network, traffic, _config(n_jobs=1, routing_cache=False)
         )
         assert type(serial) is DtrEvaluator
-        cached = make_evaluator(network, traffic, _config(n_jobs=1))
+        cached = make_evaluator(
+            network, traffic, _config(n_jobs=1, routing_cache=True)
+        )
         assert type(cached) is CachingDtrEvaluator
         parallel = make_evaluator(network, traffic, _config(n_jobs=2))
         assert type(parallel) is ParallelDtrEvaluator
@@ -337,7 +394,9 @@ class TestMakeEvaluator:
 
     def test_with_traffic_preserves_type(self, small_instance):
         network, traffic = small_instance
-        cached = make_evaluator(network, traffic, _config(n_jobs=1))
+        cached = make_evaluator(
+            network, traffic, _config(n_jobs=1, routing_cache=True)
+        )
         sibling = cached.with_traffic(traffic.scaled(2.0))
         assert type(sibling) is CachingDtrEvaluator
 

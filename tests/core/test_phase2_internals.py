@@ -14,7 +14,7 @@ class TestOrderedSweep:
     ):
         failures = legacy_failures(small_evaluator.network)
         stats = SearchStats()
-        ordered, total = _ordered_sweep(
+        ordered, total, _ = _ordered_sweep(
             small_evaluator, random_setting, failures, stats
         )
         assert len(ordered) == len(failures)
@@ -34,7 +34,7 @@ class TestOrderedSweep:
     ):
         failures = legacy_failures(small_evaluator.network)
         stats = SearchStats()
-        _, total = _ordered_sweep(
+        _, total, _ = _ordered_sweep(
             small_evaluator, random_setting, failures, stats
         )
         direct = small_evaluator.evaluate_scenarios(

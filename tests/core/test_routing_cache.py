@@ -10,6 +10,7 @@ cannot blow memory up cross-product-style.
 import numpy as np
 import pytest
 
+from repro.config import ExecutionParams
 from repro.core import parallel
 from repro.core.evaluation import _VARIANT_NORMAL_CACHE
 from repro.core.parallel import CachingDtrEvaluator, RoutingCache
@@ -110,7 +111,10 @@ class TestVariantSiblingBounds:
         network, traffic = small_instance
         # Shrink the fixed capacity so the sweeps below overflow it.
         monkeypatch.setattr(parallel, "ROUTING_CACHE_ENTRIES", 8)
-        evaluator = CachingDtrEvaluator(network, traffic, tiny_config)
+        config = tiny_config.replace(
+            execution=ExecutionParams(routing_cache=True)
+        )
+        evaluator = CachingDtrEvaluator(network, traffic, config)
         variants = [GaussianSurge(seed=s) for s in range(3)]
         scenarios = cross(
             srlg_failures(network, num_groups=3, group_size=2, seed=4),

@@ -177,7 +177,13 @@ class TestSerialParity:
         )
         reference = DtrEvaluator(network, traffic, tiny_config)
         expected = reference.evaluate_scenarios(setting, failures)
-        caching = make_evaluator(network, traffic, tiny_config)
+        caching = make_evaluator(
+            network,
+            traffic,
+            tiny_config.replace(
+                execution=ExecutionParams(routing_cache=True)
+            ),
+        )
         assert isinstance(caching, CachingDtrEvaluator)
         normal = caching.evaluate_normal(setting)
 

@@ -158,6 +158,66 @@ def test_interleaved_moves_and_failures(case):
             assert_routing_identical(got, expected)
 
 
+def assert_state_matches_fresh_build(router, weights, context=""):
+    """The router's whole base state equals a fresh build at ``weights``."""
+    fresh = IncrementalRouter(router.network, router._demands, weights)
+    assert np.array_equal(router.weights, fresh.weights), context
+    assert np.array_equal(router._dist_cols, fresh._dist_cols), context
+    assert np.array_equal(router._masks, fresh._masks), context
+    assert np.array_equal(router._contribs, fresh._contribs), context
+    assert np.array_equal(router._und, fresh._und), context
+    assert_routing_identical(router.routing, fresh.routing)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=router_cases())
+def test_sync_back_restores_the_journal(case):
+    """A sync that takes the last delta's arc back restores its journal.
+
+    Random moves are rolled back (alone, or together with up to
+    ``SYNC_DELTA_LIMIT - 1`` other arcs), kept, or followed by a
+    rebuild; after every step the router's whole state equals a fresh
+    build at the current weights, and every effective rollback is a
+    restore, not a delta.
+    """
+    network, weights, demands, seed = case
+    gen = np.random.default_rng(seed + 5)
+    router = IncrementalRouter(network, demands, weights)
+    current = weights.copy()
+    for step in range(30):
+        arc = int(gen.integers(network.num_arcs))
+        moved = current.copy()
+        moved[arc] = float(gen.integers(1, 18))
+        router.sync(moved)
+        roll = gen.uniform()
+        if roll < 0.5:  # a rejected move
+            restores, deltas = router.stats.restores, router.stats.deltas
+            router.sync(current)
+            effective = moved[arc] != current[arc]
+            assert router.stats.restores == restores + effective
+            assert router.stats.deltas == deltas
+        elif roll < 0.7:  # rejected, and other arcs move too
+            others = gen.choice(
+                network.num_arcs,
+                int(gen.integers(1, SYNC_DELTA_LIMIT)),
+                replace=False,
+            )
+            current[others] = gen.integers(1, 18, others.size)
+            router.sync(current)
+        elif roll < 0.8:  # a rebuild, which drops the journal
+            others = gen.choice(
+                network.num_arcs, SYNC_DELTA_LIMIT + 1, replace=False
+            )
+            current = moved
+            current[others] = current[others] % 17 + 1
+            rebuilds = router.stats.rebuilds
+            router.sync(current)
+            assert router.stats.rebuilds == rebuilds + 1
+        else:  # kept
+            current = moved
+        assert_state_matches_fresh_build(router, current, f"step {step}")
+
+
 class TestSyncAndReuse:
     @pytest.fixture
     def instance(self):
@@ -188,6 +248,45 @@ class TestSyncAndReuse:
         assert router.stats.deltas == 2
         expected = RoutingEngine(network).route_class(moved, demands)
         assert_routing_identical(router.routing, expected)
+
+    def test_journal_covers_only_the_last_delta(self, instance):
+        """Another delta replaces the journal and a rebuild drops it: a
+        sync that takes an older delta's arc back replays a delta; one
+        that takes the last delta back restores the assembled routing
+        it had."""
+        network, weights, demands = instance
+        router = IncrementalRouter(network, demands, weights)
+        first = weights.copy()
+        first[0] += 3
+        router.sync(first)
+        second = first.copy()
+        second[1] += 3
+        router.sync(second)
+        back = second.copy()
+        back[0] = weights[0]
+        router.sync(back)  # arc 0 back, but the journal is arc 1's
+        assert router.stats.restores == 0
+        assert_state_matches_fresh_build(router, back)
+
+        routing = router.routing
+        moved = back.copy()
+        moved[5] += 2
+        router.sync(moved)  # a delta on arc 5, then straight back
+        router.sync(back)
+        assert router.stats.restores == 1
+        assert router.routing is routing
+        assert_state_matches_fresh_build(router, back)
+
+        router.sync(second)  # journalled, then a rebuild drops it
+        rebuilt = second.copy()
+        rebuilt[2 : 3 + SYNC_DELTA_LIMIT] += 1
+        router.sync(rebuilt)
+        assert router.stats.rebuilds == 2
+        back = rebuilt.copy()
+        back[0] = weights[0]
+        router.sync(back)
+        assert router.stats.restores == 1
+        assert_state_matches_fresh_build(router, back)
 
     def test_unused_arc_increase_touches_nothing(self, instance):
         """The classic unused-arc shortcut is the trivial delta case."""
