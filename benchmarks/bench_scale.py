@@ -19,8 +19,14 @@ Two properties are recorded per size and written to
   loads and pair delays (integer weights make every reuse rule exact);
   the gate always applies and exits 1 on divergence.
 * **auto adaptivity** — ``auto`` is never slower than the better fixed
-  backend by more than 10 % (it picks the python stack at backbone
-  scale, the vector stack at Rocketfuel scale).
+  stack by more than 10 %, whatever mix of kernels it ran.  ``auto``
+  resolves each kernel batch on its own (``resolve_backend`` per call,
+  by the batch's work against the route and propagation crossovers),
+  so one sweep can mix both stacks; and distance columns take the heap
+  Dijkstra or scipy's by batch size alone.  Each row records that mix
+  as ``auto_dispatch``, counted over one more untimed auto sweep:
+  ``route:*`` and ``propagate:*`` are ``resolve_backend`` calls by kind
+  and resolved stack, ``spf:*`` distance columns by implementation.
 
 Every backend is timed over ``--rounds`` rounds (default 5), backends
 alternating their order each round; in each round a backend's fresh
@@ -39,8 +45,10 @@ Usage::
 
 ``--assert-speedup X`` additionally fails the run when the vector
 backend's speedup over python lands below ``X`` on every >=200-node
-sweep; ``--assert-auto`` turns the 10 % auto margin into a gate.  Both
-are opt-in because shared CI runners make wall-clock assertions flaky.
+sweep; ``--assert-auto`` turns the 10 % auto margin into a gate: auto's
+median against the better of the two fixed stacks' medians, whatever
+mix auto dispatched.  Both are opt-in because shared CI runners make
+wall-clock assertions flaky.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ import gc
 import statistics
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 from bench_schema import bench_payload, quartiles, write_payload
@@ -57,10 +66,10 @@ from bench_schema import bench_payload, quartiles, write_payload
 from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.evaluation import DtrEvaluator
 from repro.core.weights import WeightSetting
+from repro.routing import engine, spf
 from repro.routing.backend import (
     VECTOR_CROSSOVER_WORK,
     VECTOR_PROPAGATION_CROSSOVER_WORK,
-    resolve_backend,
 )
 from repro.scenarios import legacy_failures
 from repro.topology import isp_topology, powerlaw_topology, scale_to_diameter
@@ -132,6 +141,45 @@ def sweep_arm(network, traffic, setting, failures, backend: str):
             return swept / elapsed, sweep
 
 
+def auto_dispatch(network, traffic, setting, failures) -> "dict[str, int]":
+    """What ``auto`` ran in one sweep, as counts per ``kind:stack``.
+
+    One untimed auto sweep runs with the engine's ``resolve_backend``
+    reference (every kernel-batch decision) and both distance-column
+    implementations wrapped in counters, so the timed arms pay nothing
+    for the count.
+    """
+    counts: Counter = Counter()
+    resolve, heap, batched = (
+        engine.resolve_backend, spf._dijkstra_to, spf.dijkstra
+    )
+
+    def counted_resolve(backend, num_nodes, num_arcs, num_destinations,
+                        kind="route"):
+        stack = resolve(backend, num_nodes, num_arcs, num_destinations, kind)
+        counts[f"{kind}:{stack}"] += 1
+        return stack
+
+    def counted_heap(*args):
+        counts["spf:python"] += 1
+        return heap(*args)
+
+    def counted_batched(*args, indices, **kwargs):
+        counts["spf:vector"] += len(indices)
+        return batched(*args, indices=indices, **kwargs)
+
+    evaluator = DtrEvaluator(network, traffic, config_for("auto"))
+    normal = evaluator.evaluate_normal(setting)
+    engine.resolve_backend = counted_resolve
+    spf._dijkstra_to, spf.dijkstra = counted_heap, counted_batched
+    try:
+        evaluator.evaluate_scenarios(setting, failures, reuse=normal)
+    finally:
+        engine.resolve_backend = resolve
+        spf._dijkstra_to, spf.dijkstra = heap, batched
+    return dict(sorted(counts.items()))
+
+
 def sweeps_identical(a, b) -> bool:
     """Bitwise cost/load/delay equality of two failure sweeps."""
     if len(a) != len(b):
@@ -175,10 +223,7 @@ def bench_size(family: str, num_nodes: int, seed: int, rounds: int,
         order.reverse()
     median = {b: statistics.median(rates[b]) for b in backends}
 
-    destinations = network.num_nodes  # gravity demand reaches every node
-    auto_choice = resolve_backend(
-        "auto", network.num_nodes, network.num_arcs, destinations
-    )
+    dispatch = auto_dispatch(network, traffic, setting, failures)
     best_fixed = max(median["python"], median["vector"])
     row = {
         "family": network.name,
@@ -187,7 +232,7 @@ def bench_size(family: str, num_nodes: int, seed: int, rounds: int,
         "scenarios": len(failures),
         **{f"{b}_evals_per_sec": quartiles(rates[b]) for b in backends},
         "vector_speedup": round(median["vector"] / median["python"], 2),
-        "auto_backend_choice": auto_choice,
+        "auto_dispatch": dispatch,
         "auto_vs_best_fixed": round(median["auto"] / best_fixed, 3),
         "parity": parity,
     }
@@ -196,10 +241,11 @@ def bench_size(family: str, num_nodes: int, seed: int, rounds: int,
         f"{row[f'{b}_evals_per_sec']['q3']:.2f}]"
         for b in backends
     )
+    mix = ", ".join(f"{key} {count}" for key, count in dispatch.items())
     print(
         f"{row['family']:>7}[{row['nodes']:>3},{row['arcs']:>5}] "
         f"{row['scenarios']:>3} scenarios: {spread}  "
-        f"vector {row['vector_speedup']:.2f}x, auto [{auto_choice}] "
+        f"vector {row['vector_speedup']:.2f}x, auto [{mix}] "
         f"{row['auto_vs_best_fixed']:.2f} of best  parity={parity}"
     )
     return row
@@ -249,7 +295,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--assert-auto",
         action="store_true",
-        help="exit 1 if auto is >10%% slower than the better fixed backend",
+        help=(
+            "exit 1 if auto's median is >10%% below the better fixed "
+            "stack's, whatever mix of stacks auto dispatched"
+        ),
     )
     args = parser.parse_args(argv)
 

@@ -6,7 +6,11 @@ timing, so no memo can replay a result) across a
 ``build_scenarios("link,srlg,surge")`` set on a PLTopo instance — single
 links, SRLGs and traffic surges, so every group kind of
 ``repro.routing.sweep.plan_sweep`` runs — through
-``evaluate_scenario_costs``.  Every round sends one request to each arm:
+``evaluate_scenario_costs``.  ``--nodes`` lists the instance sizes, one
+row set each; the default, 30 and 100 nodes, falls on both sides of
+``CLOSURE_MAX_NODES``, so the record shows batch groups repairing their
+distances by the min-plus closure (30) and by the cone repair (100).
+Every round sends one request to each arm:
 
 * ``serial`` — the per-scenario serial path (``sweep_batching="off"``),
 * ``serial-batched`` — the scenario-axis batch sweep engine,
@@ -15,9 +19,10 @@ links, SRLGs and traffic surges, so every group kind of
 Arms alternate their order each round (the order reverses every
 round), and the record reports each arm's median and quartiles of
 evaluations/sec, next to the CPU count and load average of the box.
-A strict bitwise parity gate across every arm and every request exits
-1 on divergence, before any record is written.  Results land in ``BENCH_sweep.json`` (shared
-``bench_schema`` layout; CI uploads it as an artifact)::
+A strict bitwise parity gate across every arm, request and size exits
+1 on divergence, before any record is written.  Results land in
+``BENCH_sweep.json`` (shared ``bench_schema`` layout; CI uploads it as
+an artifact)::
 
     python benchmarks/bench_sweep.py                          # full report
     python benchmarks/bench_sweep.py --nodes 40 --rounds 3    # CI smoke
@@ -39,7 +44,10 @@ from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.parallel import make_evaluator
 from repro.core.resilience import global_stats
 from repro.core.weights import WeightSetting
-from repro.routing.backend import SWEEP_BATCH_MIN_SCENARIOS
+from repro.routing.backend import (
+    CLOSURE_MAX_NODES,
+    SWEEP_BATCH_MIN_SCENARIOS,
+)
 from repro.scenarios.generators import build_scenarios
 from repro.topology import powerlaw_topology, scale_to_diameter
 from repro.traffic import dtr_traffic, scale_to_utilization
@@ -82,56 +90,24 @@ def costs_key(costs) -> "list[tuple]":
     ]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--nodes",
-        type=int,
-        default=100,
-        help="PLTopo node count (default 100)",
-    )
-    parser.add_argument(
-        "--jobs",
-        default="2",
-        help="comma-separated n_jobs values, one arm each (default 2)",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=10,
-        help="timed requests per arm (default 10)",
-    )
-    parser.add_argument(
-        "--warmups",
-        type=int,
-        default=2,
-        help="untimed requests per arm first (default 2)",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--out",
-        default="BENCH_sweep.json",
-        help="result JSON path (default BENCH_sweep.json)",
-    )
-    args = parser.parse_args(argv)
-    jobs = [int(n) for n in args.jobs.split(",") if n.strip()]
-    if any(n < 2 for n in jobs):
-        parser.error("--jobs values must be >= 2")
-    if args.rounds < 1 or args.warmups < 0:
-        parser.error("need --rounds >= 1 and --warmups >= 0")
-
-    network, traffic = build_instance(args.nodes, args.seed)
-    scenarios = build_scenarios(SCENARIOS, network, args.seed)
-    rng = np.random.default_rng(args.seed + 1)
+def bench_size(
+    num_nodes: int, jobs: "list[int]", rounds: int, warmups: int, seed: int
+) -> dict:
+    """Time every arm on one PLTopo size; rows, dispatch stats, parity."""
+    network, traffic = build_instance(num_nodes, seed)
+    scenarios = build_scenarios(SCENARIOS, network, seed)
+    rng = np.random.default_rng(seed + 1)
     settings = [
         WeightSetting.random(
             network.num_arcs, OptimizerConfig().weights, rng
         )
-        for _ in range(args.warmups + args.rounds)
+        for _ in range(warmups + rounds)
     ]
+    closure = network.num_nodes <= CLOSURE_MAX_NODES
     print(
         f"instance: {network.num_nodes} nodes, {network.num_arcs} arcs, "
-        f"{len(scenarios)} scenarios ({SCENARIOS}); jobs={jobs}; "
+        f"{len(scenarios)} scenarios ({SCENARIOS}); group repair: "
+        f"{'closure' if closure else 'cone'}; jobs={jobs}; "
         f"{os.cpu_count()} CPUs"
     )
 
@@ -145,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     parity = True
     try:
         for index, setting in enumerate(settings):
-            timed = index >= args.warmups
+            timed = index >= warmups
             results = {}
             for name in order:
                 gc.collect()
@@ -185,6 +161,10 @@ def main(argv: list[str] | None = None) -> int:
     for name in configs:
         row = {
             "workload": f"costs-only:{SCENARIOS}",
+            "nodes": network.num_nodes,
+            "arcs": network.num_arcs,
+            "scenarios": len(scenarios),
+            "group_repair": "closure" if closure else "cone",
             "arm": name,
             "evals_per_sec": quartiles(rates[name]),
         }
@@ -200,7 +180,62 @@ def main(argv: list[str] | None = None) -> int:
             f"[{stats['q1']:.2f}, {stats['q3']:.2f}]"
         )
     print(f"  parity={parity}")
-    if not parity:
+    return {
+        "rows": rows,
+        "transport_stats": transports,
+        "host_busy_seconds": host_busy,
+        "parity": parity,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--nodes",
+        default="30,100",
+        help=(
+            "comma-separated PLTopo node counts, one row set each "
+            "(default 30,100: both sides of CLOSURE_MAX_NODES)"
+        ),
+    )
+    parser.add_argument(
+        "--jobs",
+        default="2",
+        help="comma-separated n_jobs values, one arm each (default 2)",
+    )
+    parser.add_argument(
+        "--rounds",
+        type=int,
+        default=10,
+        help="timed requests per arm (default 10)",
+    )
+    parser.add_argument(
+        "--warmups",
+        type=int,
+        default=2,
+        help="untimed requests per arm first (default 2)",
+    )
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--out",
+        default="BENCH_sweep.json",
+        help="result JSON path (default BENCH_sweep.json)",
+    )
+    args = parser.parse_args(argv)
+    jobs = [int(n) for n in args.jobs.split(",") if n.strip()]
+    sizes = [int(n) for n in args.nodes.split(",") if n.strip()]
+    if any(n < 2 for n in jobs):
+        parser.error("--jobs values must be >= 2")
+    if not sizes or any(n < 2 for n in sizes):
+        parser.error("--nodes needs node counts >= 2")
+    if args.rounds < 1 or args.warmups < 0:
+        parser.error("need --rounds >= 1 and --warmups >= 0")
+
+    results = {
+        str(n): bench_size(n, jobs, args.rounds, args.warmups, args.seed)
+        for n in sizes
+    }
+    if not all(result["parity"] for result in results.values()):
         print("FAIL: an arm diverged from the serial sweep", file=sys.stderr)
         return 1
 
@@ -208,16 +243,14 @@ def main(argv: list[str] | None = None) -> int:
         "sweep",
         (
             "costs-only sweeps of a fresh seeded setting per request "
-            f"across {SCENARIOS} scenarios: per-scenario serial, "
-            "batched serial and n_jobs local sweep hosts, arms "
-            "alternating each round; evals/s median and quartiles; "
-            "bitwise parity gated"
+            f"across {SCENARIOS} scenarios, one row set per PLTopo size: "
+            "per-scenario serial, batched serial and n_jobs local sweep "
+            "hosts, arms alternating each round; evals/s median and "
+            "quartiles; bitwise parity gated"
         ),
-        rows=rows,
+        rows=[row for result in results.values() for row in result["rows"]],
         context={
-            "nodes": network.num_nodes,
-            "arcs": network.num_arcs,
-            "scenarios": len(scenarios),
+            "nodes": sizes,
             "scenario_spec": SCENARIOS,
             "jobs": jobs,
             "rounds": args.rounds,
@@ -227,12 +260,20 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
             "load_average": [round(x, 2) for x in os.getloadavg()],
             "sweep_batch_min_scenarios": SWEEP_BATCH_MIN_SCENARIOS,
-            "parity": parity,
-            # Measured dispatch accounting of the host arms: publishes
-            # and payload bytes (per-host epochs), ticket bytes, result
-            # bytes and summed in-host busy seconds (per host index).
-            "transport_stats": transports,
-            "host_busy_seconds": host_busy,
+            "closure_max_nodes": CLOSURE_MAX_NODES,
+            "parity": True,
+            # Measured dispatch accounting of the host arms, per size:
+            # publishes and payload bytes (per-host epochs), ticket
+            # bytes, result bytes and summed in-host busy seconds (per
+            # host index).
+            "transport_stats": {
+                size: result["transport_stats"]
+                for size, result in results.items()
+            },
+            "host_busy_seconds": {
+                size: result["host_busy_seconds"]
+                for size, result in results.items()
+            },
             # Supervisor counters across every sweep of this run: all
             # zero on a healthy box; nonzero values flag that measured
             # rates include retry/degradation overhead.

@@ -591,8 +591,13 @@ class DtrEvaluator:
             memo=self._incremental,
             handoffs=handoffs,
         )
+        sla = sla_outcome(pair_delays, routing_d.demands, self._config.sla)
+        phi = fortz_cost(
+            total, self._network.capacity, include=routing_t.loads > 0.0
+        )
         return self._assemble(
-            scenario, kind, routing_d, routing_t, total, delays, pair_delays
+            scenario, kind, routing_d, routing_t, total, delays,
+            pair_delays, sla, phi,
         )
 
     # ------------------------------------------------------------------
@@ -674,12 +679,11 @@ class DtrEvaluator:
         total: np.ndarray,
         delays: np.ndarray,
         pair_delays: np.ndarray,
+        sla: SlaOutcome,
+        phi: float,
     ) -> ScenarioEvaluation:
-        """SLA penalty (Eq. 2), Fortz cost and the evaluation record."""
-        sla = sla_outcome(pair_delays, routing_d.demands, self._config.sla)
-        phi = fortz_cost(
-            total, self._network.capacity, include=routing_t.loads > 0.0
-        )
+        """The evaluation record of a scenario's SLA penalty (Eq. 2),
+        ``sla``, and Fortz cost, ``phi``."""
         return ScenarioEvaluation(
             scenario=scenario,
             cost=CostPair(sla.cost, phi),
@@ -1092,13 +1096,14 @@ class DtrEvaluator:
         """Evaluate one batch group of plain arc-failure scenarios.
 
         Shares :meth:`evaluate`'s failed-arc shortcut, NORMAL-column
-        reuse rule and cost assembly, and runs every other stage once
-        per group on arrays: one
+        reuse rule and evaluation record, and runs every other stage
+        once per group on arrays: one
         :func:`~repro.routing.sweep.route_scenario_batch` per class, one
         ``arc_delays`` call on the ``(K, A)`` stack of total loads, one
         :meth:`~repro.routing.engine.PathDelayReuse.fill` and one
-        :func:`~repro.routing.sweep.flush_delay_batch` for the rest.
-        Every stage replays the identical floats, so each scenario's
+        :func:`~repro.routing.sweep.flush_delay_batch` for the rest,
+        then one stacked ``sla_outcome`` and one stacked ``fortz_cost``
+        call.  Every stage replays the identical floats, so each scenario's
         evaluation is bit-identical to the per-scenario path.  No memo
         or routing cache is probed or filled: a batch sweep prices each
         setting once.  Exact duplicates (same failure, same kind) share
@@ -1170,14 +1175,16 @@ class DtrEvaluator:
         cell the NORMAL-column reuse rule admits takes the NORMAL column
         (:meth:`~repro.routing.engine.PathDelayReuse.fill`, the rule
         ``path_delays`` applies per scenario); the rest run through
-        :func:`~repro.routing.sweep.flush_delay_batch`.
+        :func:`~repro.routing.sweep.flush_delay_batch`.  The costs come
+        from one ``sla_outcome`` call on the ``(K, N, N)`` pair-delay
+        stack and one ``fortz_cost`` call on the total-load stack, each
+        row bit-identical to the one-row call :meth:`evaluate` makes.
         """
         keys = list(resolved)
         routings_d = [resolved[key][0] for key in keys]
         routings_t = [resolved[key][1] for key in keys]
-        total = np.stack([r.loads for r in routings_d]) + np.stack(
-            [r.loads for r in routings_t]
-        )
+        loads_t = np.stack([r.loads for r in routings_t])
+        total = np.stack([r.loads for r in routings_d]) + loads_t
         delays = arc_delays(
             total,
             self._network.capacity,
@@ -1216,6 +1223,14 @@ class DtrEvaluator:
             out,
             shared,
         )
+        # Batch groups remove no nodes: every scenario routes the same
+        # delay-class demands.
+        slas = sla_outcome(out, routings_d[0].demands, self._config.sla)
+        phis = fortz_cost(
+            total,
+            self._network.capacity,
+            include=loads_t > 0.0,
+        )
         for k, key in enumerate(keys):
             done[key] = self._assemble(
                 key[0],
@@ -1225,4 +1240,6 @@ class DtrEvaluator:
                 total[k],
                 delays[k],
                 out[k],
+                slas[k],
+                phis[k],
             )

@@ -54,26 +54,44 @@ def fortz_cost(
     total_loads: np.ndarray,
     capacity: np.ndarray,
     include: np.ndarray | None = None,
-) -> float:
+) -> "float | list[float]":
     """Network congestion cost ``Phi``.
 
     Args:
-        total_loads: per-arc load ``x_l`` across both classes (bits/s).
-        capacity: per-arc capacity (bits/s).
-        include: optional boolean mask restricting the sum to the links
-            carrying throughput-sensitive traffic (the paper's set ``L``);
+        total_loads: per-arc load ``x_l`` across both classes (bits/s),
+            ``(A,)``, or a ``(K, A)`` stack of such rows.
+        capacity: ``(A,)`` per-arc capacity (bits/s).
+        include: optional boolean mask, shaped like ``total_loads``,
+            restricting each sum to the links carrying
+            throughput-sensitive traffic (the paper's set ``L``);
             default sums over all arcs.
 
     Returns:
-        The scalar cost ``Phi``.
+        The scalar cost ``Phi``; for a stack, one per row, each
+        bit-identical to a one-row call (every row's included costs are
+        compressed to a 1-D array before they are summed).
     """
     loads = np.asarray(total_loads, dtype=np.float64)
     capacity = np.asarray(capacity, dtype=np.float64)
-    if loads.shape != capacity.shape:
+    if loads.shape[-1:] != capacity.shape or loads.ndim > 2:
         raise ValueError("loads and capacity shapes must match")
     per_arc = fortz_link_cost(loads / capacity)
     if include is not None:
-        per_arc = per_arc[np.asarray(include, dtype=bool)]
+        include = np.asarray(include, dtype=bool)
+        if include.shape != loads.shape:
+            raise ValueError("include and loads shapes must match")
+    if loads.ndim == 1:
+        return _row_cost(per_arc, include)
+    return [
+        _row_cost(row, None if include is None else include[k])
+        for k, row in enumerate(per_arc)
+    ]
+
+
+def _row_cost(per_arc: np.ndarray, include: np.ndarray | None) -> float:
+    """One row's ``Phi``: its included arc costs, summed as a 1-D array."""
+    if include is not None:
+        per_arc = per_arc[include]
     return float(per_arc.sum())
 
 

@@ -60,42 +60,59 @@ def sla_outcome(
     delays: np.ndarray,
     demand: np.ndarray,
     params: SlaParams = SlaParams(),
-) -> SlaOutcome:
+) -> "SlaOutcome | list[SlaOutcome]":
     """Total SLA penalty over the SD pairs carrying delay demand.
 
     Args:
         delays: ``(N, N)`` end-to-end delay matrix in seconds (``inf``
-            marks disconnection, ``nan`` marks non-routed entries).
-        demand: ``(N, N)`` delay-class demand; pairs with zero demand are
-            excluded from the SLA population.
+            marks disconnection, ``nan`` marks non-routed entries), or a
+            ``(K, N, N)`` stack of them.
+        demand: ``(N, N)`` delay-class demand, shared by every matrix of
+            a stack; pairs with zero demand are excluded from the SLA
+            population.
         params: SLA constants.
 
     Returns:
-        The aggregate :class:`SlaOutcome`.
+        The aggregate :class:`SlaOutcome`; for a stack, one per matrix,
+        each bit-identical to a one-matrix call: every row's penalties
+        are compressed to a 1-D array before they are summed, so the
+        summation order does not depend on the stack.
     """
-    if delays.shape != demand.shape:
+    if delays.shape[-2:] != demand.shape or delays.ndim not in (2, 3):
         raise ValueError("delays and demand shapes must match")
+    stacked = delays.ndim == 3
     mask = demand > 0.0
-    pair_delays = delays[mask]
+    pairs = int(mask.sum())
+    # One row of demand-pair delays per matrix.
+    pair_delays = delays[:, mask] if stacked else delays[mask][None]
     if np.any(np.isnan(pair_delays)):
         raise ValueError("demand-carrying pair has no routed delay")
 
-    disconnected = ~np.isfinite(pair_delays)
-    finite = pair_delays[~disconnected]
-    over = finite > params.theta
-
-    excess_ms = (finite[over] - params.theta) * MS_PER_S
-    cost = float(np.sum(params.b1 + params.b2 * excess_ms))
+    finite = np.isfinite(pair_delays)
+    over = finite & (pair_delays > params.theta)
+    # The violating pairs' penalties, row after row; each row's run is
+    # summed as its own 1-D slice, in the order a one-matrix call sums.
+    excess_ms = (pair_delays[over] - params.theta) * MS_PER_S
+    penalties = params.b1 + params.b2 * excess_ms
     disconnect_excess_ms = (
         params.disconnect_excess_factor * params.theta * MS_PER_S
     )
-    cost += float(disconnected.sum()) * (
-        params.b1 + params.b2 * disconnect_excess_ms
-    )
-
-    return SlaOutcome(
-        cost=cost,
-        violations=int(over.sum()) + int(disconnected.sum()),
-        disconnected=int(disconnected.sum()),
-        pairs=int(mask.sum()),
-    )
+    disconnect_cost = params.b1 + params.b2 * disconnect_excess_ms
+    outcomes = []
+    end = 0
+    for num_over, num_finite in zip(
+        over.sum(axis=1).tolist(), finite.sum(axis=1).tolist()
+    ):
+        start, end = end, end + num_over
+        disconnected = pairs - num_finite
+        cost = float(np.sum(penalties[start:end]))
+        cost += float(disconnected) * disconnect_cost
+        outcomes.append(
+            SlaOutcome(
+                cost=cost,
+                violations=num_over + disconnected,
+                disconnected=disconnected,
+                pairs=pairs,
+            )
+        )
+    return outcomes if stacked else outcomes[0]

@@ -49,6 +49,23 @@ VECTOR_CROSSOVER_WORK = 5_500
 #: (python ahead) and ~ 5.5k (vector ahead) across 100-400 nodes.
 VECTOR_PROPAGATION_CROSSOVER_WORK = 4_500
 
+#: Node count up to which a batch sweep group whose failures leave at
+#: least two scenarios needing new distance columns takes those columns
+#: from one min-plus closure over the scenarios' stacked adjacency
+#: matrices (:func:`repro.routing.incremental._closure_columns`) instead
+#: of one Python cone repair per (scenario, destination) cell.  The
+#: closure runs ``N`` numpy steps per chunk of scenarios, ``N³`` work per
+#: scenario, against cone repairs whose count and size grow with ``N``
+#: but shrink on denser graphs (more equal-cost alternatives): it wins
+#: at backbone scale and loses as ``N`` grows.  Timed per scenario on
+#: whole link + SRLG groups (2-vCPU Xeon), closure against cone repair:
+#: 16-node ISP 19 vs 106 µs, 30-node RandTopo 102 vs 269 µs and
+#: PLTopo 83 vs 203 µs; at 64 nodes RandTopo 679 vs 745 µs and PLTopo
+#: 670 vs 606 µs (level); at 72 nodes PLTopo 766 vs 620 µs and at 100
+#: nodes 1,898 vs 1,240 µs.  A group of one never takes the closure: it
+#: cannot amortize the ``N`` steps.
+CLOSURE_MAX_NODES = 64
+
 
 def backend_availability() -> dict:
     """Which routing backends this environment can run, with versions.

@@ -31,9 +31,12 @@ Three pieces live here:
   :meth:`~repro.routing.incremental.IncrementalRouter.route_scenario`:
   the group's distances ``(S, N, N)``, mask rows ``(S, D, A)`` and hit
   cells ``(S, D)`` as arrays from the router's one structure rule
-  (which ``route_scenario`` runs as a group of one), the hit cells'
-  load contributions through the router's load driver (chunked by a
-  kernel budget), one ascending-destination fold into an ``(S, A)``
+  (which ``route_scenario`` runs as a group of one; on instances of at
+  most :data:`~repro.routing.backend.CLOSURE_MAX_NODES` nodes a group
+  takes its new distance columns from one batched min-plus closure
+  instead of a cone repair per cell), the hit cells' load
+  contributions through the router's load driver (chunked by a kernel
+  budget), one ascending-destination fold into an ``(S, A)``
   accumulator.
 * :func:`flush_delay_batch` — the group's outstanding path-delay DPs
   through the engine's delay driver, replaying the load batches'
@@ -71,6 +74,7 @@ from repro.routing.engine import (
 )
 from repro.routing.failures import FailureScenario
 from repro.routing.incremental import (
+    CLOSURE_STACK_BYTES,
     IncrementalRouter,
     ScenarioRouting,
     _load_columns,
@@ -119,7 +123,12 @@ def group_scenario_budget(num_nodes: int, num_arcs: int) -> int:
     small instances batch whole sweeps at once.  The hit cells'
     contribution rows are bounded per kernel call by
     :func:`kernel_cell_budget` instead: each call's scenarios fold as
-    soon as it returns.
+    soon as it returns.  The min-plus closure that repairs a small
+    instance's distances (:func:`~repro.routing.incremental.
+    _closure_columns`) works through the group in chunks of two
+    :data:`~repro.routing.incremental.CLOSURE_STACK_BYTES` stacks,
+    whatever the group's size, so the budget sets those bytes aside
+    first.
     """
     per_scenario = (
         32 * num_nodes * num_nodes
@@ -127,7 +136,8 @@ def group_scenario_budget(num_nodes: int, num_arcs: int) -> int:
         + 2 * num_nodes
         + 48 * num_arcs
     )
-    return max(1, SWEEP_STATE_BUDGET // max(1, per_scenario))
+    state = SWEEP_STATE_BUDGET - 2 * CLOSURE_STACK_BYTES
+    return max(1, state // max(1, per_scenario))
 
 
 @dataclass(frozen=True)

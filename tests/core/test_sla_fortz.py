@@ -140,3 +140,93 @@ class TestFortzCost:
         assert b >= a
         # convexity: increments grow
         assert (c - b) >= (b - a) - 1e-9
+
+
+class TestStackedCosts:
+    """A ``(K, ...)`` stack prices each row exactly as a one-row call."""
+
+    def test_sla_rows_equal_one_row_calls(self):
+        params = SlaParams()
+        rng = np.random.default_rng(4)
+        n = 9
+        delays = rng.uniform(0.0, 2.5 * params.theta, (7, n, n))
+        delays[3] = 0.5 * params.theta  # no pair over the bound
+        delays[:, 2, :] = np.inf  # node 2 cut off: disconnected pairs
+        delays[1, 4, 5] = params.theta  # a tie with the bound
+        for row in delays:
+            np.fill_diagonal(row, np.nan)
+        demand = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.8)
+        np.fill_diagonal(demand, 0.0)
+        stacked = sla_outcome(delays, demand, params)
+        assert len(stacked) == len(delays)
+        for row, outcome in zip(delays, stacked):
+            assert outcome == sla_outcome(row, demand, params)
+        assert stacked[3].violations == stacked[3].disconnected > 0
+        assert all(outcome.disconnected > 0 for outcome in stacked)
+
+    def test_sla_theta_tie_of_the_oracle_instance(self):
+        """A pair whose delay sums to exactly theta (the synthetic
+        topologies scale their diameter to theta) gets the one-row
+        verdict inside a stack."""
+        from repro.config import OptimizerConfig
+        from repro.core.evaluation import DtrEvaluator
+        from repro.core.weights import WeightSetting
+        from repro.exp.common import make_instance
+        from repro.scenarios import legacy_failures
+
+        inst = make_instance("rand", 10, 3.5, 6)
+        config = OptimizerConfig()
+        setting = WeightSetting.random(
+            inst.network.num_arcs, config.weights, np.random.default_rng(6)
+        )
+        evaluator = DtrEvaluator(inst.network, inst.traffic, config)
+        failures = [s.failure for s in legacy_failures(inst.network)]
+        tie = next(f for f in failures if f.label == "link:12")
+        rows = [
+            evaluator.evaluate(setting, f).pair_delays
+            for f in (tie, failures[0], failures[1])
+        ]
+        assert rows[0][0, 6] == config.sla.theta
+        demand = inst.traffic.delay.values
+        stacked = sla_outcome(np.stack(rows), demand, config.sla)
+        for row, outcome in zip(rows, stacked):
+            assert outcome == sla_outcome(row, demand, config.sla)
+
+    def test_sla_stack_shape_checked(self):
+        with pytest.raises(ValueError, match="shapes"):
+            sla_outcome(np.zeros((2, 3, 3)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="shapes"):
+            sla_outcome(np.zeros((1, 2, 3, 3)), np.zeros((3, 3)))
+
+    def test_fortz_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(5)
+        # Utilisations on and around every breakpoint, and beyond 1.1.
+        rho = np.concatenate(
+            [
+                np.asarray(FORTZ_BREAKPOINTS),
+                np.asarray(FORTZ_BREAKPOINTS) + 1e-3,
+                rng.uniform(0.0, 1.6, 40),
+            ]
+        )
+        capacity = rng.uniform(1e8, 1e9, rho.size)
+        loads = np.stack(
+            [capacity * rng.permutation(rho) for _ in range(6)]
+        )
+        include = rng.random(loads.shape) < 0.7
+        include[2] = False  # no throughput-carrying arc: Phi = 0
+        with_mask = fortz_cost(loads, capacity, include=include)
+        without = fortz_cost(loads, capacity)
+        assert len(with_mask) == len(without) == len(loads)
+        for k, row in enumerate(loads):
+            assert with_mask[k] == fortz_cost(
+                row, capacity, include=include[k]
+            )
+            assert without[k] == fortz_cost(row, capacity)
+        assert with_mask[2] == 0.0
+
+    def test_fortz_stack_shapes_checked(self):
+        loads, capacity = np.ones((3, 4)), np.ones(4)
+        with pytest.raises(ValueError, match="include"):
+            fortz_cost(loads, capacity, include=np.ones(4, dtype=bool))
+        with pytest.raises(ValueError, match="capacity"):
+            fortz_cost(np.ones((2, 3, 4)), capacity)

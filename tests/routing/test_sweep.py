@@ -10,13 +10,17 @@ partition every scenario into exactly one bucket.
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import OptimizerConfig
 from repro.core.evaluation import DtrEvaluator
 from repro.core.weights import WeightSetting
+from repro.exp.common import make_instance
+from repro.routing import incremental
 from repro.routing.engine import RoutingEngine
 from repro.routing.fastpath import PropagationPlan, fast_propagate_worst_delay
-from repro.routing.incremental import IncrementalRouter
+from repro.routing.incremental import CLOSURE_STACK_BYTES, IncrementalRouter
 from repro.routing.network import Network
 from repro.routing.sweep import (
     SWEEP_STATE_BUDGET,
@@ -34,6 +38,7 @@ from repro.routing.vectorized import (
 from repro.scenarios import (
     GaussianSurge,
     Scenario,
+    build_scenarios,
     cross,
     k_link_failures,
     legacy_failures,
@@ -136,8 +141,10 @@ class TestPlanner:
         # The group budget counts, per scenario: both classes' distance
         # matrices, mask rows, hit flags and loads, plus the delay
         # stage's path delays, stacked delay-class distances and masks
-        # and four arc vectors (D = N destinations at most).
-        for n, a in ((100, 588), (400, 2394)):
+        # and four arc vectors (D = N destinations at most); the
+        # closure's two chunk stacks are set aside first.
+        state = SWEEP_STATE_BUDGET - 2 * CLOSURE_STACK_BYTES
+        for n, a in ((30, 138), (64, 372), (100, 588), (400, 2394)):
             per_scenario = (
                 2 * (8 * n * n + n * a + n + 8 * a)
                 + 8 * n * n
@@ -145,8 +152,8 @@ class TestPlanner:
                 + 32 * a
             )
             budget = group_scenario_budget(n, a)
-            assert budget * per_scenario <= SWEEP_STATE_BUDGET
-            assert (budget + 1) * per_scenario > SWEEP_STATE_BUDGET
+            assert budget * per_scenario <= state
+            assert (budget + 1) * per_scenario > state
 
 
 class TestBatchRoutingParity:
@@ -349,6 +356,100 @@ class TestGroupCases:
             assert np.array_equal(
                 evaluation.pair_delays, expected.pair_delays, equal_nan=True
             )
+
+
+def group_structures(router, scenarios, bound):
+    """``_group_structure`` with the closure's node bound set to ``bound``,
+    plus the repair path each call took."""
+    taken = []
+    closure, cone = incremental._closure_columns, router._cone_columns
+
+    def spy_closure(*args):
+        taken.append("closure")
+        return closure(*args)
+
+    def spy_cone(*args):
+        taken.append("cone")
+        return cone(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incremental, "CLOSURE_MAX_NODES", bound)
+        patch.setattr(incremental, "_closure_columns", spy_closure)
+        patch.setattr(router, "_cone_columns", spy_cone)
+        group = router._group_structure(scenarios)
+    return group, taken
+
+
+class TestRepairPaths:
+    """The min-plus closure and the cone repair give the same group
+    structure bit for bit, and the rule picks between them by the group
+    and the instance size alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family=st.sampled_from(["rand", "pl"]),
+        num_nodes=st.integers(6, 20),
+        seed=st.integers(0, 10_000),
+    )
+    def test_closure_equals_cone_repair(self, family, num_nodes, seed):
+        inst = make_instance(family, num_nodes, 3.5, seed)
+        network = inst.network
+        scenarios = [
+            s.failure
+            for s in build_scenarios("link,srlg,multi2", network, seed)
+        ]
+        node = seed % network.num_nodes
+        scenarios.append(
+            FailureScenario(
+                failed_arcs=tuple(
+                    int(a) for a in network.arcs_of_node(node)
+                ),
+                label="cut",
+            )
+        )
+        router = IncrementalRouter(
+            network, inst.traffic.delay.values, random_weights(network, seed)
+        )
+        closed, closure_path = group_structures(
+            router, scenarios, network.num_nodes
+        )
+        repaired, cone_path = group_structures(
+            router, scenarios, network.num_nodes - 1
+        )
+        assert closure_path == ["closure"]
+        assert cone_path == ["cone"]
+        assert np.array_equal(closed.dist, repaired.dist)
+        assert np.array_equal(closed.masks, repaired.masks)
+        assert np.array_equal(closed.hit, repaired.hit)
+        # The cut leaves the node unreachable from every other node.
+        others = np.arange(network.num_nodes) != node
+        if node in router.destinations:
+            assert np.isinf(closed.dist[-1][others, node]).all()
+
+    def test_one_scenario_to_repair_takes_the_cone(self, instance):
+        network, traffic = instance
+        weights = random_weights(network, 6)
+        # An arc heavier than any path is on no shortest-path DAG.
+        weights[[0, 7]] = 10_000.0
+        node = int(np.argmin([network.degree(v) for v in range(14)]))
+        cut = FailureScenario(
+            failed_arcs=tuple(int(a) for a in network.arcs_of_node(node)),
+            label="cut",
+        )
+        unused = [
+            FailureScenario(failed_arcs=(a,), label=str(a)) for a in (0, 7)
+        ]
+        router = fresh_router(network, traffic, weights)
+        _, path = group_structures(router, [cut] + unused, 64)
+        assert path == ["cone"]
+        _, path = group_structures(router, unused, 64)
+        assert path == []
+        srlg = [
+            s.failure
+            for s in srlg_failures(network, num_groups=2, group_size=2, seed=3)
+        ]
+        _, path = group_structures(router, [cut] + srlg, 64)
+        assert path == ["closure"]
 
 
 class TestDelayRowsKernel:
